@@ -24,25 +24,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .head import ClassScores, FeatureMap, SupportPool, softmax
-from .linalg import ShapeError, add_ridge, as_matrix, gram, spd_solve
+from .head import ClassScores, FeatureMap, SupportPool, _check_pools, softmax
+from .linalg import add_ridge, as_matrix, gram, spd_solve
 
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    """Subspace-projection settings for the dsn head."""
+    """Subspace-projection settings for the dsn head.
+
+    The subspace always includes the origin: projections are never
+    recentred on the class centroid.
+    """
 
     lambda_fixed: float = 0.01
-    include_origin: bool = True
 
     def __post_init__(self):
         if not (self.lambda_fixed > 0):
             raise ValueError(f"lambda_fixed must be positive, got {self.lambda_fixed!r}")
-        if not self.include_origin:
-            raise ValueError(
-                "centroid-recentered projection is not supported; "
-                "the origin is kept as the common reference point"
-            )
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,8 @@ def _pooled_query(q: FeatureMap | np.ndarray) -> np.ndarray:
     return average_pool(vals)
 
 
-def _check_pools(pools: Sequence[SupportPool]):
-    if not pools:
-        raise ValueError("at least one support pool is required")
-    d = pools[0].d
-    for p in pools:
-        if p.d != d:
-            raise ShapeError(f"pools disagree in channel count: {p.d} vs {d}")
-
-
-def _scores(dists: np.ndarray, gamma: float, d: int, normalize_by_dim: bool) -> ClassScores:
-    logits = -gamma * dists / (d if normalize_by_dim else 1.0)
+def _scores(dists: np.ndarray, gamma: float, d: int) -> ClassScores:
+    logits = -gamma * dists / d
     return ClassScores(logits=logits, probs=softmax(logits))
 
 
@@ -127,11 +116,9 @@ def proto_distances(q, pools: Sequence[SupportPool]) -> np.ndarray:
     )
 
 
-def proto_scores(
-    q, pools: Sequence[SupportPool], gamma: float, normalize_by_dim: bool = True
-) -> ClassScores:
+def proto_scores(q, pools: Sequence[SupportPool], gamma: float) -> ClassScores:
     dists = proto_distances(q, pools)
-    return _scores(dists, gamma, pools[0].d, normalize_by_dim)
+    return _scores(dists, gamma, pools[0].d)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +158,9 @@ def dsn_scores(
     pools: Sequence[SupportPool],
     cfg: ProjectionConfig = ProjectionConfig(),
     gamma: float = 1.0,
-    normalize_by_dim: bool = True,
 ) -> ClassScores:
     dists = dsn_distances(q, pools, cfg)
-    return _scores(dists, gamma, pools[0].d, normalize_by_dim)
+    return _scores(dists, gamma, pools[0].d)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +203,6 @@ def ctx_scores(
     pools: Sequence[SupportPool],
     params: CtxParams,
     gamma: float = 1.0,
-    normalize_by_dim: bool = True,
 ) -> ClassScores:
     dists = ctx_distances(q, pools, params)
-    return _scores(dists, gamma, pools[0].d, normalize_by_dim)
+    return _scores(dists, gamma, pools[0].d)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bench import BenchConfig, run_benchmark
 from .data import GEN_KINDS, GenSpec, GenerationError, IngestError, generate, ingest, save_dataset
-from .episodes import EvaluationError, SamplingError, evaluate
+from .episodes import EvaluationError, SamplingError, evaluate, make_head_fn
 from .head import HeadParams
 from .linalg import NumericalError, ShapeError
 from .training import (
@@ -199,9 +199,6 @@ def cmd_eval(args) -> int:
             head=head_kind,
             formulation=args.formulation,
             downscale_features=train_cfg_dict.get("downscale_features"),
-            learn_alpha=bool(train_cfg_dict.get("learn_alpha", True)),
-            learn_beta=bool(train_cfg_dict.get("learn_beta", True)),
-            learn_gamma=bool(train_cfg_dict.get("learn_gamma", True)),
         )
         if head_kind == "ctx" and "ctx_key" not in params:
             raise ConfigError("checkpoint has no attention projections but --head ctx given")
@@ -210,8 +207,6 @@ def cmd_eval(args) -> int:
         head_kind = args.head or "frn"
         gamma = 1.0 / ds.d
         base_fn_params = HeadParams(gamma=gamma)
-        from .episodes import make_head_fn
-
         head_fn = make_head_fn(head_kind, base_fn_params, formulation=args.formulation)
 
     if args.precision == "f32":

@@ -257,9 +257,10 @@ def ingest(path) -> Dataset:
         if header != ["item_index", "class_id"]:
             raise IngestError(f"manifest header must be item_index,class_id, got {header}")
         for row in reader:
-            if len(row) != 2:
-                raise IngestError(f"malformed manifest row {row!r}")
-            idx, cid = int(row[0]), int(row[1])
+            try:
+                idx, cid = map(int, row)
+            except ValueError:
+                raise IngestError(f"malformed manifest row {row!r}") from None
             if not (0 <= idx < tensor.shape[0]):
                 raise IngestError(f"manifest item_index {idx} out of range")
             if labels[idx] is not None:

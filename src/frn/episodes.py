@@ -83,15 +83,6 @@ class Dataset:
             classes.setdefault(int(y), []).append(FeatureMap(values=np.array(x)))
         return cls(classes=classes)
 
-    def map_features(self, fn: Callable[[np.ndarray], np.ndarray]) -> "Dataset":
-        """New dataset with ``fn`` applied to every feature-map array."""
-        return Dataset(
-            classes={
-                cid: [FeatureMap(values=fn(m.values)) for m in maps]
-                for cid, maps in self.classes.items()
-            }
-        )
-
 
 @dataclass(frozen=True)
 class Episode:
@@ -213,7 +204,6 @@ def make_head_fn(
     proj_cfg=None,
     ctx_params=None,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
-    normalize_by_dim: bool = True,
 ) -> Callable[[Episode], np.ndarray]:
     """Build an episode-to-logits function for one of the head kinds.
 
@@ -244,7 +234,7 @@ def make_head_fn(
             pools, queries = prepared(episode)
             return np.vstack(
                 [
-                    baselines.proto_scores(qm, pools, params.gamma, normalize_by_dim).logits
+                    baselines.proto_scores(qm, pools, params.gamma).logits
                     for qm in queries
                 ]
             )
@@ -256,7 +246,7 @@ def make_head_fn(
             pools, queries = prepared(episode)
             return np.vstack(
                 [
-                    baselines.dsn_scores(qm, pools, cfg, params.gamma, normalize_by_dim).logits
+                    baselines.dsn_scores(qm, pools, cfg, params.gamma).logits
                     for qm in queries
                 ]
             )
@@ -268,7 +258,7 @@ def make_head_fn(
             pools, queries = prepared(episode)
             return np.vstack(
                 [
-                    baselines.ctx_scores(qm, pools, cparams, params.gamma, normalize_by_dim).logits
+                    baselines.ctx_scores(qm, pools, cparams, params.gamma).logits
                     for qm in queries
                 ]
             )

@@ -106,16 +106,13 @@ class HeadParams:
     reconstruction recalibration as lam = (kr/d) * exp(alpha) and
     rho = exp(beta), so both stay positive for any finite value; they
     start at zero. ``gamma`` is the softmax temperature and must stay
-    positive. The ``learn_*`` flags let training fix any of the three
-    (used by the fixed-lambda / fixed-rho ablations).
+    positive. Which of the three training updates is set by
+    ``TrainConfig.learn_*``.
     """
 
     alpha: float = 0.0
     beta: float = 0.0
     gamma: float = 1.0
-    learn_alpha: bool = True
-    learn_beta: bool = True
-    learn_gamma: bool = True
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):

@@ -3,8 +3,8 @@
 Matrices are plain numpy arrays: 2-D, row-major, float32 or float64.
 Batched matrices are 3-D arrays whose leading axis is the batch; every
 batch element shares the same (rows, cols). Validation happens at the
-boundaries via :func:`as_matrix` / :func:`as_batched`; the operations
-below assume validated inputs but still check shapes cheaply.
+boundaries via :func:`as_matrix`; the operations below assume validated
+inputs but still check shapes cheaply.
 
 All functions are pure and never mutate their arguments, so they are safe
 to call from multiple threads.
@@ -64,32 +64,6 @@ def as_matrix(a, dtype=None, name: str = "matrix") -> np.ndarray:
         bad = int(arr.size - np.isfinite(arr).sum())
         raise NumericalError(f"{name} contains {bad} non-finite entries")
     return np.ascontiguousarray(arr)
-
-
-def as_batched(a, dtype=None, name: str = "batched matrix") -> np.ndarray:
-    """Validate and return a 3-D contiguous float array (batch, rows, cols)."""
-    arr = np.asarray(a, dtype=resolve_dtype(dtype) if dtype is not None else None)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    if arr.ndim != 3:
-        raise ShapeError(f"{name} must be 3-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        bad = int(arr.size - np.isfinite(arr).sum())
-        raise NumericalError(f"{name} contains {bad} non-finite entries")
-    return np.ascontiguousarray(arr)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of 2-D or batched 3-D operands."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
-        raise ShapeError(f"matmul expects 2-D or 3-D operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-        raise ShapeError(f"matmul batch mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def gram(s: np.ndarray, mode: str = "outer") -> np.ndarray:

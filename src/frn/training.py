@@ -33,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from .baselines import CtxParams, ProjectionConfig
 from .episodes import Dataset, Episode, evaluate, make_head_fn, sample_episode, trial_rng
-from .head import HeadParams
+from .head import HeadParams, SupportPool, choose_formulation, frn_distances
 from .linalg import NumericalError
 
 GAMMA_FLOOR = 1e-6
@@ -178,18 +178,25 @@ def _scalar(variables: dict, name: str, default: float):
 
 
 def _frn_class_error(q_emb, s_emb, lam, rho, r: int, d: int, kr: int, formulation: str):
+    """Per-query reconstruction errors against one class pool, as a graph.
+
+    ``rho=None`` means rho = 1 and adds no scaling node, which would hold
+    another query-sized array (and its gradient) per class.
+    """
     if formulation == "auto":
-        formulation = "direct" if d > kr else "woodbury"
+        formulation = choose_formulation(kr // r, r, d)
     if formulation == "woodbury":
         g = ad.matmul(ad.transpose(s_emb), s_emb)
         hat = ad.spd_solve(ad.add_scaled_identity(g, lam), g)
-        q_bar = ad.mul(ad.matmul(q_emb, hat), rho)
+        q_bar = ad.matmul(q_emb, hat)
     else:
         m = ad.matmul(s_emb, ad.transpose(s_emb))
         a = ad.add_scaled_identity(m, lam)
         t1 = ad.matmul(q_emb, ad.transpose(s_emb))
         t2 = ad.spd_solve(a, ad.transpose(t1))
-        q_bar = ad.mul(ad.matmul(ad.transpose(t2), s_emb), rho)
+        q_bar = ad.matmul(ad.transpose(t2), s_emb)
+    if rho is not None:
+        q_bar = ad.mul(q_bar, rho)
     return ad.mul(ad.block_sqnorm(ad.sub(q_emb, q_bar), r), 1.0 / r)
 
 
@@ -330,14 +337,11 @@ def init_params(cfg: TrainConfig, d_in: int, rng) -> dict[str, np.ndarray]:
     return params
 
 
-def head_params_from(params: dict[str, np.ndarray], cfg: TrainConfig) -> HeadParams:
+def head_params_from(params: dict[str, np.ndarray]) -> HeadParams:
     return HeadParams(
         alpha=float(params.get("alpha", 0.0)),
         beta=float(params.get("beta", 0.0)),
         gamma=max(float(params.get("gamma", 1.0)), GAMMA_FLOOR),
-        learn_alpha=cfg.learn_alpha,
-        learn_beta=cfg.learn_beta,
-        learn_gamma=cfg.learn_gamma,
     )
 
 
@@ -348,7 +352,7 @@ def make_eval_head_fn(params: dict[str, np.ndarray], cfg: TrainConfig):
         ctx = CtxParams(key_proj=params["ctx_key"], value_proj=params["ctx_value"])
     return make_head_fn(
         cfg.head,
-        head_params_from(params, cfg),
+        head_params_from(params),
         formulation=cfg.formulation,
         proj_cfg=ProjectionConfig(lambda_fixed=cfg.dsn_lambda),
         ctx_params=ctx,
@@ -510,16 +514,12 @@ class PretrainResult:
 
 def _pretrain_logits_graph(variables: dict, batch: np.ndarray, r: int, d: int, n_classes: int, scale: float):
     q_emb = _embed(batch, variables, scale)
-    gamma = variables["gamma"]
-    lam = r / d  # one dummy map per class: the shot factor is 1
-    errs = []
-    for c in range(n_classes):
-        mc = variables[f"dummy_{c}"]
-        g = ad.matmul(ad.transpose(mc), mc)
-        hat = ad.spd_solve(ad.add_scaled_identity(g, lam), g)
-        q_bar = ad.matmul(q_emb, hat)
-        errs.append(ad.mul(ad.block_sqnorm(ad.sub(q_emb, q_bar), r), 1.0 / r))
-    return ad.mul(ad.mul(ad.column_stack(errs), gamma), -1.0)
+    # one dummy map per class (shot 1), alpha = beta = 0: lam = r/d, rho = 1
+    errs = [
+        _frn_class_error(q_emb, variables[f"dummy_{c}"], r / d, None, r, d, r, "woodbury")
+        for c in range(n_classes)
+    ]
+    return ad.mul(ad.mul(ad.column_stack(errs), variables["gamma"]), -1.0)
 
 
 def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
@@ -564,8 +564,12 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
         batch = np.vstack([items[i][0] for i in idx])
         labels = np.array([items[i][1] for i in idx])
 
+        forward = {}
+
         def loss_fn(variables):
             logits = _pretrain_logits_graph(variables, batch, r, d, len(class_ids), scale)
+            # keep the values only: holding the Var would keep the whole graph alive
+            forward["logits"] = logits.value
             return ad.cross_entropy_logits(logits, labels)
 
         try:
@@ -577,12 +581,8 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
             history.append({"step": step, "event": "aborted_non_finite", "lr": lr})
             break
         last_finite = {n: v.copy() for n, v in state.items()}
-        # batch accuracy from the same forward values, for the history trace
-        with_vars = {n: ad.Var(v) for n, v in state.items()}
-        logits_now = ad.value_of(
-            _pretrain_logits_graph(with_vars, batch, r, d, len(class_ids), scale)
-        )
-        acc = float(np.mean(np.argmax(logits_now, axis=1) == labels))
+        # batch accuracy of the logits the loss was computed from
+        acc = float(np.mean(np.argmax(forward["logits"], axis=1) == labels))
         sgd_step(
             state,
             grads,
@@ -607,27 +607,20 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
 
 
 def pretrain_accuracy(result: PretrainResult, ds: Dataset, downscale: bool = False) -> float:
-    """Top-1 accuracy of the dummy-map classifier over a dataset."""
+    """Top-1 accuracy of the dummy-map classifier over a dataset.
+
+    Each dummy map is a one-shot support pool scored with the pretraining
+    head: alpha = beta = 0 and the woodbury formulation.
+    """
     transform = feature_transform(result.embedding, downscale)
     idx_of = {cid: i for i, cid in enumerate(result.class_ids)}
-    r = ds.r
-    d = result.embedding.d
-    lam = r / d
-    hats = []
-    for mc in result.dummy_maps:
-        g = mc.T @ mc
-        from .linalg import add_ridge, spd_solve
-
-        hats.append(spd_solve(add_ridge((g + g.T) / 2, lam), g))
-    correct = 0
-    total = 0
+    queries, labels = [], []
     for cid, maps in ds.classes.items():
-        for m in maps:
-            q = transform(m.values)
-            errs = [float(np.sum((q - q @ hat) ** 2) / r) for hat in hats]
-            correct += int(np.argmin(errs) == idx_of[cid])
-            total += 1
-    return correct / total
+        queries.extend(transform(m.values) for m in maps)
+        labels.extend([idx_of[cid]] * len(maps))
+    pools = [SupportPool(class_id=i, k=1, values=mc) for i, mc in enumerate(result.dummy_maps)]
+    dists = frn_distances(queries, pools, HeadParams(), "woodbury")
+    return float(np.mean(np.argmin(dists, axis=1) == np.array(labels)))
 
 
 # ---------------------------------------------------------------------------
@@ -675,16 +668,25 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     version, header_len = struct.unpack("<II", body[:8])
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    header = json.loads(body[8 : 8 + header_len].decode("utf-8"))
     offset = 8 + header_len
+    if offset > len(body):
+        raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(body[8:offset].decode("utf-8"))
+        specs = [(spec["name"], tuple(int(n) for n in spec["shape"])) for spec in header["tensors"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path} has a malformed header: {exc!r}") from exc
     params = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        arr = np.frombuffer(body[offset : offset + nbytes], dtype=np.float64).reshape(shape)
-        params[spec["name"]] = arr.copy()
+    for name, shape in specs:
+        if any(n < 0 for n in shape):
+            raise CheckpointError(f"{path}: tensor {name!r} has a negative shape {shape}")
+        nbytes = math.prod(shape) * 8
+        if offset + nbytes > len(body):
+            raise CheckpointError(f"{path}: tensor {name!r} is truncated at byte {len(CHECKPOINT_MAGIC) + offset}")
+        params[name] = np.frombuffer(body[offset : offset + nbytes], dtype=np.float64).reshape(shape).copy()
         offset += nbytes
+    if offset != len(body):
+        raise CheckpointError(f"{path}: {len(body) - offset} bytes follow the last tensor")
     meta = {
         "precision": header.get("precision", "f64"),
         "config_hash": header.get("config_hash", ""),

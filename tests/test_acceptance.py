@@ -29,10 +29,10 @@ from frn.head import (
     reconstruct_woodbury,
     reconstruction_weights,
 )
-from frn.losses import aux_orthogonality, cross_entropy_from_logits
 from frn.training import (
     PretrainConfig,
     TrainConfig,
+    _aux_term,
     _pretrain_logits_graph,
     episode_loss_graph,
     grad,
@@ -424,14 +424,14 @@ def test_criterion_10_loss_identities():
         for n in (2, 5, 9):
             logits = np.zeros((4, n))
             labels = np.zeros(4, dtype=int)
-            assert abs(cross_entropy_from_logits(logits, labels) - math.log(n)) <= 1e-9
+            assert abs(float(ad.cross_entropy_logits(logits, labels).value) - math.log(n)) <= 1e-9
 
         orth = [
             SupportPool(class_id=0, k=1, values=np.array([[2.0, 0.0, 0.0]])),
             SupportPool(class_id=1, k=1, values=np.array([[0.0, 0.0, 3.0]])),
         ]
-        assert aux_orthogonality(orth).value == pytest.approx(0.0, abs=1e-12)
+        assert _aux_term([p.values for p in orth], 0.03).value == pytest.approx(0.0, abs=1e-12)
 
         v = np.array([[0.6, 0.8]])
         same = [SupportPool(class_id=c, k=1, values=v.copy()) for c in range(2)]
-        assert aux_orthogonality(same).value == pytest.approx(0.06, abs=1e-12)
+        assert _aux_term([p.values for p in same], 0.03).value == pytest.approx(0.06, abs=1e-12)

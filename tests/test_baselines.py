@@ -121,8 +121,6 @@ class TestDsn:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProjectionConfig(lambda_fixed=0.0)
-        with pytest.raises(ValueError):
-            ProjectionConfig(include_origin=False)
 
     def test_scores_shape(self):
         rng = np.random.default_rng(6)

@@ -1,12 +1,16 @@
 """End-to-end CLI runs: generation, evaluation, benchmark, training, and
 the exit-code contract."""
 
+import binascii
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, main
+from frn.data import manifest_path
+from frn.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, load_checkpoint
 
 
 def run(argv):
@@ -67,6 +71,15 @@ class TestEval:
         code = run([
             "eval", "--head", "frn", "--data", str(tmp_path / "nope.frnt"),
             "--trials", "10", "--seed", "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == EXIT_IO
+
+    def test_non_integer_manifest_row_is_io_error(self, dataset, tmp_path):
+        lines = manifest_path(dataset).read_text().splitlines()
+        manifest_path(dataset).write_text("\n".join([lines[0], "x,0"] + lines[2:]) + "\n")
+        code = run([
+            "eval", "--head", "frn", "--data", str(dataset), "--trials", "10",
+            "--seed", "0", "--out", str(tmp_path / "x"),
         ])
         assert code == EXIT_IO
 
@@ -177,3 +190,37 @@ class TestTrainAndCheckpoints:
             "--val-every", "0", "--seed", "0", "--out", str(out),
         ])
         assert code == EXIT_OK
+
+
+def _f64_tensor(name, shape):
+    return {"name": name, "dtype": "f64", "shape": shape}
+
+
+#: checkpoints with a valid checksum whose structure is broken:
+#: (header, payload, declared header length or None for the true one)
+BAD_CHECKPOINTS = {
+    "no_tensors_key": ({"precision": "f64"}, b"", None),
+    "header_past_end": ({"tensors": []}, b"", 4096),
+    "short_payload": ({"tensors": [_f64_tensor("w", [2, 2])]}, bytes(8 * 3), None),
+    "negative_shape": ({"tensors": [_f64_tensor("w", [-1, 2])]}, bytes(8 * 2), None),
+    "trailing_bytes": ({"tensors": [_f64_tensor("w", [2])]}, bytes(8 * 3), None),
+}
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+    def test_rejected_as_io_error(self, dataset, tmp_path, case):
+        header, payload, header_len = BAD_CHECKPOINTS[case]
+        header_bytes = json.dumps(header).encode("utf-8")
+        if header_len is None:
+            header_len = len(header_bytes)
+        body = struct.pack("<II", CHECKPOINT_VERSION, header_len) + header_bytes + payload
+        ckpt = tmp_path / "bad.bin"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + body + struct.pack("<I", binascii.crc32(body)))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(ckpt)
+        code = run([
+            "eval", "--data", str(dataset), "--from", str(ckpt), "--trials", "10",
+            "--seed", "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == EXIT_IO

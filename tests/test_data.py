@@ -256,6 +256,16 @@ class TestContainer:
         with pytest.raises(IngestError):
             ingest(path)
 
+    @pytest.mark.parametrize("row", ["x,0", "0,1.5", "0"])
+    def test_malformed_manifest_row(self, tmp_path, row):
+        ds = gen_gaussian(spec("gaussian-prototype"))
+        path = tmp_path / "data.frnt"
+        save_dataset(path, ds)
+        lines = manifest_path(path).read_text().splitlines()
+        manifest_path(path).write_text("\n".join([lines[0], row] + lines[2:]) + "\n")
+        with pytest.raises(IngestError):
+            ingest(path)
+
     def test_incomplete_manifest(self, tmp_path):
         ds = gen_gaussian(spec("gaussian-prototype"))
         path = tmp_path / "data.frnt"

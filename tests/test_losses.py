@@ -1,141 +1,96 @@
-"""Loss identities: cross-entropy from logits and the orthogonality term."""
+"""Loss identities of the terms training runs: cross-entropy from logits
+(``autodiff.cross_entropy_logits``) and the orthogonality term
+(``training._aux_term``)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from frn import losses
-from frn.head import ClassScores, SupportPool
-from frn.losses import LossValue, aux_orthogonality, cross_entropy, total_loss
+from frn import autodiff as ad
+from frn.training import _aux_term
+
+AUX_SCALE = 0.03
 
 
-def scores_from_probs(probs):
-    probs = np.asarray(probs, dtype=np.float64)
-    logits = np.log(probs)
-    return ClassScores(logits=logits, probs=probs)
+def cross_entropy(logits, labels) -> float:
+    return float(ad.cross_entropy_logits(np.atleast_2d(logits), np.asarray(labels)).value)
+
+
+def aux_orthogonality(pools, scale=AUX_SCALE) -> float:
+    return float(_aux_term([np.asarray(p, dtype=np.float64) for p in pools], scale).value)
 
 
 class TestCrossEntropy:
     def test_perfect_prediction(self):
-        s = scores_from_probs([1.0 - 1e-12, 1e-12])
-        assert cross_entropy([s], [0]).value == pytest.approx(0.0, abs=1e-9)
+        logits = np.log([1.0 - 1e-12, 1e-12])
+        assert cross_entropy(logits, [0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_over_five(self):
-        s = scores_from_probs([0.2] * 5)
-        assert cross_entropy([s], [3]).value == pytest.approx(math.log(5), abs=1e-9)
+        logits = np.log([0.2] * 5)
+        assert cross_entropy(logits, [3]) == pytest.approx(math.log(5), abs=1e-9)
 
     def test_two_query_average(self):
         # p(true) = 0.5 and 0.25: (ln 2 + ln 4) / 2
-        s1 = scores_from_probs([0.5, 0.5])
-        s2 = scores_from_probs([0.25, 0.75])
-        out = cross_entropy([s1, s2], [0, 0])
-        assert out.value == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-12)
-
-    def test_label_out_of_range(self):
-        s = scores_from_probs([0.5, 0.5])
-        with pytest.raises(ValueError):
-            cross_entropy([s], [2])
-        with pytest.raises(ValueError):
-            cross_entropy([s], [-1])
+        logits = np.log([[0.5, 0.5], [0.25, 0.75]])
+        out = cross_entropy(logits, [0, 0])
+        assert out == pytest.approx((math.log(2) + math.log(4)) / 2, abs=1e-12)
 
     def test_computed_from_logits_not_probs(self):
         # extreme logits would underflow any probability-based formula
         logits = np.array([0.0, -800.0])
-        s = ClassScores(logits=logits, probs=np.array([1.0, 0.0]))
-        out = cross_entropy([s], [1])
-        assert out.value == pytest.approx(800.0, abs=1e-9)
+        assert cross_entropy(logits, [1]) == pytest.approx(800.0, abs=1e-9)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             logits = rng.standard_normal(4)
-            s = ClassScores(logits=logits, probs=np.exp(logits) / np.exp(logits).sum())
-            assert cross_entropy([s], [int(rng.integers(0, 4))]).value >= 0.0
+            assert cross_entropy(logits, [int(rng.integers(0, 4))]) >= 0.0
 
 
 class TestAuxOrthogonality:
     def test_orthogonal_pools_give_zero(self):
-        pools = [
-            SupportPool(class_id=0, k=1, values=np.array([[1.0, 0.0, 0.0]])),
-            SupportPool(class_id=1, k=1, values=np.array([[0.0, 2.0, 0.0]])),
-        ]
-        assert aux_orthogonality(pools).value == pytest.approx(0.0, abs=1e-12)
+        pools = [np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 2.0, 0.0]])]
+        assert aux_orthogonality(pools) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_unit_vectors(self):
         # one row per class, same unit vector: each ordered pair contributes
         # ||S_i S_j^T||^2 = 1, so the loss is 0.03 * 2 = 0.06
         v = np.array([[0.6, 0.8]])
-        pools = [SupportPool(class_id=c, k=1, values=v.copy()) for c in range(2)]
-        assert aux_orthogonality(pools).value == pytest.approx(0.06, abs=1e-12)
+        assert aux_orthogonality([v.copy(), v.copy()]) == pytest.approx(0.06, abs=1e-12)
 
     def test_single_class_is_zero(self):
-        pool = SupportPool(class_id=0, k=1, values=np.ones((2, 3)))
-        assert aux_orthogonality([pool]).value == 0.0
+        assert aux_orthogonality([np.ones((2, 3))]) == 0.0
 
     def test_row_rescaling_invariance(self):
         rng = np.random.default_rng(1)
-        pools = [
-            SupportPool(class_id=c, k=1, values=rng.standard_normal((3, 4)))
-            for c in range(3)
-        ]
-        base = aux_orthogonality(pools).value
-        scaled = [
-            SupportPool(
-                class_id=p.class_id,
-                k=p.k,
-                values=p.values * rng.uniform(0.1, 10.0, size=(p.values.shape[0], 1)),
-            )
-            for p in pools
-        ]
-        assert aux_orthogonality(scaled).value == pytest.approx(base, abs=1e-9)
+        pools = [rng.standard_normal((3, 4)) for _ in range(3)]
+        base = aux_orthogonality(pools)
+        scaled = [p * rng.uniform(0.1, 10.0, size=(p.shape[0], 1)) for p in pools]
+        assert aux_orthogonality(scaled) == pytest.approx(base, abs=1e-9)
+
+    def test_zero_row_stays_finite(self):
+        pools = [np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 1.0]])]
+        assert math.isfinite(aux_orthogonality(pools))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            pools = [
-                SupportPool(class_id=c, k=1, values=rng.standard_normal((2, 3)))
-                for c in range(3)
-            ]
-            assert aux_orthogonality(pools).value >= 0.0
-
-    def test_zero_row_policy_warns_and_counts(self):
-        before = losses.zero_row_warning_count()
-        pools = [
-            SupportPool(class_id=0, k=1, values=np.array([[0.0, 0.0], [1.0, 0.0]])),
-            SupportPool(class_id=1, k=1, values=np.array([[0.0, 1.0], [0.0, 1.0]])),
-        ]
-        with pytest.warns(RuntimeWarning):
-            out = aux_orthogonality(pools)
-        assert losses.zero_row_warning_count() == before + 1
-        assert math.isfinite(out.value)
-
-
-class TestLossValue:
-    def test_breakdown_must_reconcile(self):
-        with pytest.raises(ValueError):
-            LossValue(value=1.0, breakdown={"a": 0.4})
-
-    def test_total_loss_merges_breakdowns(self):
-        a = LossValue.single("cross_entropy", 1.25)
-        b = LossValue.single("aux_orthogonality", 0.06)
-        tot = total_loss(a, b)
-        assert tot.value == pytest.approx(1.31)
-        assert tot.breakdown == {"cross_entropy": 1.25, "aux_orthogonality": 0.06}
-        assert abs(sum(tot.breakdown.values()) - tot.value) <= 1e-9
+            pools = [rng.standard_normal((2, 3)) for _ in range(3)]
+            assert aux_orthogonality(pools) >= 0.0
 
 
 class TestRowNormalize:
+    """The row normalization the orthogonality term applies to each pool."""
+
     def test_unit_rows(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 4))
-        out, n_zero = losses.row_normalize(x)
-        assert n_zero == 0
+        out = ad.row_normalize(x).value
         np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
     def test_zero_row_maps_to_zero(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
-        out, n_zero = losses.row_normalize(x)
-        assert n_zero == 1
+        out = ad.row_normalize(x).value
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
         np.testing.assert_allclose(out[1], [0.6, 0.8])

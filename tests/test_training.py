@@ -10,6 +10,7 @@ from frn import autodiff as ad
 from frn import training
 from frn.episodes import Dataset, sample_episode, trial_rng
 from frn.head import FeatureMap
+from frn.linalg import add_ridge, spd_solve
 from frn.training import (
     EmbeddingModel,
     GradientError,
@@ -258,6 +259,27 @@ class TestMetaTrain:
         assert all(math.isfinite(h["loss"]) for h in result.history)
 
 
+def reference_pretrain_accuracy(result, ds, downscale=False):
+    """Per-item dummy-map classifier with its own woodbury solve per class."""
+    transform = training.feature_transform(result.embedding, downscale)
+    idx_of = {cid: i for i, cid in enumerate(result.class_ids)}
+    r = ds.r
+    lam = r / result.embedding.d
+    hats = []
+    for mc in result.dummy_maps:
+        g = mc.T @ mc
+        hats.append(spd_solve(add_ridge((g + g.T) / 2, lam), g))
+    correct = 0
+    total = 0
+    for cid, maps in ds.classes.items():
+        for m in maps:
+            q = transform(m.values)
+            errs = [float(np.sum((q - q @ hat) ** 2) / r) for hat in hats]
+            correct += int(np.argmin(errs) == idx_of[cid])
+            total += 1
+    return correct / total
+
+
 class TestPretrain:
     def test_reaches_high_held_in_accuracy(self):
         ds = gaussian_dataset(n_classes=8, items=12, r=2, d_in=6, sigma=0.1, seed=12)
@@ -265,6 +287,13 @@ class TestPretrain:
         result = pretrain(ds, cfg)
         assert not result.aborted
         assert pretrain_accuracy(result, ds) >= 0.9
+
+    @pytest.mark.parametrize("seed,sigma,steps", [(0, 0.4, 20), (1, 0.3, 40), (2, 0.6, 40)])
+    def test_accuracy_matches_per_item_reference(self, seed, sigma, steps):
+        ds = gaussian_dataset(n_classes=6, items=8, r=3, d_in=6, sigma=sigma, seed=20 + seed)
+        cfg = PretrainConfig(steps=steps, batch_size=16, lr=0.1, embed_dim=5, seed=seed)
+        result = pretrain(ds, cfg)
+        assert pretrain_accuracy(result, ds) == reference_pretrain_accuracy(result, ds)
 
     def test_loss_decreases_over_first_ten_steps(self):
         ds = gaussian_dataset(n_classes=6, items=10, r=2, d_in=6, sigma=0.05, seed=13)
