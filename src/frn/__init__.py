@@ -23,13 +23,11 @@ from .episodes import (
     trial_rng,
 )
 from .head import (
-    ClassScores,
     FeatureMap,
     HeadParams,
     Reconstruction,
     SupportPool,
     choose_formulation,
-    class_scores,
     effective_lambda,
     reconstruct,
     reconstruct_direct,
@@ -38,7 +36,6 @@ from .head import (
 __all__ = [
     "BenchConfig",
     "BenchReport",
-    "ClassScores",
     "CtxParams",
     "Dataset",
     "Episode",
@@ -51,7 +48,6 @@ __all__ = [
     "SamplingError",
     "SupportPool",
     "choose_formulation",
-    "class_scores",
     "effective_lambda",
     "evaluate",
     "generate",

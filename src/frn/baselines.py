@@ -12,8 +12,12 @@ feature-map / regression design space:
 * ctx: keep the feature map, but reconstruct it with scaled-dot-product
   attention over the support pool instead of solving a regression.
 
-Baseline logits are normalized by the channel count d before temperature
-scaling, which keeps their scale comparable across feature widths.
+Like the reconstruction head, each head scores a whole episode per call:
+the b queries come as one (b*r, d) stack (or a single FeatureMap) and
+every ``*_distances``/``*_scores`` function returns a (b, n) array over
+the n class pools. Baseline logits are normalized by the channel count d
+before temperature scaling, which keeps their scale comparable across
+feature widths.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .head import ClassScores, FeatureMap, SupportPool, _check_pools, softmax
+from .head import SupportPool, _check_pools, _query_stack, softmax
 from .linalg import add_ridge, as_matrix, gram, spd_solve
 
 
@@ -82,19 +86,11 @@ class CtxParams:
         )
 
 
-def average_pool(values: np.ndarray) -> np.ndarray:
-    """Mean over the spatial rows of an (r, d) map, giving a d-vector."""
-    return np.asarray(values).mean(axis=0)
-
-
-def _pooled_query(q: FeatureMap | np.ndarray) -> np.ndarray:
-    vals = q.values if isinstance(q, FeatureMap) else as_matrix(q, name="query")
-    return average_pool(vals)
-
-
-def _scores(dists: np.ndarray, gamma: float, d: int) -> ClassScores:
-    logits = -gamma * dists / d
-    return ClassScores(logits=logits, probs=softmax(logits))
+def _query_maps(q, pools: Sequence[SupportPool]) -> np.ndarray:
+    """The queries as a (b, r, d) stack, once the pools are checked to agree."""
+    _check_pools(pools)
+    r, d = pools[0].r, pools[0].d
+    return _query_stack(q, r, d).reshape(-1, r, d)
 
 
 # ---------------------------------------------------------------------------
@@ -108,49 +104,47 @@ def proto_prototype(pool: SupportPool) -> np.ndarray:
 
 
 def proto_distances(q, pools: Sequence[SupportPool]) -> np.ndarray:
-    """Squared Euclidean distances from the pooled query to each prototype."""
-    _check_pools(pools)
-    qv = _pooled_query(q).astype(np.float64)
-    return np.array(
-        [float(np.sum((qv - proto_prototype(p).astype(np.float64)) ** 2)) for p in pools]
-    )
+    """(b, n) squared Euclidean distances from the pooled queries to each prototype."""
+    qv = _query_maps(q, pools).mean(axis=1).astype(np.float64)
+    protos = np.stack([proto_prototype(p).astype(np.float64) for p in pools])
+    return np.sum((qv[:, None, :] - protos[None, :, :]) ** 2, axis=2)
 
 
-def proto_scores(q, pools: Sequence[SupportPool], gamma: float) -> ClassScores:
-    dists = proto_distances(q, pools)
-    return _scores(dists, gamma, pools[0].d)
+def proto_scores(q, pools: Sequence[SupportPool], gamma: float) -> np.ndarray:
+    return -gamma * proto_distances(q, pools) / pools[0].d
 
 
 # ---------------------------------------------------------------------------
 # pooled subspace-projection head
 
 
-def dsn_residual(q_vec: np.ndarray, pooled_supports: np.ndarray, lam: float) -> float:
+def dsn_residual(q: np.ndarray, pooled_supports: np.ndarray, lam: float) -> float | np.ndarray:
     """Squared residual of the ridge projection of q onto span(rows of P).
 
     Solves w = q P^T (P P^T + lam I)^-1 and returns ||q - w P||^2; for a
     vanishing regularizer this approaches the orthogonal projection
     residual onto the subspace spanned by the supports and the origin.
+    A 1-D q gives a float; the rows of a 2-D q share one factorization
+    and give one residual each.
     """
     p = np.asarray(pooled_supports)
-    q_vec = np.asarray(q_vec)
+    q = np.asarray(q)
+    rows = np.atleast_2d(q)
     m = add_ridge(gram(p, "outer"), lam)
-    w = spd_solve(m, (q_vec[None, :] @ p.T).T).T
-    resid = q_vec - (w @ p)[0]
-    return float(np.sum(resid.astype(np.float64) ** 2))
+    w = spd_solve(m, (rows @ p.T).T).T
+    resid = np.sum((rows - w @ p).astype(np.float64) ** 2, axis=1)
+    return float(resid[0]) if q.ndim == 1 else resid
 
 
 def dsn_distances(
     q, pools: Sequence[SupportPool], cfg: ProjectionConfig = ProjectionConfig()
 ) -> np.ndarray:
-    """Projection residuals of the pooled query against each class subspace."""
-    _check_pools(pools)
-    qv = _pooled_query(q)
-    out = []
-    for pool in pools:
-        pooled = pool.values.reshape(pool.k, pool.r, pool.d).mean(axis=1)
-        out.append(dsn_residual(qv, pooled, cfg.lambda_fixed))
-    return np.array(out)
+    """(b, n) projection residuals of the pooled queries against each class subspace."""
+    qv = _query_maps(q, pools).mean(axis=1)
+    return np.column_stack([
+        dsn_residual(qv, pool.values.reshape(pool.k, pool.r, pool.d).mean(axis=1), cfg.lambda_fixed)
+        for pool in pools
+    ])
 
 
 def dsn_scores(
@@ -158,9 +152,8 @@ def dsn_scores(
     pools: Sequence[SupportPool],
     cfg: ProjectionConfig = ProjectionConfig(),
     gamma: float = 1.0,
-) -> ClassScores:
-    dists = dsn_distances(q, pools, cfg)
-    return _scores(dists, gamma, pools[0].d)
+) -> np.ndarray:
+    return -gamma * dsn_distances(q, pools, cfg) / pools[0].d
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +162,16 @@ def dsn_scores(
 
 def ctx_attention(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k))."""
-    d_k = q1.shape[1]
+    d_k = q1.shape[-1]
     return softmax(q1 @ s1.T / math.sqrt(d_k))
 
 
 def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams):
-    """Attention reconstruction; returns (projected query, reconstruction)."""
+    """Attention reconstruction; returns (projected query, reconstruction).
+
+    ``q_vals`` is one (r, d) map or a (b, r, d) stack; each map attends
+    over the pool on its own.
+    """
     if params.identity_mode:
         q1, q2 = q_vals, q_vals
         s1, s2 = pool_vals, pool_vals
@@ -186,16 +183,15 @@ def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams
 
 
 def ctx_distances(q, pools: Sequence[SupportPool], params: CtxParams) -> np.ndarray:
-    """Mean squared attention-reconstruction error per class."""
-    _check_pools(pools)
-    q_vals = q.values if isinstance(q, FeatureMap) else as_matrix(q, name="query")
-    r = q_vals.shape[0]
+    """(b, n) mean squared attention-reconstruction errors."""
+    maps = _query_maps(q, pools)
+    b, r = maps.shape[:2]
     out = []
     for pool in pools:
-        q2, q2_bar = ctx_reconstruct(q_vals, pool.values, params)
-        diff = (q2 - q2_bar).astype(np.float64)
-        out.append(float(np.sum(diff * diff) / r))
-    return np.array(out)
+        q2, q2_bar = ctx_reconstruct(maps, pool.values, params)
+        diff = (q2 - q2_bar).astype(np.float64).reshape(b, -1)
+        out.append(np.sum(diff * diff, axis=1) / r)
+    return np.column_stack(out)
 
 
 def ctx_scores(
@@ -203,6 +199,5 @@ def ctx_scores(
     pools: Sequence[SupportPool],
     params: CtxParams,
     gamma: float = 1.0,
-) -> ClassScores:
-    dists = ctx_distances(q, pools, params)
-    return _scores(dists, gamma, pools[0].d)
+) -> np.ndarray:
+    return -gamma * ctx_distances(q, pools, params) / pools[0].d

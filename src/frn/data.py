@@ -224,8 +224,7 @@ def load_tensor(path) -> np.ndarray:
     )
     dtype = _DTYPE_TAGS[dtype_tag]
     payload_off = dims_off + 4 * rank
-    count = int(np.prod(dims))
-    nbytes = count * dtype.itemsize
+    nbytes = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap-around
     payload = _read_exact(blob, payload_off, nbytes, "payload")
     crc_off = payload_off + nbytes
     (crc_stored,) = struct.unpack("<I", _read_exact(blob, crc_off, 4, "checksum"))

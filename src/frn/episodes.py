@@ -207,63 +207,35 @@ def make_head_fn(
 ) -> Callable[[Episode], np.ndarray]:
     """Build an episode-to-logits function for one of the head kinds.
 
-    ``transform`` is applied to every feature-map array (support and
-    query) before scoring; pass an embedding or a feature rescale here.
+    The head function stacks the episode's query maps into one array and
+    makes one scoring call for the whole episode. ``transform`` is applied
+    to that (b, r, d) stack and to every support pool's values before
+    scoring; pass an embedding or a feature rescale here.
     """
     params = params or HeadParams()
-
-    def prepared(episode: Episode):
-        if transform is None:
-            return episode.support, [qm for qm, _ in episode.queries]
-        pools = [
-            SupportPool(class_id=p.class_id, k=p.k, values=transform(p.values))
-            for p in episode.support
-        ]
-        queries = [FeatureMap(values=transform(qm.values)) for qm, _ in episode.queries]
-        return pools, queries
-
-    if kind == "frn":
-
-        def head_fn(episode: Episode) -> np.ndarray:
-            pools, queries = prepared(episode)
-            return episode_logits(queries, pools, params, formulation)
-
-    elif kind == "proto":
-
-        def head_fn(episode: Episode) -> np.ndarray:
-            pools, queries = prepared(episode)
-            return np.vstack(
-                [
-                    baselines.proto_scores(qm, pools, params.gamma).logits
-                    for qm in queries
-                ]
-            )
-
-    elif kind == "dsn":
-        cfg = proj_cfg or baselines.ProjectionConfig()
-
-        def head_fn(episode: Episode) -> np.ndarray:
-            pools, queries = prepared(episode)
-            return np.vstack(
-                [
-                    baselines.dsn_scores(qm, pools, cfg, params.gamma).logits
-                    for qm in queries
-                ]
-            )
-
-    elif kind == "ctx":
-        cparams = ctx_params or baselines.CtxParams.identity()
-
-        def head_fn(episode: Episode) -> np.ndarray:
-            pools, queries = prepared(episode)
-            return np.vstack(
-                [
-                    baselines.ctx_scores(qm, pools, cparams, params.gamma).logits
-                    for qm in queries
-                ]
-            )
-
-    else:
+    cfg = proj_cfg or baselines.ProjectionConfig()
+    cparams = ctx_params or baselines.CtxParams.identity()
+    # scorers are looked up at call time, so a function swapped into
+    # its module after this returns is the one that runs
+    scorers = {
+        "frn": lambda q, pools: episode_logits(q, pools, params, formulation),
+        "proto": lambda q, pools: baselines.proto_scores(q, pools, params.gamma),
+        "dsn": lambda q, pools: baselines.dsn_scores(q, pools, cfg, params.gamma),
+        "ctx": lambda q, pools: baselines.ctx_scores(q, pools, cparams, params.gamma),
+    }
+    if kind not in scorers:
         raise ValueError(f"unknown head kind {kind!r}; expected frn, proto, dsn or ctx")
+    score = scorers[kind]
+
+    def head_fn(episode: Episode) -> np.ndarray:
+        queries = np.stack([qm.values for qm, _ in episode.queries])
+        pools = episode.support
+        if transform is not None:
+            queries = transform(queries)
+            pools = [
+                SupportPool(class_id=p.class_id, k=p.k, values=transform(p.values))
+                for p in pools
+            ]
+        return score(queries.reshape(-1, queries.shape[-1]), pools)
 
     return head_fn

@@ -18,11 +18,13 @@ Two algebraically equivalent evaluations are provided:
 The direct form is cheaper when d > kr, the woodbury form otherwise;
 ``choose_formulation`` picks automatically (ties go to woodbury).
 
-Batching: a batch of b queries is processed against one pool by stacking
-them into a (b*r x d) matrix. The support-side factor is computed once per
-pool and the query-side product chain is applied per r-row block, so the
-batched result is bit-identical to reconstructing each query separately.
-All functions are pure; per-class calls may run concurrently.
+Batching: every head, this one and those in ``baselines``, scores a whole
+episode per call: its b queries come stacked into one (b*r x d) matrix
+and it returns a (b, n) array over the n class pools. The support-side
+factor is computed once per pool and the query-side product chain is
+applied per r-row block, so the batched result is bit-identical to
+reconstructing each query separately. All functions are pure; per-class
+calls may run concurrently.
 """
 
 from __future__ import annotations
@@ -148,38 +150,27 @@ class Reconstruction:
     class_id: int
 
 
-@dataclass(frozen=True)
-class ClassScores:
-    """Per-class logits and softmax probabilities for one query."""
-
-    logits: np.ndarray
-    probs: np.ndarray
-
-
 def choose_formulation(k: int, r: int, d: int) -> str:
     """Pick the cheaper evaluation: 'direct' iff d > k*r, else 'woodbury'."""
     return "direct" if d > k * r else "woodbury"
 
 
-def _query_stack(q_batch, r: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Normalize query input to (stacked (b*r, d) array, per-query blocks)."""
+def _query_stack(q_batch, r: int, d: int) -> np.ndarray:
+    """Queries as one (b*r, d) array: a single FeatureMap or stacked rows."""
     if isinstance(q_batch, FeatureMap):
-        q_batch = [q_batch]
-    if isinstance(q_batch, (list, tuple)):
-        blocks = []
-        for q in q_batch:
-            vals = q.values if isinstance(q, FeatureMap) else as_matrix(q, name="query")
-            if vals.shape != (r, d):
-                raise ShapeError(f"query shape {vals.shape} does not match pool ({r},{d})")
-            blocks.append(vals)
-        return np.vstack(blocks) if len(blocks) > 1 else blocks[0], blocks
+        if (q_batch.r, q_batch.d) != (r, d):
+            raise ShapeError(f"query shape ({q_batch.r},{q_batch.d}) does not match pool ({r},{d})")
+        return q_batch.values
     stacked = as_matrix(q_batch, name="query batch")
     if stacked.shape[1] != d:
         raise ShapeError(f"query has {stacked.shape[1]} channels, pool has {d}")
     if stacked.shape[0] % r != 0:
         raise ShapeError(f"query rows {stacked.shape[0]} not a multiple of resolution {r}")
-    b = stacked.shape[0] // r
-    return stacked, [stacked[i * r : (i + 1) * r] for i in range(b)]
+    return stacked
+
+
+def _blocks(q: np.ndarray, r: int) -> list[np.ndarray]:
+    return [q[i : i + r] for i in range(0, q.shape[0], r)]
 
 
 def _sq_error(q: np.ndarray, q_bar: np.ndarray, r: int) -> float:
@@ -191,7 +182,7 @@ def _sq_error(q: np.ndarray, q_bar: np.ndarray, r: int) -> float:
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> list[Reconstruction]:
     """Reconstruct each query via the kr x kr system, left to right."""
     r, d = pool.r, pool.d
-    _, blocks = _query_stack(q_batch, r, d)
+    blocks = _blocks(_query_stack(q_batch, r, d), r)
     s = pool.values
     lam = effective_lambda(params, pool.k, r, d)
     rho = np.asarray(params.rho, dtype=s.dtype)
@@ -207,7 +198,7 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> list[R
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> list[Reconstruction]:
     """Reconstruct each query via the d x d system, right to left."""
     r, d = pool.r, pool.d
-    _, blocks = _query_stack(q_batch, r, d)
+    blocks = _blocks(_query_stack(q_batch, r, d), r)
     s = pool.values
     lam = effective_lambda(params, pool.k, r, d)
     rho = np.asarray(params.rho, dtype=s.dtype)
@@ -241,13 +232,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_pools(pools: Sequence[SupportPool], d: int | None = None):
+def _check_pools(pools: Sequence[SupportPool]):
+    """Pools must agree in (r, d): batched heads split queries by ``pools[0].r``."""
     if not pools:
         raise ValueError("at least one support pool is required")
-    d0 = pools[0].d if d is None else d
+    r, d = pools[0].r, pools[0].d
     for p in pools:
-        if p.d != d0:
-            raise ShapeError(f"pools disagree in channel count: {p.d} vs {d0}")
+        if (p.r, p.d) != (r, d):
+            raise ShapeError(f"pools disagree in (r, d): ({p.r},{p.d}) vs ({r},{d})")
 
 
 def frn_distances(
@@ -262,28 +254,11 @@ def frn_distances(
     return np.column_stack([np.asarray(c, dtype=np.float64) for c in per_class])
 
 
-def class_scores(
-    q: FeatureMap,
-    pools: Sequence[SupportPool],
-    params: HeadParams,
-    formulation: str = "auto",
-) -> ClassScores:
-    """Score one query against a list of class pools."""
-    _check_pools(pools, q.d if isinstance(q, FeatureMap) else None)
-    dists = frn_distances(q, pools, params, formulation)[0]
-    logits = -params.gamma * dists
-    return ClassScores(logits=logits, probs=softmax(logits))
-
-
 def episode_logits(
-    query_maps: Sequence[FeatureMap],
-    pools: Sequence[SupportPool],
-    params: HeadParams,
-    formulation: str = "auto",
+    q_batch, pools: Sequence[SupportPool], params: HeadParams, formulation: str = "auto"
 ) -> np.ndarray:
-    """(b, n) logits for a whole batch of queries against all pools."""
-    dists = frn_distances(list(query_maps), pools, params, formulation)
-    return -params.gamma * dists
+    """(b, n) logits of a (b*r, d) query stack (or one FeatureMap) against all pools."""
+    return -params.gamma * frn_distances(q_batch, pools, params, formulation)
 
 
 def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> list[np.ndarray]:
@@ -293,7 +268,7 @@ def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> li
     evaluated against the unscaled (rho = 1) solution.
     """
     r, d = pool.r, pool.d
-    _, blocks = _query_stack(q_batch, r, d)
+    blocks = _blocks(_query_stack(q_batch, r, d), r)
     s = pool.values
     lam = effective_lambda(params, pool.k, r, d)
     m_inv = spd_inverse(add_ridge(gram(s, "outer"), lam))

@@ -84,10 +84,6 @@ class EmbeddingModel:
     bias: np.ndarray  # (d,)
 
     @classmethod
-    def identity(cls, d: int) -> "EmbeddingModel":
-        return cls(weight=np.eye(d), bias=np.zeros(d))
-
-    @classmethod
     def random(cls, d_in: int, d: int, rng) -> "EmbeddingModel":
         return cls(
             weight=rng.standard_normal((d_in, d)) / math.sqrt(d_in),
@@ -111,12 +107,12 @@ def resolve_downscale(flag: bool | None, d: int) -> bool:
 
 
 def feature_transform(embedding: EmbeddingModel, downscale: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Embedding application, optionally rescaled by 1/sqrt(d)."""
+    """Embedding application, optionally rescaled by 1/sqrt(d), in the input's dtype."""
     scale = 1.0 / math.sqrt(embedding.d) if downscale else 1.0
 
     def transform(values: np.ndarray) -> np.ndarray:
         out = embedding.apply(values)
-        return out * scale if scale != 1.0 else out
+        return (out * scale if scale != 1.0 else out).astype(values.dtype, copy=False)
 
     return transform
 
@@ -619,7 +615,7 @@ def pretrain_accuracy(result: PretrainResult, ds: Dataset, downscale: bool = Fal
         queries.extend(transform(m.values) for m in maps)
         labels.extend([idx_of[cid]] * len(maps))
     pools = [SupportPool(class_id=i, k=1, values=mc) for i, mc in enumerate(result.dummy_maps)]
-    dists = frn_distances(queries, pools, HeadParams(), "woodbury")
+    dists = frn_distances(np.vstack(queries), pools, HeadParams(), "woodbury")
     return float(np.mean(np.argmin(dists, axis=1) == np.array(labels)))
 
 

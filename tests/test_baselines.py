@@ -19,7 +19,90 @@ from frn.baselines import (
     proto_prototype,
     proto_scores,
 )
-from frn.head import FeatureMap, HeadParams, SupportPool, frn_distances
+from frn.head import FeatureMap, HeadParams, SupportPool, frn_distances, softmax
+from frn.linalg import add_ridge, gram, spd_solve
+
+
+# Per-query loops: the reference the batched heads are checked against.
+
+
+def per_query_proto(maps, pools, gamma):
+    rows = []
+    for q in maps:
+        qv = q.mean(axis=0).astype(np.float64)
+        dists = np.array(
+            [float(np.sum((qv - proto_prototype(p).astype(np.float64)) ** 2)) for p in pools]
+        )
+        rows.append(-gamma * dists / pools[0].d)
+    return np.vstack(rows)
+
+
+def per_query_dsn(maps, pools, lam, gamma):
+    rows = []
+    for q in maps:
+        qv = q.mean(axis=0)
+        dists = []
+        for pool in pools:
+            p = pool.values.reshape(pool.k, pool.r, pool.d).mean(axis=1)
+            w = spd_solve(add_ridge(gram(p, "outer"), lam), (qv[None, :] @ p.T).T).T
+            resid = qv - (w @ p)[0]
+            dists.append(float(np.sum(resid.astype(np.float64) ** 2)))
+        rows.append(-gamma * np.array(dists) / pools[0].d)
+    return np.vstack(rows)
+
+
+def per_query_ctx(maps, pools, params, gamma):
+    rows = []
+    for q in maps:
+        dists = []
+        for pool in pools:
+            q2, q2_bar = baselines.ctx_reconstruct(q, pool.values, params)
+            diff = (q2 - q2_bar).astype(np.float64)
+            dists.append(float(np.sum(diff * diff) / q.shape[0]))
+        rows.append(-gamma * np.array(dists) / pools[0].d)
+    return np.vstack(rows)
+
+
+def random_episode(rng, dtype):
+    n, k, r = int(rng.integers(2, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 8))
+    d, b = int(rng.integers(2, 20)), int(rng.integers(1, 9))
+    pools = [
+        SupportPool(class_id=c, k=k, values=rng.standard_normal((k * r, d)).astype(dtype))
+        for c in range(n)
+    ]
+    maps = rng.standard_normal((b, r, d)).astype(dtype)
+    return maps, pools
+
+
+class TestBatchedAgainstPerQuery:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_proto_bit_identical(self, dtype):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            maps, pools = random_episode(rng, dtype)
+            got = proto_scores(maps.reshape(-1, maps.shape[2]), pools, gamma=0.7)
+            assert np.array_equal(got, per_query_proto(maps, pools, 0.7))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ctx_bit_identical(self, dtype):
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            maps, pools = random_episode(rng, dtype)
+            d = maps.shape[2]
+            params = CtxParams.identity() if i % 2 else CtxParams.random(d, rng=rng)
+            got = ctx_scores(maps.reshape(-1, d), pools, params, gamma=0.7)
+            assert np.array_equal(got, per_query_ctx(maps, pools, params, 0.7))
+
+    def test_dsn_within_float64_rounding(self):
+        # one solve with b right-hand sides need not round like b solves
+        rng = np.random.default_rng(32)
+        cfg = ProjectionConfig()
+        for _ in range(40):
+            maps, pools = random_episode(rng, np.float64)
+            got = dsn_scores(maps.reshape(-1, maps.shape[2]), pools, cfg, gamma=0.7)
+            ref = per_query_dsn(maps, pools, cfg.lambda_fixed, 0.7)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestProto:
@@ -38,9 +121,10 @@ class TestProto:
         proto0 = proto_prototype(pools[0])
         q = FeatureMap(values=np.tile(proto0, (2, 1)))
         dists = proto_distances(q, pools)
-        assert dists[0] == pytest.approx(0.0, abs=1e-12)
-        scores = proto_scores(q, pools, gamma=1.0)
-        assert np.argmax(scores.probs) == 0
+        assert dists.shape == (1, 3)
+        assert dists[0, 0] == pytest.approx(0.0, abs=1e-12)
+        logits = proto_scores(q, pools, gamma=1.0)
+        assert np.argmax(logits[0]) == 0
 
     def test_nearer_prototype_wins(self):
         pools = [
@@ -48,7 +132,7 @@ class TestProto:
             SupportPool(class_id=1, k=1, values=np.array([[2.0, 0.0]])),
         ]
         q = FeatureMap(values=np.array([[1.1, 0.0]]))
-        dists = proto_distances(q, pools)
+        dists = proto_distances(q, pools)[0]
         assert dists[1] < dists[0]
         np.testing.assert_allclose(dists, [1.1**2, 0.9**2], atol=1e-12)
 
@@ -58,8 +142,8 @@ class TestProto:
             SupportPool(class_id=1, k=1, values=np.ones((1, 4))),
         ]
         q = FeatureMap(values=np.ones((1, 4)) * 2.0)
-        scores = proto_scores(q, pools, gamma=1.0)
-        np.testing.assert_allclose(scores.logits, -proto_distances(q, pools) / 4)
+        logits = proto_scores(q, pools, gamma=1.0)
+        np.testing.assert_allclose(logits, -proto_distances(q, pools) / 4)
 
     def test_spatial_permutation_invariance(self):
         rng = np.random.default_rng(2)
@@ -126,9 +210,9 @@ class TestDsn:
         rng = np.random.default_rng(6)
         pools = [SupportPool(class_id=c, k=2, values=rng.standard_normal((4, 5))) for c in range(3)]
         q = FeatureMap(values=rng.standard_normal((2, 5)))
-        scores = dsn_scores(q, pools, gamma=2.0)
-        assert scores.probs.shape == (3,)
-        assert abs(scores.probs.sum() - 1.0) <= 1e-6
+        logits = dsn_scores(q, pools, gamma=2.0)
+        assert logits.shape == (1, 3)
+        assert abs(softmax(logits).sum() - 1.0) <= 1e-6
 
 
 class TestCtx:
@@ -165,8 +249,9 @@ class TestCtx:
         params = CtxParams.random(d=5, rng=rng)
         pools = [SupportPool(class_id=c, k=2, values=rng.standard_normal((4, 5))) for c in range(3)]
         q = FeatureMap(values=rng.standard_normal((2, 5)))
-        scores = ctx_scores(q, pools, params, gamma=1.0)
-        assert abs(scores.probs.sum() - 1.0) <= 1e-6
+        logits = ctx_scores(q, pools, params, gamma=1.0)
+        assert logits.shape == (1, 3)
+        assert abs(softmax(logits).sum() - 1.0) <= 1e-6
 
     def test_matching_support_scores_best(self):
         rng = np.random.default_rng(10)
@@ -176,5 +261,5 @@ class TestCtx:
             SupportPool(class_id=1, k=2, values=rng.standard_normal((8, 6))),
         ]
         q = FeatureMap(values=a)
-        dists = ctx_distances(q, pools, CtxParams.identity())
+        dists = ctx_distances(q, pools, CtxParams.identity())[0]
         assert dists[0] < dists[1]

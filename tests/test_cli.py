@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, main
-from frn.data import manifest_path
+from frn.data import MAGIC, manifest_path
 from frn.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, load_checkpoint
 
 
@@ -83,6 +83,17 @@ class TestEval:
         ])
         assert code == EXIT_IO
 
+    def test_overflowing_dims_are_io_error(self, dataset, tmp_path):
+        # dims (2^32-1, 2^32-1, 2) wrap around in int64; the CRC is valid
+        big = 2**32 - 1
+        body = MAGIC + struct.pack("<III", 1, 2, 3) + struct.pack("<III", big, big, 2)
+        dataset.write_bytes(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+        code = run([
+            "eval", "--head", "frn", "--data", str(dataset), "--trials", "10",
+            "--seed", "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == EXIT_IO
+
     def test_infeasible_way_is_sampling_error(self, dataset, tmp_path):
         code = run([
             "eval", "--head", "frn", "--data", str(dataset), "--way", "40",
@@ -145,6 +156,34 @@ class TestTrainAndCheckpoints:
         assert code == EXIT_OK
         payload = json.loads((eval_out / "eval.json").read_text())
         assert payload["report"]["accuracy_mean"] >= 0.9
+
+    def test_eval_from_checkpoint_scores_in_f32(self, dataset, tmp_path, monkeypatch):
+        import numpy as np
+
+        import frn.head
+        from frn.training import save_checkpoint
+
+        rng = np.random.default_rng(0)
+        ckpt = tmp_path / "ckpt.bin"
+        save_checkpoint(ckpt, {
+            "embed_weight": rng.standard_normal((6, 4)), "embed_bias": np.zeros(4),
+            "alpha": np.float64(0.0), "beta": np.float64(0.0), "gamma": np.float64(0.25),
+        }, {"train_config": {"head": "frn"}})
+        seen = []
+        original = frn.head.reconstruct
+
+        def spy(q_batch, pool, *args, **kwargs):
+            seen.append((np.asarray(q_batch).dtype, pool.values.dtype))
+            return original(q_batch, pool, *args, **kwargs)
+
+        monkeypatch.setattr(frn.head, "reconstruct", spy)
+        code = run([
+            "eval", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
+            "--shot", "1", "--query", "2", "--trials", "4", "--seed", "0",
+            "--precision", "f32", "--out", str(tmp_path / "eval_f32"),
+        ])
+        assert code == EXIT_OK
+        assert seen and set(seen) == {(np.dtype(np.float32), np.dtype(np.float32))}
 
     def test_fixed_scalars_flagged_through(self, dataset, tmp_path):
         out = tmp_path / "fixed"

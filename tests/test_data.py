@@ -1,5 +1,6 @@
 """Synthetic generator guarantees and container round-trips."""
 
+import binascii
 import struct
 
 import numpy as np
@@ -247,6 +248,17 @@ class TestContainer:
         with pytest.raises(IngestError) as err:
             load_tensor(path)
         assert err.value.byte_offset == len(header) + 5 * 8
+
+    def test_overflowing_dims_report_payload_offset(self, tmp_path):
+        # dims (2^32-1, 2^32-1, 2) wrap around in int64; the CRC is valid
+        big = 2**32 - 1
+        body = MAGIC + struct.pack("<III", 1, 2, 3) + struct.pack("<III", big, big, 2)
+        path = tmp_path / "huge.frnt"
+        path.write_bytes(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(IngestError) as err:
+            load_tensor(path)
+        assert err.value.byte_offset == len(MAGIC) + 12 + 3 * 4
+        assert "payload" in str(err.value)
 
     def test_missing_manifest(self, tmp_path):
         ds = gen_gaussian(spec("gaussian-prototype"))

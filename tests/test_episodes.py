@@ -15,7 +15,9 @@ from frn.episodes import (
     sample_episode,
     trial_rng,
 )
-from frn.head import FeatureMap, HeadParams
+from frn.baselines import CtxParams, ctx_scores
+from frn.head import FeatureMap, HeadParams, SupportPool, episode_logits
+from frn.training import EmbeddingModel, feature_transform
 
 
 def toy_dataset(n_classes=6, items=8, r=2, d=4, sigma=0.1, seed=0):
@@ -240,3 +242,23 @@ class TestHeadFactory:
         base = make_head_fn("frn", HeadParams())(ep)
         scaled = make_head_fn("frn", HeadParams(), transform=lambda v: v * 2.0)(ep)
         assert not np.allclose(base, scaled)
+
+    def test_transform_of_query_stack_equals_per_map(self):
+        # the head function transforms all queries in one call on a (b, r, d)
+        # stack; numpy runs one product per map, so nothing may change
+        ds = toy_dataset()
+        ep = sample_episode(ds, 3, 2, 3, trial_rng(0, 1))
+        rng = np.random.default_rng(5)
+        transform = feature_transform(EmbeddingModel.random(ds.d, 6, rng), downscale=True)
+        ctx = CtxParams.random(6, rng=rng)
+        pools = [
+            SupportPool(class_id=p.class_id, k=p.k, values=transform(p.values))
+            for p in ep.support
+        ]
+        queries = np.vstack([transform(qm.values) for qm, _ in ep.queries])
+        for kind, expected in (
+            ("frn", episode_logits(queries, pools, HeadParams())),
+            ("ctx", ctx_scores(queries, pools, ctx, gamma=1.0)),
+        ):
+            head_fn = make_head_fn(kind, HeadParams(), ctx_params=ctx, transform=transform)
+            assert np.array_equal(head_fn(ep), expected), kind

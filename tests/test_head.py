@@ -12,7 +12,6 @@ from frn.head import (
     HeadParams,
     SupportPool,
     choose_formulation,
-    class_scores,
     effective_lambda,
     episode_logits,
     reconstruct,
@@ -256,45 +255,22 @@ class TestNormDamping:
 
 
 class TestClassScores:
-    def test_identical_pools_give_uniform_probs(self):
-        rng = np.random.default_rng(17)
-        vals = rng.standard_normal((3, 4))
-        pools = [SupportPool(class_id=c, k=1, values=vals) for c in range(4)]
-        q = FeatureMap(values=rng.standard_normal((3, 4)))
-        scores = class_scores(q, pools, HeadParams())
-        np.testing.assert_allclose(scores.probs, 0.25, atol=1e-12)
-
     def test_two_class_softmax_arithmetic(self):
         # softmax(-0.1, -0.3) = (0.549834..., 0.450166...)
         probs = head.softmax(np.array([-0.1, -0.3]))
         np.testing.assert_allclose(probs, [0.5498339973124778, 0.4501660026875221], atol=1e-12)
 
-    def test_large_temperature_concentrates(self):
-        rng = np.random.default_rng(18)
-        pools = [
-            SupportPool(class_id=0, k=1, values=rng.standard_normal((2, 3))),
-            SupportPool(class_id=1, k=1, values=rng.standard_normal((2, 3))),
-        ]
-        q = FeatureMap(values=pools[0].values.copy())
-        scores = class_scores(q, pools, HeadParams(gamma=1e4))
-        assert scores.probs[0] > 0.999
-
-    def test_probs_sum_to_one_and_argmax_matches(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            pools = [
-                SupportPool(class_id=c, k=1, values=rng.standard_normal((2, 5)))
-                for c in range(3)
-            ]
-            q = FeatureMap(values=rng.standard_normal((2, 5)))
-            scores = class_scores(q, pools, HeadParams(gamma=float(rng.uniform(0.1, 10))))
-            assert abs(scores.probs.sum() - 1.0) <= 1e-6
-            assert np.argmax(scores.probs) == np.argmax(scores.logits)
-
     def test_empty_pool_list_rejected(self):
         q = FeatureMap(values=np.ones((1, 2)))
         with pytest.raises(ValueError):
-            class_scores(q, [], HeadParams())
+            episode_logits(q, [], HeadParams())
+
+    def test_pools_disagreeing_in_resolution_rejected(self):
+        rng = np.random.default_rng(21)
+        pools = [random_pool(rng, 1, 2, 4), random_pool(rng, 2, 1, 4, class_id=1)]
+        # same rows and channels, but r = 2 against r = 1
+        with pytest.raises(ShapeError, match="disagree"):
+            head._check_pools(pools)
 
     def test_episode_logits_matches_per_query(self):
         rng = np.random.default_rng(20)
@@ -303,10 +279,11 @@ class TestClassScores:
             for c in range(3)
         ]
         queries = [FeatureMap(values=rng.standard_normal((2, 5))) for _ in range(4)]
-        batched = episode_logits(queries, pools, HeadParams())
+        batched = episode_logits(np.vstack([q.values for q in queries]), pools, HeadParams())
+        assert batched.shape == (4, 3)
         for i, q in enumerate(queries):
-            single = class_scores(q, pools, HeadParams())
-            np.testing.assert_array_equal(batched[i], single.logits)
+            single = episode_logits(q, pools, HeadParams())
+            np.testing.assert_array_equal(batched[i], single[0])
 
 
 class TestTypes:

@@ -28,3 +28,36 @@ def test_instrument_patches_and_restores_every_target(spans):
             assert getattr(*spans._resolve(*t)) is not before[t], t
     for t in targets:
         assert getattr(*spans._resolve(*t)) is before[t], t
+
+
+def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
+    # head functions are built before the names are swapped: a scorer bound
+    # at build time would escape the spans and the benchmark's checks
+    import numpy as np
+
+    import frn.episodes
+    from frn.data import GenSpec, generate
+    from frn.head import HeadParams
+    from frn.training import EmbeddingModel, feature_transform
+
+    ds = generate(GenSpec(6, 6, 2, 4, 0.05, "gaussian-prototype", 0))
+    heads = {
+        kind: frn.episodes.make_head_fn(kind, HeadParams())
+        for kind in ("frn", "proto", "dsn", "ctx")
+    }
+    transform = feature_transform(EmbeddingModel.random(4, 4, np.random.default_rng(0)), False)
+    heads["frn+transform"] = frn.episodes.make_head_fn("frn", HeadParams(), transform=transform)
+    recorder = spans.Recorder()
+    with recorder.instrument(True):
+        for head_fn in heads.values():
+            frn.episodes.evaluate(ds, head_fn, n=3, k=1, q=2, trials=2, seed=0)
+    names = {s[0] for s in recorder.spans}
+    for name in ("head.score", "baselines.proto", "baselines.dsn", "baselines.ctx",
+                 "episodes.transform"):
+        assert name in names, name
+
+    episode = frn.episodes.sample_episode(ds, 3, 1, 2, frn.episodes.trial_rng(0, 0))
+    before = heads["frn"](episode)
+    original = frn.episodes.episode_logits
+    monkeypatch.setattr(frn.episodes, "episode_logits", lambda *a, **k: original(*a, **k) * 2.0)
+    assert not np.array_equal(heads["frn"](episode), before)
