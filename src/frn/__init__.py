@@ -26,6 +26,7 @@ from .head import (
     FeatureMap,
     HeadParams,
     Reconstruction,
+    Reconstructions,
     SupportPool,
     choose_formulation,
     effective_lambda,
@@ -45,6 +46,7 @@ __all__ = [
     "HeadParams",
     "ProjectionConfig",
     "Reconstruction",
+    "Reconstructions",
     "SamplingError",
     "SupportPool",
     "choose_formulation",

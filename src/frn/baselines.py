@@ -162,8 +162,9 @@ def dsn_scores(
 
 def ctx_attention(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k))."""
-    d_k = q1.shape[-1]
-    return softmax(q1 @ s1.T / math.sqrt(d_k))
+    logits = q1 @ s1.T
+    logits /= math.sqrt(q1.shape[-1])
+    return softmax(logits)
 
 
 def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams):

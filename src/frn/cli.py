@@ -240,12 +240,14 @@ def _to_f32(episode):
     from .episodes import Episode
     from .head import FeatureMap, SupportPool
 
+    # no head writes into episode arrays, so float32 data is shared, not copied
     support = [
-        SupportPool(class_id=p.class_id, k=p.k, values=p.values.astype(np.float32))
+        SupportPool(class_id=p.class_id, k=p.k, values=p.values.astype(np.float32, copy=False))
         for p in episode.support
     ]
     queries = [
-        (FeatureMap(values=qm.values.astype(np.float32)), y) for qm, y in episode.queries
+        (FeatureMap(values=qm.values.astype(np.float32, copy=False)), y)
+        for qm, y in episode.queries
     ]
     return Episode(n=episode.n, k=episode.k, q=episode.q, support=support,
                    queries=queries, source_classes=episode.source_classes)

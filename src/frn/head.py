@@ -21,17 +21,23 @@ The direct form is cheaper when d > kr, the woodbury form otherwise;
 Batching: every head, this one and those in ``baselines``, scores a whole
 episode per call: its b queries come stacked into one (b*r x d) matrix
 and it returns a (b, n) array over the n class pools. The support-side
-factor is computed once per pool and the query-side product chain is
-applied per r-row block, so the batched result is bit-identical to
-reconstructing each query separately. All functions are pure; per-class
-calls may run concurrently.
+factor is computed once per pool and each query-side product is one 3-D
+``np.matmul`` over the (b, r, d) stack, so the batched result is
+bit-identical to reconstructing each query separately. A pool's result
+is one ``Reconstructions``: a (b,) float64 error array, and a sequence
+of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
+
+The direct form never forms Q_bar to score: it takes each error from
+the kr-space identity in ``reconstruct_direct``, which stays within
+256 eps ||Q||^2 / r of a float64 solve. All functions are pure;
+per-class calls may run concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -169,51 +175,80 @@ def _query_stack(q_batch, r: int, d: int) -> np.ndarray:
     return stacked
 
 
-def _blocks(q: np.ndarray, r: int) -> list[np.ndarray]:
-    return [q[i : i + r] for i in range(0, q.shape[0], r)]
+class Reconstructions(Sequence):
+    """Reconstructions of b queries from one pool.
+
+    ``sq_errors`` holds the b errors as a (b,) float64 array. Indexing
+    gives the per-query ``Reconstruction``; its Q_bar = rho * W_i B is
+    formed only then, from the (b, r, m) coefficients W and the (m, d)
+    basis B the errors were scored with.
+    """
+
+    def __init__(self, sq_errors, class_id, coef, basis, rho):
+        self.sq_errors = sq_errors
+        self.class_id = class_id
+        self._coef, self._basis, self._rho = coef, basis, rho
+
+    def __len__(self) -> int:
+        return len(self.sq_errors)
+
+    def __getitem__(self, i: int) -> Reconstruction:
+        q_bar = (self._coef[i] @ self._basis) * self._rho
+        return Reconstruction(q_bar=q_bar, sq_error=float(self.sq_errors[i]), class_id=self.class_id)
 
 
-def _sq_error(q: np.ndarray, q_bar: np.ndarray, r: int) -> float:
-    # accumulate in float64 even in float32 mode; the error feeds softmax
-    diff = (q - q_bar).astype(np.float64, copy=False)
-    return float(np.sum(diff * diff) / r)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> over the leading axis, accumulated in float64."""
+    n = a.shape[0]
+    return np.einsum("ij,ij->i", a.reshape(n, -1), b.reshape(n, -1), dtype=np.float64)
 
 
-def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> list[Reconstruction]:
-    """Reconstruct each query via the kr x kr system, left to right."""
+def _direct_factors(q_batch, pool: SupportPool, params: HeadParams):
+    """(b, r, d) queries Q, G = S S^T, W = A (G + lam I)^-1 and A = Q S^T."""
     r, d = pool.r, pool.d
-    blocks = _blocks(_query_stack(q_batch, r, d), r)
+    q = _query_stack(q_batch, r, d).reshape(-1, r, d)
     s = pool.values
-    lam = effective_lambda(params, pool.k, r, d)
-    rho = np.asarray(params.rho, dtype=s.dtype)
-    m_inv = spd_inverse(add_ridge(gram(s, "outer"), lam))
-    st = np.ascontiguousarray(s.T)
-    out = []
-    for q in blocks:
-        q_bar = (((q @ st) @ m_inv) @ s) * rho
-        out.append(Reconstruction(q_bar=q_bar, sq_error=_sq_error(q, q_bar, r), class_id=pool.class_id))
-    return out
+    g = gram(s, "outer")
+    m_inv = spd_inverse(add_ridge(g, effective_lambda(params, pool.k, r, d)))
+    a = q @ np.ascontiguousarray(s.T)
+    return q, g, a @ m_inv, a
 
 
-def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> list[Reconstruction]:
-    """Reconstruct each query via the d x d system, right to left."""
+def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
+    """Score each query via the kr x kr system without forming Q_bar.
+
+    With A = Q S^T, W = A (G + lam I)^-1 and G = S S^T, the error
+    ||Q - rho W S||^2 expands to ||Q||^2 - 2 rho <A, W> + rho^2 <W G, W>.
+    ``<W G, W>`` equals ||W S||^2 for any W, so the result is the
+    residual of the W actually computed; ``<A, W> - lam ||W||^2`` would
+    instead need W (G + lam I) = A to hold exactly. Rounding can still
+    take a near-zero error below zero, so it is clamped at 0.
+    """
+    q, g, w, a = _direct_factors(q_batch, pool, params)
+    rho, s = params.rho, pool.values
+    err = _row_dots(q, q) - 2 * rho * _row_dots(a, w) + rho * rho * _row_dots(w @ g, w)
+    return Reconstructions(
+        np.maximum(err / pool.r, 0.0), pool.class_id, w, s, np.asarray(rho, dtype=s.dtype)
+    )
+
+
+def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
+    """Reconstruct every query via the d x d system, right to left."""
     r, d = pool.r, pool.d
-    blocks = _blocks(_query_stack(q_batch, r, d), r)
+    q = _query_stack(q_batch, r, d).reshape(-1, r, d)
     s = pool.values
     lam = effective_lambda(params, pool.k, r, d)
     rho = np.asarray(params.rho, dtype=s.dtype)
     g = gram(s, "inner")
     hat = spd_solve(add_ridge(g, lam), g)
-    out = []
-    for q in blocks:
-        q_bar = (q @ hat) * rho
-        out.append(Reconstruction(q_bar=q_bar, sq_error=_sq_error(q, q_bar, r), class_id=pool.class_id))
-    return out
+    # accumulate in float64 even in float32 mode; the error feeds softmax
+    diff = (q - (q @ hat) * rho).astype(np.float64, copy=False).reshape(len(q), -1)
+    return Reconstructions(np.sum(diff * diff, axis=1) / r, pool.class_id, q, hat, rho)
 
 
 def reconstruct(
     q_batch, pool: SupportPool, params: HeadParams, formulation: str = "auto"
-) -> list[Reconstruction]:
+) -> Reconstructions:
     """Reconstruct queries from a pool, picking the formulation if 'auto'."""
     if formulation == "auto":
         formulation = choose_formulation(pool.k, pool.r, pool.d)
@@ -226,10 +261,11 @@ def reconstruct(
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtracted)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.array(logits, dtype=np.float64)  # the one copy; the rest is in place
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _check_pools(pools: Sequence[SupportPool]):
@@ -247,11 +283,9 @@ def frn_distances(
 ) -> np.ndarray:
     """(b, n) matrix of per-query, per-class reconstruction errors."""
     _check_pools(pools)
-    per_class = [
-        [rec.sq_error for rec in reconstruct(q_batch, pool, params, formulation)]
-        for pool in pools
-    ]
-    return np.column_stack([np.asarray(c, dtype=np.float64) for c in per_class])
+    return np.column_stack(
+        [reconstruct(q_batch, pool, params, formulation).sq_errors for pool in pools]
+    )
 
 
 def episode_logits(
@@ -267,9 +301,4 @@ def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> li
     Exposed so the ridge objective ||Q - W S||^2 + lam ||W||^2 can be
     evaluated against the unscaled (rho = 1) solution.
     """
-    r, d = pool.r, pool.d
-    blocks = _blocks(_query_stack(q_batch, r, d), r)
-    s = pool.values
-    lam = effective_lambda(params, pool.k, r, d)
-    m_inv = spd_inverse(add_ridge(gram(s, "outer"), lam))
-    return [(q @ s.T) @ m_inv for q in blocks]
+    return list(_direct_factors(q_batch, pool, params)[2])

@@ -1,10 +1,8 @@
 """Dense real-matrix primitives sized for feature-map reconstruction.
 
 Matrices are plain numpy arrays: 2-D, row-major, float32 or float64.
-Batched matrices are 3-D arrays whose leading axis is the batch; every
-batch element shares the same (rows, cols). Validation happens at the
-boundaries via :func:`as_matrix`; the operations below assume validated
-inputs but still check shapes cheaply.
+Validation happens at the boundaries via :func:`as_matrix`; the
+operations below assume validated inputs but still check shapes cheaply.
 
 All functions are pure and never mutate their arguments, so they are safe
 to call from multiple threads.
@@ -88,24 +86,12 @@ _SYM_TOL = 1e-6
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B for symmetric positive-definite A via Cholesky.
 
-    Accepts 2-D operands or a 3-D batch on either side. A must be
-    symmetric to within ``1e-6 * max|A|``; a non-positive pivot raises
-    NumericalError carrying the zero-based pivot index.
+    Both operands are 2-D. A must be symmetric to within ``1e-6 * max|A|``;
+    a non-positive pivot raises NumericalError carrying the zero-based
+    pivot index.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.ndim == 3 or b.ndim == 3:
-        batch = a.shape[0] if a.ndim == 3 else b.shape[0]
-        if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
-            raise ShapeError(f"spd_solve batch mismatch: {a.shape} vs {b.shape}")
-        out = np.empty(
-            (batch,) + (a.shape[-2], b.shape[-1]),
-            dtype=np.result_type(a.dtype, b.dtype),
-        )
-        for i in range(batch):
-            out[i] = spd_solve(a[i] if a.ndim == 3 else a, b[i] if b.ndim == 3 else b)
-        return out
-
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"spd_solve needs a square matrix, got {a.shape}")
     if b.ndim != 2 or b.shape[0] != a.shape[0]:

@@ -111,6 +111,70 @@ class TestEval:
             assert code == EXIT_OK, head
 
 
+class TestToF32:
+    @staticmethod
+    def _dataset(dtype):
+        import numpy as np
+
+        from frn.episodes import Dataset
+
+        rng = np.random.default_rng(0)
+        items = rng.standard_normal((24, 2, 6)).astype(dtype)
+        return Dataset.from_arrays(items, [i % 4 for i in range(24)])
+
+    @staticmethod
+    def _episode(ds):
+        from frn.episodes import sample_episode, trial_rng
+
+        return sample_episode(ds, 3, 2, 2, trial_rng(0, 0))
+
+    def test_f32_episode_is_shared_not_copied(self):
+        import numpy as np
+
+        from frn.cli import _to_f32
+
+        episode = self._episode(self._dataset(np.float32))
+        out = _to_f32(episode)
+        for new, old in zip(out.support, episode.support):
+            assert np.shares_memory(new.values, old.values)
+        for (new, _), (old, _) in zip(out.queries, episode.queries):
+            assert np.shares_memory(new.values, old.values)
+
+    def test_f64_episode_becomes_f32(self):
+        import numpy as np
+
+        from frn.cli import _to_f32
+
+        episode = self._episode(self._dataset(np.float64))
+        out = _to_f32(episode)
+        assert {p.values.dtype for p in out.support} == {np.dtype(np.float32)}
+        assert {qm.values.dtype for qm, _ in out.queries} == {np.dtype(np.float32)}
+        np.testing.assert_array_equal(
+            out.support[0].values, episode.support[0].values.astype(np.float32)
+        )
+        assert [y for _, y in out.queries] == [y for _, y in episode.queries]
+
+    def test_evaluate_leaves_dataset_unchanged(self):
+        import numpy as np
+
+        from frn.cli import _to_f32
+        from frn.episodes import evaluate, make_head_fn
+        from frn.head import HeadParams
+
+        ds = self._dataset(np.float32)
+        maps = [m for cid in sorted(ds.classes) for m in ds.classes[cid]]
+        before = [m.values.copy() for m in maps]
+        for m in maps:
+            m.values.flags.writeable = False  # a head writing into them raises
+        heads = [make_head_fn(kind, HeadParams()) for kind in ("frn", "proto", "dsn", "ctx")]
+        heads += [make_head_fn("frn", HeadParams(), formulation=f) for f in ("direct", "woodbury")]
+        for inner in heads:
+            evaluate(ds, lambda ep, _inner=inner: _inner(_to_f32(ep)), n=3, k=2, q=2,
+                     trials=3, seed=0)
+        for m, old in zip(maps, before):
+            np.testing.assert_array_equal(m.values, old)
+
+
 class TestBench:
     def test_small_benchmark(self, tmp_path):
         out = tmp_path / "bench_out"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frn import head
 from frn.head import (
@@ -19,7 +21,7 @@ from frn.head import (
     reconstruct_woodbury,
     reconstruction_weights,
 )
-from frn.linalg import ShapeError
+from frn.linalg import ShapeError, add_ridge, gram, spd_inverse, spd_solve
 
 
 def random_pool(rng, k, r, d, class_id=0, scale=None):
@@ -201,6 +203,112 @@ class TestBatchingExactness:
                     assert rec.sq_error == single.sq_error
 
 
+def per_block_direct(q, pool, params):
+    """The per-query product loop the direct head ran before it scored in
+    kr space: [(q_bar, sq_error)] per r-row block, kept as the reference."""
+    r, d, s = pool.r, pool.d, pool.values
+    rho = np.asarray(params.rho, dtype=s.dtype)
+    m_inv = spd_inverse(add_ridge(gram(s, "outer"), effective_lambda(params, pool.k, r, d)))
+    st_ = np.ascontiguousarray(s.T)
+    out = []
+    for i in range(0, q.shape[0], r):
+        block = q[i : i + r]
+        q_bar = (((block @ st_) @ m_inv) @ s) * rho
+        diff = (block - q_bar).astype(np.float64, copy=False)
+        out.append((q_bar, float(np.sum(diff * diff) / r)))
+    return out
+
+
+def per_block_woodbury(q, pool, params):
+    """The per-query loop of the woodbury head, kept as the reference."""
+    r, d, s = pool.r, pool.d, pool.values
+    rho = np.asarray(params.rho, dtype=s.dtype)
+    g = gram(s, "inner")
+    hat = spd_solve(add_ridge(g, effective_lambda(params, pool.k, r, d)), g)
+    out = []
+    for i in range(0, q.shape[0], r):
+        block = q[i : i + r]
+        q_bar = (block @ hat) * rho
+        diff = (block - q_bar).astype(np.float64, copy=False)
+        out.append((q_bar, float(np.sum(diff * diff) / r)))
+    return out
+
+
+class TestAgainstPerBlockLoops:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_q_bar_and_woodbury_errors_are_bit_identical(self, dtype):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            k, r, b = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            d = int(rng.integers(1, 40))
+            pool = SupportPool(0, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
+            q = (rng.standard_normal((b * r, d)) / math.sqrt(d)).astype(dtype)
+            params = HeadParams(alpha=rng.uniform(-2, 2), beta=rng.uniform(-1, 1))
+            direct = reconstruct_direct(q, pool, params)
+            wood = reconstruct_woodbury(q, pool, params)
+            assert len(direct) == len(wood) == b
+            for i, ((qd, _), (qw, ew)) in enumerate(
+                zip(per_block_direct(q, pool, params), per_block_woodbury(q, pool, params))
+            ):
+                assert direct[i].q_bar.dtype == dtype
+                assert np.array_equal(direct[i].q_bar, qd)
+                assert np.array_equal(wood[i].q_bar, qw)
+                assert wood.sq_errors[i] == ew and wood[i].sq_error == ew
+
+    def test_result_is_a_sequence_of_reconstructions(self):
+        rng = np.random.default_rng(18)
+        pool = random_pool(rng, 2, 3, 9, class_id=4)
+        recs = reconstruct(rng.standard_normal((12, 9)), pool, HeadParams(), "direct")
+        assert recs.sq_errors.shape == (4,) and recs.sq_errors.dtype == np.float64
+        assert [rec.class_id for rec in recs] == [4] * 4
+        assert np.array_equal(recs[-1].q_bar, recs[3].q_bar)
+        assert [rec.sq_error for rec in recs] == list(recs.sq_errors)
+        with pytest.raises(IndexError):
+            recs[4]
+
+
+# (in_span, alpha, beta): random queries, or queries within 1e-4 of the
+# span of the support rows under a small ridge, where the error cancels
+REGIMES = st.one_of(
+    st.tuples(st.just(False), st.floats(-2, 2), st.floats(-1, 1)),
+    st.tuples(st.just(True), st.floats(-8, -2), st.just(0.0)),
+)
+
+
+class TestDirectErrorsProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.integers(1, 4),
+        r=st.integers(1, 6),
+        extra_d=st.integers(1, 40),
+        b=st.integers(1, 4),
+        regime=REGIMES,
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_within_eps_bound_of_f64_solve(self, k, r, extra_d, b, regime, dtype, seed):
+        in_span, alpha, beta = regime
+        kr, d = k * r, k * r + extra_d
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((kr, d)) / math.sqrt(d)
+        if in_span:
+            q = rng.standard_normal((b * r, kr)) @ s + 1e-4 * rng.standard_normal((b * r, d))
+        else:
+            q = rng.standard_normal((b * r, d)) / math.sqrt(d)
+        s, q = s.astype(dtype), q.astype(dtype)
+        params = HeadParams(alpha=alpha, beta=beta)
+        errs = reconstruct_direct(q, SupportPool(0, k, s), params).sq_errors
+
+        s64, q64 = s.astype(np.float64), q.astype(np.float64)
+        lam = effective_lambda(params, k, r, d)
+        w = np.linalg.solve(s64 @ s64.T + lam * np.eye(kr), s64 @ q64.T).T
+        resid = (q64 - params.rho * w @ s64).reshape(b, r * d)
+        ref = np.sum(resid**2, axis=1) / r
+        bound = 256 * np.finfo(dtype).eps * np.sum(q64.reshape(b, -1) ** 2, axis=1) / r
+        assert np.all(errs >= 0)
+        assert np.all(np.abs(errs - ref) <= bound), (np.abs(errs - ref) / bound).max()
+
+
 class TestRidgeOptimality:
     def test_closed_form_beats_perturbations(self):
         rng = np.random.default_rng(14)
@@ -259,6 +367,16 @@ class TestClassScores:
         # softmax(-0.1, -0.3) = (0.549834..., 0.450166...)
         probs = head.softmax(np.array([-0.1, -0.3]))
         np.testing.assert_allclose(probs, [0.5498339973124778, 0.4501660026875221], atol=1e-12)
+
+    def test_softmax_leaves_its_argument_unchanged(self):
+        rng = np.random.default_rng(22)
+        for dtype in (np.float64, np.float32):
+            logits = rng.standard_normal((3, 4, 5)).astype(dtype)
+            before = logits.copy()
+            probs = head.softmax(logits)
+            np.testing.assert_array_equal(logits, before)
+            assert probs.dtype == np.float64 and not np.shares_memory(probs, logits)
+            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_empty_pool_list_rejected(self):
         q = FeatureMap(values=np.ones((1, 2)))

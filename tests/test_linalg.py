@@ -98,17 +98,6 @@ class TestSpdSolve:
         with pytest.raises(linalg.ShapeError):
             linalg.spd_solve(np.eye(2), np.ones((3, 1)))
 
-    def test_batched_matches_loop(self):
-        rng = np.random.default_rng(5)
-        a = np.empty((3, 4, 4))
-        for i in range(3):
-            g = rng.standard_normal((4, 4))
-            a[i] = g @ g.T + np.eye(4)
-        b = rng.standard_normal((3, 4, 2))
-        out = linalg.spd_solve(a, b)
-        for i in range(3):
-            np.testing.assert_array_equal(out[i], linalg.spd_solve(a[i], b[i]))
-
 
 class TestGram:
     def test_identity_both_modes(self):

@@ -61,3 +61,22 @@ def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
     original = frn.episodes.episode_logits
     monkeypatch.setattr(frn.episodes, "episode_logits", lambda *a, **k: original(*a, **k) * 2.0)
     assert not np.array_equal(heads["frn"](episode), before)
+
+
+@pytest.mark.parametrize("formulation, solve", [("direct", "linalg.spd_inverse"),
+                                                 ("woodbury", "linalg.spd_solve")])
+def test_frn_scores_through_the_wrapped_linalg_names(spans, formulation, solve):
+    # the benchmark's layer table reads these spans; scoring that goes
+    # around the wrapped names would leave its head and linalg rows empty
+    import frn.episodes
+    from frn.data import GenSpec, generate
+    from frn.head import HeadParams
+
+    ds = generate(GenSpec(6, 6, 2, 4, 0.05, "gaussian-prototype", 0))
+    head_fn = frn.episodes.make_head_fn("frn", HeadParams(), formulation=formulation)
+    recorder = spans.Recorder()
+    with recorder.instrument(True):
+        frn.episodes.evaluate(ds, head_fn, n=3, k=1, q=2, trials=2, seed=0)
+    names = {s[0] for s in recorder.spans}
+    for name in ("head.reconstruct", f"head.{formulation}", "linalg.gram", solve):
+        assert name in names, name
