@@ -10,12 +10,37 @@ broadcast axes.
 The solve node uses the closed-form sensitivity of X = A^-1 B:
 grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
 d(A^-1) = -A^-1 dA A^-1.
+
+Training builds one node per loss term from two fused closed-form nodes,
+each with an analytic VJP (dX is the gradient of X; w = 2 dE / r, where
+dE is the gradient of the errors):
+
+* ``ridge_recon_errors``: the (b, n) reconstruction errors of every query
+  against every class pool.
+  - woodbury: G_c = S_c^T S_c, M_c = G_c + lam I, H_c = M_c^-1 G_c and
+    P_c = I - rho H_c; the residuals of all classes are one GEMM,
+    R = Q [P_1 ... P_n]. Backward: dQ_i = Q_i sum_c w_ic P_c P_c^T and
+    dP_c = (sum_i w_ic Q_i^T Q_i) P_c (that is, dR P^T and Q^T dR without
+    a (b*r, n*d) temporary), then dH = -rho dP, drho = -<H, dP>, the solve
+    sensitivity above for H = M^-1 G, dlam = tr dM and dS = S (dG + dG^T).
+  - direct: K_c = S_c S_c^T + lam I, A_c = Q S_c^T, W_c = A_c K_c^-1 and
+    R_c = Q - rho W_c S_c. Backward: dW = -rho dR S^T, dA = dW K^-1,
+    dK = -W^T dA, dlam = tr dK, drho = -<dR, W S>,
+    dS = -rho W^T dR + (dK + dK^T) S + dA^T Q and dQ = sum_c dR_c + dA_c S_c.
+  The forward solves and the backward solves (one each per class) go
+  through ``_spd_solve_np``, looked up when called.
+* ``cross_class_orthogonality``: sum over ordered class pairs c != e of
+  ||N_c N_e^T||^2, that is ||N N^T||^2 minus its diagonal blocks. When
+  n*kr > d it is ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and
+  G = sum_c G_c, and dN_c = 4 N_c (G - G_c); otherwise the outer Gram
+  C = N N^T with its diagonal blocks zeroed gives ||C||^2 and dN = 4 C N.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .head import choose_formulation
 from .linalg import spd_solve as _spd_solve_np
 
 
@@ -79,8 +104,11 @@ def _accumulate(var, g):
     if not isinstance(var, Var):
         return
     if var.grad is None:
-        var.grad = np.zeros_like(var.value)
-    var.grad += g
+        # an owned copy: ``g`` may be a view of another array, and later
+        # accumulations add into this one in place
+        var.grad = np.array(g, dtype=np.float64)
+    else:
+        var.grad += g
 
 
 def backward(loss: Var):
@@ -203,7 +231,7 @@ def vsum(a, axis=None, keepdims=False):
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, av.shape).copy())
+        _accumulate(a, np.broadcast_to(g, av.shape))
 
     out._vjp = vjp
     return out
@@ -283,6 +311,18 @@ def concat_rows(parts):
     return out
 
 
+def stack(parts):
+    """Stack equal-shaped operands along a new leading axis."""
+    out = Var(np.stack([value_of(p) for p in parts]), parents=tuple(parts))
+
+    def vjp(g):
+        for p, gp in zip(parts, g):
+            _accumulate(p, gp)
+
+    out._vjp = vjp
+    return out
+
+
 def column_stack(cols):
     """Stack 1-D vectors of equal length into the columns of a matrix."""
     vals = [value_of(c) for c in cols]
@@ -349,17 +389,17 @@ def pairwise_sqdist(a, b):
 
 
 def row_normalize(x):
-    """Rows projected to the unit sphere; zero rows stay zero."""
+    """Rows (along the last axis) projected to the unit sphere; zero rows stay zero."""
     xv = value_of(x)
-    norms = np.linalg.norm(xv, axis=1, keepdims=True)
+    norms = np.linalg.norm(xv, axis=-1, keepdims=True)
     safe = np.where(norms == 0.0, 1.0, norms)
     o = xv / safe
     out = Var(o, parents=(x,))
 
     def vjp(g):
-        inner = (g * o).sum(axis=1, keepdims=True)
+        inner = (g * o).sum(axis=-1, keepdims=True)
         gx = (g - o * inner) / safe
-        gx[norms[:, 0] == 0.0] = 0.0
+        gx[norms[..., 0] == 0.0] = 0.0
         _accumulate(x, gx)
 
     out._vjp = vjp
@@ -397,6 +437,127 @@ def cross_entropy_logits(logits, labels):
         gl = probs.copy()
         gl[np.arange(n_q), labels] -= 1.0
         _accumulate(logits, gl * (g / n_q))
+
+    out._vjp = vjp
+    return out
+
+
+# ---------------------------------------------------------------------------
+# closed-form training nodes: one node per loss term
+
+
+def _woodbury_errors(qv, sv, lam, rho, r):
+    """d x d side: R_c = Q P_c, P_c = I - rho H_c, H_c = (G_c + lam I)^-1 G_c, G_c = S_c^T S_c."""
+    n, _, d = sv.shape
+    b = qv.shape[0] // r
+    eye = np.eye(d)
+    g = np.swapaxes(sv, 1, 2) @ sv
+    m = g + lam * eye
+    hat = np.stack([_spd_solve_np(m[c], g[c]) for c in range(n)])
+    p = eye - rho * hat
+    res = (qv @ p.transpose(1, 0, 2).reshape(d, n * d)).reshape(b, r, n, d)
+    err = np.einsum("ijck,ijck->ic", res, res) / r
+
+    def grads(ge):
+        # dR_ic = w_ic R_ic with w = 2 ge / r, so dQ = dR P^T and dP = Q^T dR
+        # reduce to d x d products: dQ_i = Q_i sum_c w_ic P_c P_c^T and
+        # dP_c = (sum_i w_ic Q_i^T Q_i) P_c, without a (b*r, n*d) temporary
+        w = 2.0 / r * ge
+        qb = qv.reshape(b, r, d)
+        pp = (w @ (p @ np.swapaxes(p, 1, 2)).reshape(n, d * d)).reshape(b, d, d)
+        dq = (qb @ pp).reshape(b * r, d)
+        dp = (w.T @ (np.swapaxes(qb, 1, 2) @ qb).reshape(b, d * d)).reshape(n, d, d) @ p
+        # H = M^-1 G through the solve sensitivity, with M = G + lam I
+        gb = np.stack([_spd_solve_np(m[c], -rho * dp[c]) for c in range(n)])
+        dm = -gb @ np.swapaxes(hat, 1, 2)
+        dg = gb + dm
+        ds = sv @ (dg + np.swapaxes(dg, 1, 2))
+        return dq, ds, np.trace(dm, axis1=1, axis2=2).sum(), -np.vdot(hat, dp)
+
+    return err, grads
+
+
+def _direct_errors(qv, sv, lam, rho, r):
+    """kr x kr side: W_c = A_c K_c^-1, A_c = Q S_c^T, K_c = S_c S_c^T + lam I, R_c = Q - rho W_c S_c."""
+    n, kr, _ = sv.shape
+    b = qv.shape[0] // r
+    st = np.swapaxes(sv, 1, 2)
+    k = sv @ st + lam * np.eye(kr)
+    w = np.stack([_spd_solve_np(k[c], (qv @ st[c]).T).T for c in range(n)])
+    ws = w @ sv
+    res = qv - rho * ws
+    flat = res.reshape(n, b, -1)
+    err = np.einsum("cij,cij->ic", flat, flat) / r
+
+    def grads(ge):
+        dres = res * np.repeat(2.0 / r * ge.T, r, axis=1)[:, :, None]
+        dw = -rho * (dres @ st)
+        da = np.stack([_spd_solve_np(k[c], dw[c].T).T for c in range(n)])
+        wt = np.swapaxes(w, 1, 2)
+        dk = -wt @ da
+        ds = -rho * (wt @ dres) + (dk + np.swapaxes(dk, 1, 2)) @ sv + np.swapaxes(da, 1, 2) @ qv
+        dq = (dres + da @ sv).sum(axis=0)
+        return dq, ds, np.trace(dk, axis1=1, axis2=2).sum(), -np.vdot(dres, ws)
+
+    return err, grads
+
+
+def ridge_recon_errors(q, supports, lam, rho, r: int, formulation: str = "auto"):
+    """(b, n) reconstruction errors of b queries against n class pools, as one node.
+
+    ``q`` is the (b*r, d) query stack and ``supports`` the (n, kr, d) pool
+    stack. Entry (i, c) is ||Q_i - rho Q_i S_c^T (S_c S_c^T + lam I)^-1 S_c||^2 / r,
+    the error ``head`` scores with. ``rho=None`` means rho = 1 with no
+    gradient; 'auto' picks the formulation as ``head.choose_formulation``.
+    """
+    qv, sv = value_of(q), value_of(supports)
+    if formulation == "auto":
+        formulation = choose_formulation(sv.shape[1] // r, r, sv.shape[2])
+    kernels = {"direct": _direct_errors, "woodbury": _woodbury_errors}
+    if formulation not in kernels:
+        raise ValueError(f"unknown formulation {formulation!r}")
+    rho_v = 1.0 if rho is None else float(value_of(rho))
+    err, grads = kernels[formulation](qv, sv, float(value_of(lam)), rho_v, r)
+    out = Var(err, parents=(q, supports, lam, rho))
+
+    def vjp(g):
+        dq, ds, dlam, drho = grads(g)
+        _accumulate(q, dq)
+        _accumulate(supports, ds)
+        _accumulate(lam, dlam)
+        _accumulate(rho, drho)
+
+    out._vjp = vjp
+    return out
+
+
+def cross_class_orthogonality(x):
+    """Sum over ordered class pairs c != e of ||N_c N_e^T||^2, for an (n, kr, d) stack N.
+
+    This is ||N N^T||^2 of the (n*kr, d) row stack minus its n diagonal
+    blocks, taken on the side with the smaller Gram. When n*kr > d it is
+    ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and G = sum_c G_c (so
+    one class gives exactly 0); otherwise the (n*kr)^2 outer Gram with
+    its diagonal blocks zeroed.
+    """
+    xv = value_of(x)
+    n, kr, d = xv.shape
+    if n * kr > d:
+        gc = np.swapaxes(xv, 1, 2) @ xv
+        g = gc.sum(axis=0)
+        value = np.vdot(g, g) - np.vdot(gc, gc)
+        cross = xv @ (g - gc)  # N_c sum_{e != c} G_e
+    else:
+        flat = xv.reshape(n * kr, d)
+        c = flat @ flat.T
+        idx = np.arange(n)
+        c.reshape(n, kr, n, kr)[idx, :, idx, :] = 0.0
+        value = np.vdot(c, c)
+        cross = (c @ flat).reshape(xv.shape)
+    out = Var(value, parents=(x,))
+
+    def vjp(g_out):
+        _accumulate(x, (4.0 * g_out) * cross)
 
     out._vjp = vjp
     return out

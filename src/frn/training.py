@@ -4,7 +4,11 @@ The embedding stands in for a feature extractor: a per-location affine map
 from raw (r, d_in) inputs to (r, d) feature maps. Training differentiates
 the full episode loss (cross-entropy plus optional orthogonality term)
 through the closed-form reconstruction using the reverse-mode engine in
-``autodiff``; no iterative inner solver is involved.
+``autodiff``; no iterative inner solver is involved. The frn graph has
+one node per loss term: ``autodiff.ridge_recon_errors`` scores every
+query against every class pool (also against the dummy maps in
+pretraining), and ``autodiff.cross_class_orthogonality`` is the
+orthogonality term of all class pairs.
 
 Two regimes are provided:
 
@@ -33,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .baselines import CtxParams, ProjectionConfig
 from .episodes import Dataset, Episode, evaluate, make_head_fn, sample_episode, trial_rng
-from .head import HeadParams, SupportPool, choose_formulation, frn_distances
+from .head import HeadParams, SupportPool, frn_distances
 from .linalg import NumericalError
 
 GAMMA_FLOOR = 1e-6
@@ -173,55 +177,29 @@ def _scalar(variables: dict, name: str, default: float):
     return variables.get(name, np.float64(default))
 
 
-def _frn_class_error(q_emb, s_emb, lam, rho, r: int, d: int, kr: int, formulation: str):
-    """Per-query reconstruction errors against one class pool, as a graph.
+def _aux_term(supports, scale: float):
+    """``scale`` times the cross-class orthogonality of the row-normalised pools.
 
-    ``rho=None`` means rho = 1 and adds no scaling node, which would hold
-    another query-sized array (and its gradient) per class.
+    ``supports`` is the (n, kr, d) pool stack: a Var, or arrays that
+    ``np.asarray`` stacks to that shape.
     """
-    if formulation == "auto":
-        formulation = choose_formulation(kr // r, r, d)
-    if formulation == "woodbury":
-        g = ad.matmul(ad.transpose(s_emb), s_emb)
-        hat = ad.spd_solve(ad.add_scaled_identity(g, lam), g)
-        q_bar = ad.matmul(q_emb, hat)
-    else:
-        m = ad.matmul(s_emb, ad.transpose(s_emb))
-        a = ad.add_scaled_identity(m, lam)
-        t1 = ad.matmul(q_emb, ad.transpose(s_emb))
-        t2 = ad.spd_solve(a, ad.transpose(t1))
-        q_bar = ad.matmul(ad.transpose(t2), s_emb)
-    if rho is not None:
-        q_bar = ad.mul(q_bar, rho)
-    return ad.mul(ad.block_sqnorm(ad.sub(q_emb, q_bar), r), 1.0 / r)
+    return ad.mul(ad.cross_class_orthogonality(ad.row_normalize(supports)), scale)
 
 
-def _aux_term(support_embs, scale: float):
-    normalized = [ad.row_normalize(s) for s in support_embs]
-    terms = None
-    for i, si in enumerate(normalized):
-        for j, sj in enumerate(normalized):
-            if i == j:
-                continue
-            cross = ad.matmul(si, ad.transpose(sj))
-            t = ad.vsum(ad.mul(cross, cross))
-            terms = t if terms is None else ad.add(terms, t)
-    if terms is None:
-        return ad.Var(np.float64(0.0))
-    return ad.mul(terms, scale)
-
-
-def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: int):
+def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: int, terms=None):
     """Build the full loss graph for one episode; returns the loss Var.
 
     ``variables`` holds Vars for the learnable parameters and may omit
     fixed ones (omitted head scalars default to alpha=0, beta=0, gamma
-    from the config-independent default 1).
+    from the config-independent default 1). A ``terms`` dict receives the
+    forward values of the two loss terms, ``ce`` and ``aux`` (0.0 when
+    the orthogonality term is off).
     """
     support, queries, labels, k, r = _episode_arrays(episode)
     scale = 1.0 / math.sqrt(d) if resolve_downscale(cfg.downscale_features, d) else 1.0
     q_emb = _embed(queries, variables, scale)
     s_embs = [_embed(s, variables, scale) for s in support]
+    s_stack = ad.stack(s_embs)  # (n, kr, d), for the frn node and the orthogonality term
     gamma = _scalar(variables, "gamma", 1.0)
 
     if cfg.head == "frn":
@@ -229,11 +207,8 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
         beta = _scalar(variables, "beta", 0.0)
         lam = ad.mul(ad.exp(alpha), k * r / d)
         rho = ad.exp(beta)
-        errs = [
-            _frn_class_error(q_emb, s_emb, lam, rho, r, d, k * r, cfg.formulation)
-            for s_emb in s_embs
-        ]
-        logits = ad.mul(ad.mul(ad.column_stack(errs), gamma), -1.0)
+        errs = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, cfg.formulation)
+        logits = ad.mul(ad.mul(errs, gamma), -1.0)
     elif cfg.head == "proto":
         protos = [
             ad.block_mean_rows(ad.block_mean_rows(s_emb, r), k) for s_emb in s_embs
@@ -270,9 +245,14 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     else:
         raise ValueError(f"unknown head kind {cfg.head!r}")
 
-    loss = ad.cross_entropy_logits(logits, labels)
+    loss = ce = ad.cross_entropy_logits(logits, labels)
+    aux = 0.0
     if cfg.use_aux and len(s_embs) >= 2:
-        loss = ad.add(loss, _aux_term(s_embs, cfg.aux_scale))
+        aux_term = _aux_term(s_stack, cfg.aux_scale)
+        loss = ad.add(ce, aux_term)
+        aux = float(aux_term.value)
+    if terms is not None:
+        terms.update(ce=float(ce.value), aux=aux)
     return loss
 
 
@@ -381,6 +361,9 @@ def meta_train(
 ) -> TrainResult:
     """Episodic SGD on sampled tasks, tracking the best validation accuracy.
 
+    Each history entry records the loss and its two terms, ``ce`` and
+    ``aux`` (the scaled orthogonality term, 0.0 when it is off).
+
     On a non-finite loss or gradient the run aborts and returns the last
     finite parameters. Fixed head scalars (per the learn_* mask) are held
     as constants, so they keep their initial values exactly.
@@ -411,11 +394,13 @@ def meta_train(
             ds_base, cfg.way, cfg.shot, cfg.query, trial_rng(cfg.seed, step)
         )
 
+        terms = {}
+
         def loss_fn(variables):
             merged = dict(variables)
             for n, v in constants.items():
                 merged.setdefault(n, v)
-            return episode_loss_graph(merged, episode, cfg, d)
+            return episode_loss_graph(merged, episode, cfg, d, terms)
 
         try:
             with np.errstate(all="ignore"):
@@ -437,7 +422,7 @@ def meta_train(
         )
         if "gamma" in state:
             state["gamma"] = np.maximum(state["gamma"], GAMMA_FLOOR)
-        entry = {"step": step, "loss": loss_value, "lr": lr}
+        entry = {"step": step, "loss": loss_value, **terms, "lr": lr}
 
         if cfg.val_every and (step + 1) % cfg.val_every == 0:
             current = {**constants, **state}
@@ -510,12 +495,10 @@ class PretrainResult:
 
 def _pretrain_logits_graph(variables: dict, batch: np.ndarray, r: int, d: int, n_classes: int, scale: float):
     q_emb = _embed(batch, variables, scale)
+    dummies = ad.stack([variables[f"dummy_{c}"] for c in range(n_classes)])
     # one dummy map per class (shot 1), alpha = beta = 0: lam = r/d, rho = 1
-    errs = [
-        _frn_class_error(q_emb, variables[f"dummy_{c}"], r / d, None, r, d, r, "woodbury")
-        for c in range(n_classes)
-    ]
-    return ad.mul(ad.mul(ad.column_stack(errs), variables["gamma"]), -1.0)
+    errs = ad.ridge_recon_errors(q_emb, dummies, r / d, None, r, "woodbury")
+    return ad.mul(ad.mul(errs, variables["gamma"]), -1.0)
 
 
 def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:

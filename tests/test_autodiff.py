@@ -211,6 +211,59 @@ class TestFusedOps:
         assert val == pytest.approx(expected, abs=1e-12)
 
 
+class TestClosedFormTrainingNodes:
+    @pytest.mark.parametrize("formulation", ["direct", "woodbury"])
+    def test_ridge_recon_errors_grads(self, formulation):
+        rng = np.random.default_rng(16)
+        n, kr, r, d, b = 3, 4, 2, 5, 2
+        q = rng.standard_normal((b * r, d))
+        s = rng.standard_normal((n, kr, d))
+        w = rng.standard_normal((b, n))
+
+        def build(q_, s_, lam_, rho_):
+            return ad.vsum(ad.mul(ad.ridge_recon_errors(q_, s_, lam_, rho_, r, formulation), w))
+
+        check_op(lambda v: build(v, s, 0.6, 1.3), q)
+        check_op(lambda v: build(q, v, 0.6, 1.3), s)
+        check_op(lambda v: build(q, s, v, 1.3), np.array(0.6))
+        check_op(lambda v: build(q, s, 0.6, v), np.array(1.3))
+
+    def test_ridge_recon_errors_values(self):
+        # each entry is ||Q_i - rho Q_i H_c||^2 / r with H_c = (S^T S + lam I)^-1 S^T S
+        rng = np.random.default_rng(17)
+        n, kr, r, d, b = 2, 3, 2, 4, 3
+        q = rng.standard_normal((b * r, d))
+        s = rng.standard_normal((n, kr, d))
+        expected = np.empty((b, n))
+        for c in range(n):
+            hat = np.linalg.solve(s[c].T @ s[c] + 0.5 * np.eye(d), s[c].T @ s[c])
+            diff = q - 0.9 * q @ hat
+            expected[:, c] = (diff.reshape(b, -1) ** 2).sum(axis=1) / r
+        for formulation in ("direct", "woodbury", "auto"):
+            out = ad.ridge_recon_errors(q, s, 0.5, 0.9, r, formulation).value
+            np.testing.assert_allclose(out, expected, rtol=1e-10)
+        with pytest.raises(ValueError):
+            ad.ridge_recon_errors(q, s, 0.5, 0.9, r, "cholesky")
+
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (2, 1, 5)])  # n*kr > d, n*kr <= d
+    def test_cross_class_orthogonality(self, shape):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal(shape)
+        check_op(lambda v: ad.cross_class_orthogonality(v), x)
+        expected = sum(
+            np.sum((x[i] @ x[j].T) ** 2)
+            for i in range(shape[0]) for j in range(shape[0]) if i != j
+        )
+        value = float(ad.cross_class_orthogonality(x).value)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_stack(self):
+        rng = np.random.default_rng(19)
+        a = rng.standard_normal((2, 3))
+        b = rng.standard_normal((2, 3))
+        check_op(lambda v: ad.vsum(ad.mul(ad.stack([v, b, v]), ad.stack([b, v, a]))), a)
+
+
 class TestGraph:
     def test_diamond_reuse_accumulates(self):
         x = ad.Var(np.array(3.0))
@@ -218,6 +271,14 @@ class TestGraph:
         z = ad.add(y, ad.mul(x, 2.0))  # x^2 + 2x
         ad.backward(z)
         assert x.grad == pytest.approx(2 * 3.0 + 2.0)
+
+    def test_first_gradient_is_an_owned_copy(self):
+        # concat_rows hands each part a view of its own gradient
+        x = ad.Var(np.ones((2, 2)))
+        out = ad.concat_rows([x, np.zeros((1, 2))])
+        ad.backward(ad.vsum(ad.mul(out, 3.0)))
+        assert x.grad.flags.owndata and x.grad.dtype == np.float64
+        np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

@@ -210,6 +210,9 @@ class TestTrainAndCheckpoints:
         history = (train_out / "history.jsonl").read_text().strip().splitlines()
         assert json.loads(history[0])["event"] == "config"
         assert len(history) == 1 + 8
+        for line in history[1:]:
+            entry = json.loads(line)
+            assert entry["ce"] + entry["aux"] == pytest.approx(entry["loss"], rel=1e-12)
 
         eval_out = tmp_path / "eval_ckpt"
         code = run([

@@ -80,3 +80,30 @@ def test_frn_scores_through_the_wrapped_linalg_names(spans, formulation, solve):
     names = {s[0] for s in recorder.spans}
     for name in ("head.reconstruct", f"head.{formulation}", "linalg.gram", solve):
         assert name in names, name
+
+
+def test_training_solves_run_through_the_wrapped_names(spans):
+    # the fused training nodes solve inside the graph build and inside
+    # backward; solves that went around autodiff._spd_solve_np would leave
+    # the benchmark's linalg.spd_solve count and its autodiff self times wrong
+    from dataclasses import replace
+
+    from frn.data import GenSpec, generate
+    from frn.training import PretrainConfig, TrainConfig, meta_train, pretrain
+
+    ds = generate(GenSpec(5, 6, 2, 4, 0.05, "gaussian-prototype", 0))
+    cfg = TrainConfig(head="frn", way=3, shot=2, query=2, episodes=2, val_every=0, embed_dim=4)
+    runs = {
+        "pretrain": lambda: pretrain(ds, PretrainConfig(steps=2, batch_size=4, embed_dim=4)),
+        "meta_train": lambda: meta_train(ds, ds, cfg),
+        "meta_train direct": lambda: meta_train(ds, ds, replace(cfg, shot=1, embed_dim=6)),
+    }
+    for label, run in runs.items():
+        recorder = spans.Recorder()
+        with recorder.instrument(True):
+            run()
+        names = [s[0] for s in recorder.spans]
+        solve_parents = {names[s[3]] for s in recorder.spans if s[0] == "linalg.spd_solve"}
+        for name in ("autodiff.forward", "autodiff.backward"):
+            assert name in names, (label, name)
+            assert name in solve_parents, (label, name)

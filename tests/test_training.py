@@ -9,7 +9,7 @@ import pytest
 from frn import autodiff as ad
 from frn import training
 from frn.episodes import Dataset, sample_episode, trial_rng
-from frn.head import FeatureMap
+from frn.head import FeatureMap, choose_formulation
 from frn.linalg import add_ridge, spd_solve
 from frn.training import (
     EmbeddingModel,
@@ -107,10 +107,11 @@ class TestGradEntryPoint:
         assert float(grads["b"]) == 0.0
 
 
-def episode_fd_check(head, learn_names, seed, rel=1e-5):
+def episode_fd_check(head, learn_names, seed, rel=1e-5, **overrides):
     """Finite-difference check of the full episode loss for one head kind."""
     ds = gaussian_dataset(n_classes=5, items=6, r=2, d_in=5, sigma=0.4, seed=seed)
-    cfg = TrainConfig(head=head, way=3, shot=2, query=3, embed_dim=4, use_aux=True, seed=seed)
+    settings = dict(head=head, way=3, shot=2, query=3, embed_dim=4, use_aux=True, seed=seed)
+    cfg = TrainConfig(**{**settings, **overrides})
     rng = np.random.default_rng(seed)
     params = init_params(cfg, ds.d, rng)
     # move off the zero init so nothing is at a symmetric point
@@ -148,6 +149,15 @@ class TestEpisodeGradients:
     def test_frn_scalars_and_embedding(self):
         episode_fd_check("frn", ["alpha", "beta", "gamma", "embed_weight", "embed_bias"], seed=1)
 
+    def test_frn_direct_formulation(self):
+        # kr = 1 * 2 < d = 6: 'auto' takes the kr x kr side, which the case
+        # above (kr = d = 4, a tie that goes to woodbury) never reaches
+        assert choose_formulation(1, 2, 6) == "direct"
+        episode_fd_check(
+            "frn", ["alpha", "beta", "gamma", "embed_weight", "embed_bias"], seed=17,
+            shot=1, embed_dim=6,
+        )
+
     def test_proto(self):
         episode_fd_check("proto", ["gamma", "embed_weight", "embed_bias"], seed=2)
 
@@ -179,6 +189,157 @@ class TestEpisodeGradients:
                 return float(ad.value_of(ad.cross_entropy_logits(logits, labels)))
 
             assert_grad_close(grads[name], fd_grad(scalar_loss, state[name]))
+
+
+# The per-class reconstruction graph and the pairwise orthogonality loop that
+# training built before it had one node per loss term, kept as references.
+
+
+def per_class_error(q_emb, s_emb, lam, rho, r, formulation):
+    """Per-query reconstruction errors against one class pool, op by op."""
+    if formulation == "woodbury":
+        g = ad.matmul(ad.transpose(s_emb), s_emb)
+        hat = ad.spd_solve(ad.add_scaled_identity(g, lam), g)
+        q_bar = ad.matmul(q_emb, hat)
+    else:
+        m = ad.matmul(s_emb, ad.transpose(s_emb))
+        a = ad.add_scaled_identity(m, lam)
+        t1 = ad.matmul(q_emb, ad.transpose(s_emb))
+        t2 = ad.spd_solve(a, ad.transpose(t1))
+        q_bar = ad.matmul(ad.transpose(t2), s_emb)
+    if rho is not None:
+        q_bar = ad.mul(q_bar, rho)
+    return ad.mul(ad.block_sqnorm(ad.sub(q_emb, q_bar), r), 1.0 / r)
+
+
+def pairwise_aux_term(support_embs, scale):
+    normalized = [ad.row_normalize(s) for s in support_embs]
+    terms = None
+    for i, si in enumerate(normalized):
+        for j, sj in enumerate(normalized):
+            if i == j:
+                continue
+            cross = ad.matmul(si, ad.transpose(sj))
+            t = ad.vsum(ad.mul(cross, cross))
+            terms = t if terms is None else ad.add(terms, t)
+    if terms is None:
+        return ad.Var(np.float64(0.0))
+    return ad.mul(terms, scale)
+
+
+def per_class_episode_loss(variables, episode, cfg, d):
+    """The frn episode loss with one sub-graph per class and per class pair."""
+    support, queries, labels, k, r = training._episode_arrays(episode)
+    q_emb = training._embed(queries, variables, 1.0)
+    s_embs = [training._embed(s, variables, 1.0) for s in support]
+    lam = ad.mul(ad.exp(variables["alpha"]), k * r / d)
+    rho = ad.exp(variables["beta"])
+    errs = [per_class_error(q_emb, s, lam, rho, r, cfg.formulation) for s in s_embs]
+    logits = ad.mul(ad.mul(ad.column_stack(errs), variables["gamma"]), -1.0)
+    loss = ad.cross_entropy_logits(logits, labels)
+    return ad.add(loss, pairwise_aux_term(s_embs, cfg.aux_scale))
+
+
+def per_class_pretrain_logits(variables, batch, r, d, n_classes):
+    q_emb = training._embed(batch, variables, 1.0)
+    errs = [
+        per_class_error(q_emb, variables[f"dummy_{c}"], r / d, None, r, "woodbury")
+        for c in range(n_classes)
+    ]
+    return ad.mul(ad.mul(ad.column_stack(errs), variables["gamma"]), -1.0)
+
+
+FUSED_REL = 1e-12
+
+
+def assert_fused_matches(fused, reference):
+    """Largest deviation within FUSED_REL of the reference's largest magnitude."""
+    fused, reference = np.asarray(fused), np.asarray(reference)
+    assert fused.shape == reference.shape
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(fused - reference)) <= FUSED_REL * scale, (fused, reference)
+
+
+def value_and_grads(loss_fn, params):
+    variables = {n: ad.Var(np.array(v, dtype=np.float64)) for n, v in params.items()}
+    loss = loss_fn(variables)
+    ad.backward(loss)
+    return float(loss.value), {n: v.grad for n, v in variables.items()}
+
+
+class TestFusedNodesMatchPerClassGraph:
+    """One ridge node and one orthogonality node per episode give the loss
+    and gradients of the per-class graph to 1e-12 relative."""
+
+    # (formulation, way, shot, embed_dim): each formulation on the side of
+    # the kr vs d divide that 'auto' picks it for; n*kr <= d and n*kr > d
+    # reach both sides of the orthogonality node
+    @pytest.mark.parametrize("formulation,way,shot,embed_dim", [
+        ("direct", 3, 1, 6), ("direct", 4, 2, 6), ("woodbury", 3, 2, 4), ("woodbury", 3, 3, 5),
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_episode_loss_and_gradients(self, formulation, way, shot, embed_dim, seed):
+        r = 2
+        assert choose_formulation(shot, r, embed_dim) == formulation
+        ds = gaussian_dataset(n_classes=5, items=8, r=r, d_in=5, sigma=0.4, seed=30 + seed)
+        cfg = TrainConfig(head="frn", way=way, shot=shot, query=3, embed_dim=embed_dim,
+                          formulation=formulation, use_aux=True, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, ds.d, rng)
+        params["alpha"] = np.array(rng.uniform(-0.5, 0.5))
+        params["beta"] = np.array(rng.uniform(-0.5, 0.5))
+        params["gamma"] = np.array(rng.uniform(0.3, 1.5))
+        episode = sample_episode(ds, way, shot, cfg.query, trial_rng(seed, 0))
+
+        fused, fused_grads = value_and_grads(
+            lambda v: episode_loss_graph(v, episode, cfg, embed_dim), params)
+        ref, ref_grads = value_and_grads(
+            lambda v: per_class_episode_loss(v, episode, cfg, embed_dim), params)
+        assert_fused_matches(fused, ref)
+        for name in ("embed_weight", "embed_bias", "alpha", "beta", "gamma"):
+            assert_fused_matches(fused_grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pretrain_loss_and_gradients_with_unit_rho(self, seed):
+        # rho=None: rho = 1 with no scaling node, as pretraining calls it
+        rng = np.random.default_rng(40 + seed)
+        r, d_in, d, n_classes = 3, 4, 5, 4
+        batch = rng.standard_normal((5 * r, d_in))
+        labels = rng.integers(0, n_classes, size=5)
+        params = {
+            "embed_weight": rng.standard_normal((d_in, d)) / 2,
+            "embed_bias": 0.1 * rng.standard_normal(d),
+            "gamma": np.array(rng.uniform(0.3, 1.5)),
+            **{f"dummy_{c}": 0.7 * rng.standard_normal((r, d)) for c in range(n_classes)},
+        }
+
+        def fused_loss(v):
+            logits = training._pretrain_logits_graph(v, batch, r, d, n_classes, 1.0)
+            return ad.cross_entropy_logits(logits, labels)
+
+        def ref_loss(v):
+            return ad.cross_entropy_logits(per_class_pretrain_logits(v, batch, r, d, n_classes), labels)
+
+        fused, fused_grads = value_and_grads(fused_loss, params)
+        ref, ref_grads = value_and_grads(ref_loss, params)
+        assert_fused_matches(fused, ref)
+        for name in params:
+            assert_fused_matches(fused_grads[name], ref_grads[name])
+
+    @pytest.mark.parametrize("n,kr,d", [(2, 1, 3), (3, 2, 3), (4, 3, 5), (2, 3, 8), (5, 1, 2)])
+    def test_nodes_given_plain_arrays(self, n, kr, d):
+        # criterion 10 calls _aux_term with a list of arrays, not Vars
+        rng = np.random.default_rng(n * 100 + kr * 10 + d)
+        pools = [rng.standard_normal((kr, d)) for _ in range(n)]
+        assert_fused_matches(training._aux_term(pools, 0.03).value,
+                             pairwise_aux_term(pools, 0.03).value)
+        r, b = 1, 3
+        q = rng.standard_normal((b * r, d))
+        for formulation in ("direct", "woodbury"):
+            fused = ad.ridge_recon_errors(q, pools, 0.4, 0.8, r, formulation).value
+            ref = np.column_stack(
+                [per_class_error(q, s, 0.4, 0.8, r, formulation).value for s in pools])
+            assert_fused_matches(fused, ref)
 
 
 class TestSgd:
@@ -249,6 +410,16 @@ class TestMetaTrain:
         for v in result.params.values():
             assert np.all(np.isfinite(v))
         assert any("event" in h for h in result.history)
+
+    @pytest.mark.parametrize("use_aux", [True, False])
+    def test_history_records_loss_terms(self, use_aux):
+        ds = gaussian_dataset(n_classes=5, items=8, seed=18)
+        cfg = TrainConfig(head="frn", way=3, shot=1, query=3, episodes=4,
+                          val_every=0, embed_dim=4, use_aux=use_aux, seed=5)
+        for h in meta_train(ds, ds, cfg).history:
+            assert h["ce"] + h["aux"] == pytest.approx(h["loss"], rel=1e-12)
+            assert h["ce"] > 0.0
+            assert (h["aux"] > 0.0) if use_aux else (h["aux"] == 0.0)
 
     def test_history_records_losses(self):
         ds = gaussian_dataset(n_classes=5, items=8, seed=11)
