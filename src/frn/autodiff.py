@@ -30,17 +30,15 @@ dE is the gradient of the errors):
   The forward solves and the backward solves (one each per class) go
   through ``_spd_solve_np``, looked up when called.
 * ``cross_class_orthogonality``: sum over ordered class pairs c != e of
-  ||N_c N_e^T||^2, that is ||N N^T||^2 minus its diagonal blocks. When
-  n*kr > d it is ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and
-  G = sum_c G_c, and dN_c = 4 N_c (G - G_c); otherwise the outer Gram
-  C = N N^T with its diagonal blocks zeroed gives ||C||^2 and dN = 4 C N.
+  ||N_c N_e^T||^2, that is ||N N^T||^2 minus its diagonal blocks, taken
+  on the d x d side: ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and
+  G = sum_c G_c, and dN_c = 4 N_c (G - G_c).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .head import choose_formulation
 from .linalg import spd_solve as _spd_solve_np
 
 
@@ -502,17 +500,15 @@ def _direct_errors(qv, sv, lam, rho, r):
     return err, grads
 
 
-def ridge_recon_errors(q, supports, lam, rho, r: int, formulation: str = "auto"):
+def ridge_recon_errors(q, supports, lam, rho, r: int, formulation: str):
     """(b, n) reconstruction errors of b queries against n class pools, as one node.
 
     ``q`` is the (b*r, d) query stack and ``supports`` the (n, kr, d) pool
     stack. Entry (i, c) is ||Q_i - rho Q_i S_c^T (S_c S_c^T + lam I)^-1 S_c||^2 / r,
     the error ``head`` scores with. ``rho=None`` means rho = 1 with no
-    gradient; 'auto' picks the formulation as ``head.choose_formulation``.
+    gradient; ``formulation`` is 'direct' or 'woodbury'.
     """
     qv, sv = value_of(q), value_of(supports)
-    if formulation == "auto":
-        formulation = choose_formulation(sv.shape[1] // r, r, sv.shape[2])
     kernels = {"direct": _direct_errors, "woodbury": _woodbury_errors}
     if formulation not in kernels:
         raise ValueError(f"unknown formulation {formulation!r}")
@@ -535,29 +531,17 @@ def cross_class_orthogonality(x):
     """Sum over ordered class pairs c != e of ||N_c N_e^T||^2, for an (n, kr, d) stack N.
 
     This is ||N N^T||^2 of the (n*kr, d) row stack minus its n diagonal
-    blocks, taken on the side with the smaller Gram. When n*kr > d it is
-    ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and G = sum_c G_c (so
-    one class gives exactly 0); otherwise the (n*kr)^2 outer Gram with
-    its diagonal blocks zeroed.
+    blocks, computed as ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c
+    and G = sum_c G_c (so one class gives exactly 0).
     """
     xv = value_of(x)
-    n, kr, d = xv.shape
-    if n * kr > d:
-        gc = np.swapaxes(xv, 1, 2) @ xv
-        g = gc.sum(axis=0)
-        value = np.vdot(g, g) - np.vdot(gc, gc)
-        cross = xv @ (g - gc)  # N_c sum_{e != c} G_e
-    else:
-        flat = xv.reshape(n * kr, d)
-        c = flat @ flat.T
-        idx = np.arange(n)
-        c.reshape(n, kr, n, kr)[idx, :, idx, :] = 0.0
-        value = np.vdot(c, c)
-        cross = (c @ flat).reshape(xv.shape)
-    out = Var(value, parents=(x,))
+    gc = np.swapaxes(xv, 1, 2) @ xv
+    g = gc.sum(axis=0)
+    out = Var(np.vdot(g, g) - np.vdot(gc, gc), parents=(x,))
 
     def vjp(g_out):
-        _accumulate(x, (4.0 * g_out) * cross)
+        # dN_c = 4 N_c sum_{e != c} G_e
+        _accumulate(x, (4.0 * g_out) * (xv @ (g - gc)))
 
     out._vjp = vjp
     return out

@@ -37,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .baselines import CtxParams, ProjectionConfig
 from .episodes import Dataset, Episode, evaluate, make_head_fn, sample_episode, trial_rng
-from .head import HeadParams, SupportPool, frn_distances
+from .head import HeadParams, SupportPool, choose_formulation, frn_distances
 from .linalg import NumericalError
 
 GAMMA_FLOOR = 1e-6
@@ -199,7 +199,9 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     scale = 1.0 / math.sqrt(d) if resolve_downscale(cfg.downscale_features, d) else 1.0
     q_emb = _embed(queries, variables, scale)
     s_embs = [_embed(s, variables, scale) for s in support]
-    s_stack = ad.stack(s_embs)  # (n, kr, d), for the frn node and the orthogonality term
+    use_aux = cfg.use_aux and len(s_embs) >= 2
+    # (n, kr, d), built only for the frn node and the orthogonality term
+    s_stack = ad.stack(s_embs) if cfg.head == "frn" or use_aux else None
     gamma = _scalar(variables, "gamma", 1.0)
 
     if cfg.head == "frn":
@@ -207,7 +209,10 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
         beta = _scalar(variables, "beta", 0.0)
         lam = ad.mul(ad.exp(alpha), k * r / d)
         rho = ad.exp(beta)
-        errs = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, cfg.formulation)
+        formulation = cfg.formulation
+        if formulation == "auto":
+            formulation = choose_formulation(k, r, d)
+        errs = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, formulation)
         logits = ad.mul(ad.mul(errs, gamma), -1.0)
     elif cfg.head == "proto":
         protos = [
@@ -247,7 +252,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
 
     loss = ce = ad.cross_entropy_logits(logits, labels)
     aux = 0.0
-    if cfg.use_aux and len(s_embs) >= 2:
+    if use_aux:
         aux_term = _aux_term(s_stack, cfg.aux_scale)
         loss = ad.add(ce, aux_term)
         aux = float(aux_term.value)

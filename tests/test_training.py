@@ -272,8 +272,7 @@ class TestFusedNodesMatchPerClassGraph:
     and gradients of the per-class graph to 1e-12 relative."""
 
     # (formulation, way, shot, embed_dim): each formulation on the side of
-    # the kr vs d divide that 'auto' picks it for; n*kr <= d and n*kr > d
-    # reach both sides of the orthogonality node
+    # the kr vs d divide that 'auto' picks it for, with n*kr <= d and > d
     @pytest.mark.parametrize("formulation,way,shot,embed_dim", [
         ("direct", 3, 1, 6), ("direct", 4, 2, 6), ("woodbury", 3, 2, 4), ("woodbury", 3, 3, 5),
     ])
