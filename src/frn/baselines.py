@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .head import SupportPool, _check_pools, _query_stack, softmax
+from .head import SupportPool, _check_pools, _query_stack, _softmax_in_place, _sq_rows
 from .linalg import add_ridge, as_matrix, gram, spd_solve
 
 
@@ -86,13 +86,6 @@ class CtxParams:
         )
 
 
-def _query_maps(q, pools: Sequence[SupportPool]) -> np.ndarray:
-    """The queries as a (b, r, d) stack, once the pools are checked to agree."""
-    _check_pools(pools)
-    r, d = pools[0].r, pools[0].d
-    return _query_stack(q, r, d).reshape(-1, r, d)
-
-
 # ---------------------------------------------------------------------------
 # prototype head
 
@@ -105,7 +98,7 @@ def proto_prototype(pool: SupportPool) -> np.ndarray:
 
 def proto_distances(q, pools: Sequence[SupportPool]) -> np.ndarray:
     """(b, n) squared Euclidean distances from the pooled queries to each prototype."""
-    qv = _query_maps(q, pools).mean(axis=1).astype(np.float64)
+    qv = _query_stack(q, *_check_pools(pools)).maps.mean(axis=1).astype(np.float64)
     protos = np.stack([proto_prototype(p).astype(np.float64) for p in pools])
     return np.sum((qv[:, None, :] - protos[None, :, :]) ** 2, axis=2)
 
@@ -132,7 +125,7 @@ def dsn_residual(q: np.ndarray, pooled_supports: np.ndarray, lam: float) -> floa
     rows = np.atleast_2d(q)
     m = add_ridge(gram(p, "outer"), lam)
     w = spd_solve(m, (rows @ p.T).T).T
-    resid = np.sum((rows - w @ p).astype(np.float64) ** 2, axis=1)
+    resid = _sq_rows(w @ p - rows)  # the residual negated exactly
     return float(resid[0]) if q.ndim == 1 else resid
 
 
@@ -140,7 +133,7 @@ def dsn_distances(
     q, pools: Sequence[SupportPool], cfg: ProjectionConfig = ProjectionConfig()
 ) -> np.ndarray:
     """(b, n) projection residuals of the pooled queries against each class subspace."""
-    qv = _query_maps(q, pools).mean(axis=1)
+    qv = _query_stack(q, *_check_pools(pools)).maps.mean(axis=1)
     return np.column_stack([
         dsn_residual(qv, pool.values.reshape(pool.k, pool.r, pool.d).mean(axis=1), cfg.lambda_fixed)
         for pool in pools
@@ -164,7 +157,7 @@ def ctx_attention(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
     """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k))."""
     logits = q1 @ s1.T
     logits /= math.sqrt(q1.shape[-1])
-    return softmax(logits)
+    return _softmax_in_place(logits.astype(np.float64, copy=False))
 
 
 def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams):
@@ -185,13 +178,13 @@ def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams
 
 def ctx_distances(q, pools: Sequence[SupportPool], params: CtxParams) -> np.ndarray:
     """(b, n) mean squared attention-reconstruction errors."""
-    maps = _query_maps(q, pools)
-    b, r = maps.shape[:2]
+    maps = _query_stack(q, *_check_pools(pools)).maps
+    r = maps.shape[1]
     out = []
     for pool in pools:
-        q2, q2_bar = ctx_reconstruct(maps, pool.values, params)
-        diff = (q2 - q2_bar).astype(np.float64).reshape(b, -1)
-        out.append(np.sum(diff * diff, axis=1) / r)
+        q2, resid = ctx_reconstruct(maps, pool.values, params)
+        resid -= q2  # the residual negated exactly, on the fresh reconstruction
+        out.append(_sq_rows(resid) / r)
     return np.column_stack(out)
 
 

@@ -21,9 +21,11 @@ The direct form is cheaper when d > kr, the woodbury form otherwise;
 Batching: every head, this one and those in ``baselines``, scores a whole
 episode per call: its b queries come stacked into one (b*r x d) matrix
 and it returns a (b, n) array over the n class pools. The support-side
-factor is computed once per pool and each query-side product is one 3-D
-``np.matmul`` over the (b, r, d) stack, so the batched result is
-bit-identical to reconstructing each query separately. A pool's result
+factor is computed once per pool; the query stack is validated, and its
+float64 ||Q_i||^2 taken, once per episode. Each query-side product is one
+3-D ``np.matmul`` over the (b, r, d) stack (M^-1 is C-ordered): unlike one
+2-D product over all b*r rows, it rounds as each query alone would, so
+batched results are bit-identical to one-at-a-time ones. A pool's result
 is one ``Reconstructions``: a (b,) float64 error array, and a sequence
 of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
 
@@ -35,6 +37,7 @@ per-class calls may run concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -161,18 +164,34 @@ def choose_formulation(k: int, r: int, d: int) -> str:
     return "direct" if d > k * r else "woodbury"
 
 
-def _query_stack(q_batch, r: int, d: int) -> np.ndarray:
-    """Queries as one (b*r, d) array: a single FeatureMap or stacked rows."""
+@dataclass
+class _Queries:
+    """A validated (b, r, d) query stack and its float64 ||Q_i||^2, taken on first use."""
+
+    maps: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.maps.reshape(-1, self.maps.shape[-1]), dtype=dtype, copy=copy)
+
+    @functools.cached_property
+    def sq_norms(self) -> np.ndarray:
+        return _row_dots(self.maps, self.maps)
+
+
+def _query_stack(q_batch, r: int, d: int) -> _Queries:
+    """Queries as one validated stack: a FeatureMap, (b*r, d) rows or a stack."""
+    if isinstance(q_batch, _Queries) and q_batch.maps.shape[1:] == (r, d):
+        return q_batch
     if isinstance(q_batch, FeatureMap):
         if (q_batch.r, q_batch.d) != (r, d):
             raise ShapeError(f"query shape ({q_batch.r},{q_batch.d}) does not match pool ({r},{d})")
-        return q_batch.values
+        return _Queries(q_batch.values[None])
     stacked = as_matrix(q_batch, name="query batch")
     if stacked.shape[1] != d:
         raise ShapeError(f"query has {stacked.shape[1]} channels, pool has {d}")
     if stacked.shape[0] % r != 0:
         raise ShapeError(f"query rows {stacked.shape[0]} not a multiple of resolution {r}")
-    return stacked
+    return _Queries(stacked.reshape(-1, r, d))
 
 
 class Reconstructions(Sequence):
@@ -204,14 +223,14 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _direct_factors(q_batch, pool: SupportPool, params: HeadParams):
-    """(b, r, d) queries Q, G = S S^T, W = A (G + lam I)^-1 and A = Q S^T."""
+    """Validated queries Q, G = S S^T, W = A (G + lam I)^-1 and A = Q S^T."""
     r, d = pool.r, pool.d
-    q = _query_stack(q_batch, r, d).reshape(-1, r, d)
+    queries = _query_stack(q_batch, r, d)
     s = pool.values
     g = gram(s, "outer")
     m_inv = spd_inverse(add_ridge(g, effective_lambda(params, pool.k, r, d)))
-    a = q @ np.ascontiguousarray(s.T)
-    return q, g, a @ m_inv, a
+    a = queries.maps @ np.ascontiguousarray(s.T)
+    return queries, g, a @ m_inv, a
 
 
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -224,9 +243,9 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Recons
     instead need W (G + lam I) = A to hold exactly. Rounding can still
     take a near-zero error below zero, so it is clamped at 0.
     """
-    q, g, w, a = _direct_factors(q_batch, pool, params)
+    queries, g, w, a = _direct_factors(q_batch, pool, params)
     rho, s = params.rho, pool.values
-    err = _row_dots(q, q) - 2 * rho * _row_dots(a, w) + rho * rho * _row_dots(w @ g, w)
+    err = queries.sq_norms - 2 * rho * _row_dots(a, w) + rho * rho * _row_dots(w @ g, w)
     return Reconstructions(
         np.maximum(err / pool.r, 0.0), pool.class_id, w, s, np.asarray(rho, dtype=s.dtype)
     )
@@ -234,16 +253,15 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Recons
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Reconstruct every query via the d x d system, right to left."""
-    r, d = pool.r, pool.d
-    q = _query_stack(q_batch, r, d).reshape(-1, r, d)
+    q = _query_stack(q_batch, pool.r, pool.d).maps
     s = pool.values
-    lam = effective_lambda(params, pool.k, r, d)
     rho = np.asarray(params.rho, dtype=s.dtype)
     g = gram(s, "inner")
-    hat = spd_solve(add_ridge(g, lam), g)
-    # accumulate in float64 even in float32 mode; the error feeds softmax
-    diff = (q - (q @ hat) * rho).astype(np.float64, copy=False).reshape(len(q), -1)
-    return Reconstructions(np.sum(diff * diff, axis=1) / r, pool.class_id, q, hat, rho)
+    hat = spd_solve(add_ridge(g, effective_lambda(params, pool.k, pool.r, pool.d)), g)
+    resid = q @ hat
+    resid *= rho
+    resid -= q  # rho Q hat - Q: the residual negated exactly, so its square is unchanged
+    return Reconstructions(_sq_rows(resid) / pool.r, pool.class_id, q, hat, rho)
 
 
 def reconstruct(
@@ -261,30 +279,41 @@ def reconstruct(
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtracted)."""
-    e = np.array(logits, dtype=np.float64)  # the one copy; the rest is in place
+    return _softmax_in_place(np.array(logits, dtype=np.float64))
+
+
+def _softmax_in_place(e: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a fresh float64 array, overwriting it."""
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def _check_pools(pools: Sequence[SupportPool]):
-    """Pools must agree in (r, d): batched heads split queries by ``pools[0].r``."""
+def _sq_rows(resid: np.ndarray) -> np.ndarray:
+    """Per-query float64 squared norms of a fresh (b, ...) residual, squared in place."""
+    resid = resid.astype(np.float64, copy=False).reshape(len(resid), -1)
+    return np.sum(np.square(resid, out=resid), axis=1)
+
+
+def _check_pools(pools: Sequence[SupportPool]) -> tuple[int, int]:
+    """The (r, d) all pools must agree in: batched heads split queries by it."""
     if not pools:
         raise ValueError("at least one support pool is required")
     r, d = pools[0].r, pools[0].d
     for p in pools:
         if (p.r, p.d) != (r, d):
             raise ShapeError(f"pools disagree in (r, d): ({p.r},{p.d}) vs ({r},{d})")
+    return r, d
 
 
 def frn_distances(
     q_batch, pools: Sequence[SupportPool], params: HeadParams, formulation: str = "auto"
 ) -> np.ndarray:
     """(b, n) matrix of per-query, per-class reconstruction errors."""
-    _check_pools(pools)
+    queries = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
     return np.column_stack(
-        [reconstruct(q_batch, pool, params, formulation).sq_errors for pool in pools]
+        [reconstruct(queries, pool, params, formulation).sq_errors for pool in pools]
     )
 
 

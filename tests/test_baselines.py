@@ -105,6 +105,41 @@ class TestBatchedAgainstPerQuery:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+class TestReadOnlyInputs:
+    """In-place arithmetic in the heads must touch only arrays they made."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_head_scores_read_only_arrays_unchanged(self, dtype):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            maps, pools = random_episode(rng, dtype)
+            d = maps.shape[2]
+            random_proj = CtxParams.random(d, rng=rng)
+            heads = {
+                "frn direct": lambda q, p: frn_distances(q, p, HeadParams(0.3, 0.2), "direct"),
+                "frn woodbury": lambda q, p: frn_distances(q, p, HeadParams(0.3, 0.2), "woodbury"),
+                "proto": lambda q, p: proto_scores(q, p, 0.7),
+                "dsn": lambda q, p: dsn_scores(q, p, gamma=0.7),
+                # with identity projections the head's q2 is the caller's stack itself
+                "ctx identity": lambda q, p: ctx_scores(q, p, CtxParams.identity(), 0.7),
+                "ctx random": lambda q, p: ctx_scores(q, p, random_proj, 0.7),
+            }
+            q = maps.reshape(-1, d)
+            frozen_q = q.copy()
+            frozen_q.flags.writeable = False
+            frozen_pools = []
+            for p in pools:
+                values = p.values.copy()
+                values.flags.writeable = False
+                frozen_pools.append(SupportPool(p.class_id, p.k, values))
+            assert not frozen_pools[0].values.flags.writeable
+            kept_q, kept_pools = q.copy(), [p.values.copy() for p in pools]
+            for name, score in heads.items():
+                assert np.array_equal(score(frozen_q, frozen_pools), score(q, pools)), name
+            assert np.array_equal(q, kept_q)
+            assert all(np.array_equal(p.values, v) for p, v in zip(pools, kept_pools))
+
+
 class TestProto:
     def test_single_shot_prototype_is_pooled_support(self):
         rng = np.random.default_rng(0)

@@ -267,6 +267,32 @@ class TestAgainstPerBlockLoops:
             recs[4]
 
 
+class TestQueryStackOncePerEpisode:
+    @pytest.mark.parametrize("formulation", ["direct", "woodbury"])
+    def test_validated_and_squared_once_for_all_pools(self, formulation, monkeypatch):
+        rng = np.random.default_rng(19)
+        pools = [random_pool(rng, 2, 3, 8, class_id=c) for c in range(4)]
+        q = rng.standard_normal((5 * 3, 8))
+        params = HeadParams(alpha=0.3, beta=0.2)
+        expected = head.frn_distances(q, pools, params, formulation)
+        calls = {"validate": 0, "square": 0}
+        as_matrix, row_dots = head.as_matrix, head._row_dots
+
+        def counted_as_matrix(*args, **kwargs):
+            calls["validate"] += 1
+            return as_matrix(*args, **kwargs)
+
+        def counted_row_dots(a, b):
+            calls["square"] += a is b
+            return row_dots(a, b)
+
+        monkeypatch.setattr(head, "as_matrix", counted_as_matrix)
+        monkeypatch.setattr(head, "_row_dots", counted_row_dots)
+        assert np.array_equal(head.frn_distances(q, pools, params, formulation), expected)
+        # woodbury reduces each pool's residual and never needs ||Q||^2
+        assert calls == {"validate": 1, "square": 1 if formulation == "direct" else 0}
+
+
 # (in_span, alpha, beta): random queries, or queries within 1e-4 of the
 # span of the support rows under a small ridge, where the error cancels
 REGIMES = st.one_of(

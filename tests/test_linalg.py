@@ -98,6 +98,26 @@ class TestSpdSolve:
         with pytest.raises(linalg.ShapeError):
             linalg.spd_solve(np.eye(2), np.ones((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_raises(self, bad):
+        # with a NaN pair this matrix used to factor "successfully" into NaNs
+        a = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(linalg.NumericalError, match="non-finite"):
+            linalg.spd_solve(a, np.ones((3, 1)))
+
+
+class TestSpdInverse:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_c_ordered_and_equal_to_solve_against_identity(self, dtype):
+        rng = np.random.default_rng(5)
+        for n in (1, 3, 17, 125):
+            s = rng.standard_normal((n, n + 2))
+            a = linalg.add_ridge(linalg.gram(s, "outer"), 0.5).astype(dtype)
+            inv = linalg.spd_inverse(a)
+            assert inv.flags.c_contiguous and inv.dtype == dtype
+            assert np.array_equal(inv, linalg.spd_solve(a, np.eye(n, dtype=dtype)))
+
 
 class TestGram:
     def test_identity_both_modes(self):
