@@ -3,9 +3,9 @@
 Just enough machinery to differentiate episode losses through the
 closed-form reconstruction: a ``Var`` wraps an ndarray and records a
 backward closure; ``backward`` walks the graph in reverse topological
-order. Non-Var operands are treated as constants. Broadcasting in the
-elementwise ops is undone on the way back by summing over the
-broadcast axes.
+order. Non-Var operands are treated as constants: the two-operand ops
+form no gradient product for them. Broadcasting in the elementwise ops
+is undone on the way back by summing over the broadcast axes.
 
 The solve node uses the closed-form sensitivity of X = A^-1 B:
 grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
@@ -18,11 +18,15 @@ dE is the gradient of the errors):
 * ``ridge_recon_errors``: the (b, n) reconstruction errors of every query
   against every class pool.
   - woodbury: G_c = S_c^T S_c, M_c = G_c + lam I, H_c = M_c^-1 G_c and
-    P_c = I - rho H_c; the residuals of all classes are one GEMM,
-    R = Q [P_1 ... P_n]. Backward: dQ_i = Q_i sum_c w_ic P_c P_c^T and
-    dP_c = (sum_i w_ic Q_i^T Q_i) P_c (that is, dR P^T and Q^T dR without
-    a (b*r, n*d) temporary), then dH = -rho dP, drho = -<H, dP>, the solve
-    sensitivity above for H = M^-1 G, dlam = tr dM and dS = S (dG + dG^T).
+    P_c = I - rho H_c. The errors come from two stacks of d x d Grams,
+    C_i = Q_i^T Q_i and T_c = P_c P_c^T, as err_ic = <C_i, T_c> / r (one
+    GEMM over the flattened stacks; no (b*r, n*d) residual is formed).
+    Rounding can take an error below zero by about eps ||Q_i||^2 ||P_c||^2;
+    it is not clamped, since a clamp would cut the gradient. Backward
+    reuses both stacks: dQ_i = Q_i sum_c w_ic T_c and
+    dP_c = (sum_i w_ic C_i) P_c (dR P^T and Q^T dR regrouped), then
+    dH = -rho dP, drho = -<H, dP>, the solve sensitivity above for
+    H = M^-1 G, dlam = tr dM and dS = S (dG + dG^T).
   - direct: K_c = S_c S_c^T + lam I, A_c = Q S_c^T, W_c = A_c K_c^-1 and
     R_c = Q - rho W_c S_c. Backward: dW = -rho dR S^T, dA = dW K^-1,
     dK = -W^T dA, dlam = tr dK, drho = -<dR, W S>,
@@ -141,52 +145,39 @@ def backward(loss: Var):
 # elementwise ops with broadcasting
 
 
-def add(a, b):
-    av, bv = value_of(a), value_of(b)
-    out = Var(av + bv, parents=(a, b))
+def _binary(a, b, value, grad_a, grad_b):
+    """A two-operand node whose gradient products are formed only for Vars.
+
+    ``grad_a(g)`` and ``grad_b(g)`` give each operand's gradient before
+    broadcasting is undone; neither runs for a constant operand.
+    """
+    out = Var(value, parents=(a, b))
 
     def vjp(g):
-        _accumulate(a, _unbroadcast(g, av.shape))
-        _accumulate(b, _unbroadcast(g, bv.shape))
+        for x, grad_x in ((a, grad_a), (b, grad_b)):
+            if isinstance(x, Var):
+                _accumulate(x, _unbroadcast(grad_x(g), x.value.shape))
 
     out._vjp = vjp
     return out
+
+
+def add(a, b):
+    return _binary(a, b, value_of(a) + value_of(b), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    av, bv = value_of(a), value_of(b)
-    out = Var(av - bv, parents=(a, b))
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g, av.shape))
-        _accumulate(b, _unbroadcast(-g, bv.shape))
-
-    out._vjp = vjp
-    return out
+    return _binary(a, b, value_of(a) - value_of(b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
-    out = Var(av * bv, parents=(a, b))
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g * bv, av.shape))
-        _accumulate(b, _unbroadcast(g * av, bv.shape))
-
-    out._vjp = vjp
-    return out
+    return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
 
 
 def div(a, b):
     av, bv = value_of(a), value_of(b)
-    out = Var(av / bv, parents=(a, b))
-
-    def vjp(g):
-        _accumulate(a, _unbroadcast(g / bv, av.shape))
-        _accumulate(b, _unbroadcast(-g * av / (bv * bv), bv.shape))
-
-    out._vjp = vjp
-    return out
+    return _binary(a, b, av / bv, lambda g: g / bv, lambda g: -g * av / (bv * bv))
 
 
 def exp(a):
@@ -247,14 +238,7 @@ def mean(a, axis=None, keepdims=False):
 
 def matmul(a, b):
     av, bv = value_of(a), value_of(b)
-    out = Var(av @ bv, parents=(a, b))
-
-    def vjp(g):
-        _accumulate(a, g @ bv.T)
-        _accumulate(b, av.T @ g)
-
-    out._vjp = vjp
-    return out
+    return _binary(a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
 
 
 def transpose(a):
@@ -445,7 +429,7 @@ def cross_entropy_logits(logits, labels):
 
 
 def _woodbury_errors(qv, sv, lam, rho, r):
-    """d x d side: R_c = Q P_c, P_c = I - rho H_c, H_c = (G_c + lam I)^-1 G_c, G_c = S_c^T S_c."""
+    """d x d side: err_ic = <Q_i^T Q_i, P_c P_c^T> / r, not clamped at 0."""
     n, _, d = sv.shape
     b = qv.shape[0] // r
     eye = np.eye(d)
@@ -453,18 +437,18 @@ def _woodbury_errors(qv, sv, lam, rho, r):
     m = g + lam * eye
     hat = np.stack([_spd_solve_np(m[c], g[c]) for c in range(n)])
     p = eye - rho * hat
-    res = (qv @ p.transpose(1, 0, 2).reshape(d, n * d)).reshape(b, r, n, d)
-    err = np.einsum("ijck,ijck->ic", res, res) / r
+    qb = qv.reshape(b, r, d)
+    qtq = (np.swapaxes(qb, 1, 2) @ qb).reshape(b, d * d)
+    ppt = (p @ np.swapaxes(p, 1, 2)).reshape(n, d * d)
+    err = qtq @ ppt.T / r
 
     def grads(ge):
         # dR_ic = w_ic R_ic with w = 2 ge / r, so dQ = dR P^T and dP = Q^T dR
-        # reduce to d x d products: dQ_i = Q_i sum_c w_ic P_c P_c^T and
-        # dP_c = (sum_i w_ic Q_i^T Q_i) P_c, without a (b*r, n*d) temporary
+        # reduce to the forward's Grams: dQ_i = Q_i sum_c w_ic P_c P_c^T and
+        # dP_c = (sum_i w_ic Q_i^T Q_i) P_c
         w = 2.0 / r * ge
-        qb = qv.reshape(b, r, d)
-        pp = (w @ (p @ np.swapaxes(p, 1, 2)).reshape(n, d * d)).reshape(b, d, d)
-        dq = (qb @ pp).reshape(b * r, d)
-        dp = (w.T @ (np.swapaxes(qb, 1, 2) @ qb).reshape(b, d * d)).reshape(n, d, d) @ p
+        dq = (qb @ (w @ ppt).reshape(b, d, d)).reshape(b * r, d)
+        dp = (w.T @ qtq).reshape(n, d, d) @ p
         # H = M^-1 G through the solve sensitivity, with M = G + lam I
         gb = np.stack([_spd_solve_np(m[c], -rho * dp[c]) for c in range(n)])
         dm = -gb @ np.swapaxes(hat, 1, 2)

@@ -222,6 +222,9 @@ def load_tensor(path) -> np.ndarray:
     dims = struct.unpack(
         f"<{rank}I", _read_exact(blob, dims_off, 4 * rank, "dimensions")
     )
+    if 0 in dims:
+        axis = dims.index(0)
+        raise IngestError(f"dimension {axis} has size 0", byte_offset=dims_off + 4 * axis)
     dtype = _DTYPE_TAGS[dtype_tag]
     payload_off = dims_off + 4 * rank
     nbytes = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap-around

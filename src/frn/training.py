@@ -367,7 +367,8 @@ def meta_train(
     """Episodic SGD on sampled tasks, tracking the best validation accuracy.
 
     Each history entry records the loss and its two terms, ``ce`` and
-    ``aux`` (the scaled orthogonality term, 0.0 when it is off).
+    ``aux`` (the scaled orthogonality term, 0.0 when it is off), and gamma
+    after the ``GAMMA_FLOOR`` clamp.
 
     On a non-finite loss or gradient the run aborts and returns the last
     finite parameters. Fixed head scalars (per the learn_* mask) are held
@@ -413,7 +414,8 @@ def meta_train(
         except (GradientError, NumericalError):
             aborted = True
             state = last_finite
-            history.append({"step": step, "event": "aborted_non_finite", "lr": lr})
+            history.append({"step": step, "event": "aborted_non_finite", "lr": lr,
+                            "gamma": float({**constants, **state}["gamma"])})
             break
         last_finite = {n: v.copy() for n, v in state.items()}
         sgd_step(
@@ -427,7 +429,8 @@ def meta_train(
         )
         if "gamma" in state:
             state["gamma"] = np.maximum(state["gamma"], GAMMA_FLOOR)
-        entry = {"step": step, "loss": loss_value, **terms, "lr": lr}
+        entry = {"step": step, "loss": loss_value, **terms,
+                 "gamma": float({**constants, **state}["gamma"]), "lr": lr}
 
         if cfg.val_every and (step + 1) % cfg.val_every == 0:
             current = {**constants, **state}
@@ -511,7 +514,8 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
 
     Every base class gets a learnable (r, d) matrix acting as its support
     pool; logits are reconstruction errors against it. alpha and beta are
-    fixed at zero (so rho = 1 and lam = r/d); gamma is learned.
+    fixed at zero (so rho = 1 and lam = r/d); gamma is learned, and each
+    history entry records it after the ``GAMMA_FLOOR`` clamp.
     """
     rng = np.random.default_rng(cfg.seed)
     class_ids = tuple(sorted(ds_base.classes))
@@ -562,7 +566,8 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
         except (GradientError, NumericalError):
             aborted = True
             state = last_finite
-            history.append({"step": step, "event": "aborted_non_finite", "lr": lr})
+            history.append({"step": step, "event": "aborted_non_finite", "lr": lr,
+                            "gamma": float(state["gamma"])})
             break
         last_finite = {n: v.copy() for n, v in state.items()}
         # batch accuracy of the logits the loss was computed from
@@ -577,7 +582,8 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
             weight_decay=cfg.weight_decay,
         )
         state["gamma"] = np.maximum(state["gamma"], GAMMA_FLOOR)
-        history.append({"step": step, "loss": loss_value, "lr": lr, "batch_accuracy": acc})
+        history.append({"step": step, "loss": loss_value, "gamma": float(state["gamma"]),
+                        "lr": lr, "batch_accuracy": acc})
 
     dummy = np.stack([state[f"dummy_{c}"] for c in range(len(class_ids))])
     return PretrainResult(

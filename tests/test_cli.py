@@ -94,6 +94,18 @@ class TestEval:
         ])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("dims", [(3, 0, 4), (3, 2, 0), (0, 2, 4)])
+    def test_zero_size_dimension_is_io_error(self, dataset, tmp_path, dims):
+        body = MAGIC + struct.pack("<III", 1, 2, 3) + struct.pack("<III", *dims)
+        dataset.write_bytes(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+        rows = ["item_index,class_id"] + [f"{i},{i % 2}" for i in range(dims[0])]
+        manifest_path(dataset).write_text("\n".join(rows) + "\n")
+        code = run([
+            "eval", "--head", "frn", "--data", str(dataset), "--trials", "10",
+            "--seed", "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == EXIT_IO
+
     def test_infeasible_way_is_sampling_error(self, dataset, tmp_path):
         code = run([
             "eval", "--head", "frn", "--data", str(dataset), "--way", "40",

@@ -260,6 +260,20 @@ class TestContainer:
         assert err.value.byte_offset == len(MAGIC) + 12 + 3 * 4
         assert "payload" in str(err.value)
 
+    @pytest.mark.parametrize("dims", [(3, 0, 4), (3, 2, 0), (0, 2, 4)])
+    def test_zero_size_dimension_reports_its_offset(self, tmp_path, dims):
+        # a well-formed container (valid CRC, empty payload) and a manifest
+        # with one row per item
+        body = MAGIC + struct.pack("<III", 1, 2, 3) + struct.pack("<III", *dims)
+        path = tmp_path / "empty.frnt"
+        path.write_bytes(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+        rows = ["item_index,class_id"] + [f"{i},{i % 2}" for i in range(dims[0])]
+        manifest_path(path).write_text("\n".join(rows) + "\n")
+        with pytest.raises(IngestError) as err:
+            ingest(path)
+        assert err.value.byte_offset == len(MAGIC) + 12 + 4 * dims.index(0)
+        assert "size 0" in str(err.value)
+
     def test_missing_manifest(self, tmp_path):
         ds = gen_gaussian(spec("gaussian-prototype"))
         path = tmp_path / "data.frnt"

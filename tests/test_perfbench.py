@@ -2,6 +2,7 @@
 from outside the package; every name it patches must still resolve."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -107,3 +108,12 @@ def test_training_solves_run_through_the_wrapped_names(spans):
         for name in ("autodiff.forward", "autodiff.backward"):
             assert name in names, (label, name)
             assert name in solve_parents, (label, name)
+
+
+def test_benchmark_selftest_passes():
+    # every workload end to end at tiny sizes: a src/ change that breaks a
+    # workload or a wrapped name fails here, not only in the benchmark
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "selftest passed"

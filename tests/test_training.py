@@ -12,6 +12,7 @@ from frn.episodes import Dataset, sample_episode, trial_rng
 from frn.head import FeatureMap, choose_formulation
 from frn.linalg import add_ridge, spd_solve
 from frn.training import (
+    GAMMA_FLOOR,
     EmbeddingModel,
     GradientError,
     PretrainConfig,
@@ -341,6 +342,84 @@ class TestFusedNodesMatchPerClassGraph:
             assert_fused_matches(fused, ref)
 
 
+def residual_errors(q, s, lam, rho, r):
+    """(b, n) errors ||Q_i - rho Q_i H_c||^2 / r from each class's float64 (b*r, d) residual."""
+    b, d = q.shape[0] // r, q.shape[1]
+    out = np.empty((b, len(s)))
+    for c, sc in enumerate(s):
+        g = sc.T @ sc
+        res = q - rho * q @ np.linalg.solve(g + lam * np.eye(d), g)
+        out[:, c] = (res.reshape(b, -1) ** 2).sum(axis=1) / r
+    return out
+
+
+class TestWoodburyNodeAtBenchmarkShapes:
+    """The woodbury node at the benchmark's train shapes (r25, d64): a meta
+    step of 5-way 5-shot with 15 queries per class, and a pretrain step of
+    32 queries against 20 dummy maps (kr = 25, lam = r/d fixed, rho = 1)."""
+
+    @pytest.mark.parametrize("b,n,kr", [(75, 5, 125), (32, 20, 25)])
+    def test_values_and_gradients(self, b, n, kr):
+        r, d = 25, 64
+        meta = kr > d
+        rng = np.random.default_rng(b * n)
+        params = {"q": rng.standard_normal((b * r, d)),
+                  **{f"s{c}": 0.5 * rng.standard_normal((kr, d)) for c in range(n)}}
+        if meta:  # lam = exp(alpha) kr/d and rho = exp(beta) at alpha = 0.3, beta = -0.2
+            params.update(lam=np.array(np.exp(0.3) * kr / d), rho=np.array(np.exp(-0.2)))
+        lam = params.get("lam", r / d)
+        rho = params.get("rho")
+        s = np.stack([params[f"s{c}"] for c in range(n)])
+
+        errs = ad.ridge_recon_errors(params["q"], s, lam, rho, r, "woodbury").value
+        ref = residual_errors(params["q"], s, lam, 1.0 if rho is None else rho, r)
+        assert np.max(np.abs(errs - ref)) <= 1e-12 * np.max(ref)
+
+        w = rng.standard_normal((b, n))
+
+        def fused(v):
+            stack = ad.stack([v[f"s{c}"] for c in range(n)])
+            return ad.vsum(ad.mul(ad.ridge_recon_errors(
+                v["q"], stack, v.get("lam", lam), v.get("rho"), r, "woodbury"), w))
+
+        def per_class(v):
+            return ad.vsum(ad.mul(ad.column_stack([
+                per_class_error(v["q"], v[f"s{c}"], v.get("lam", lam), v.get("rho"), r, "woodbury")
+                for c in range(n)]), w))
+
+        value, grads = value_and_grads(fused, params)
+        ref_value, ref_grads = value_and_grads(per_class, params)
+        assert_fused_matches(value, ref_value)
+        for name in params:
+            assert_fused_matches(grads[name], ref_grads[name])
+
+    def test_nearly_in_span_queries_within_rounding_bound(self):
+        # each S_c has orthonormal rows, so G_c has eigenvalues 1 (on its
+        # span) and 0; rho = 1 + lam makes P_c vanish on the span. Queries
+        # built from S_c's rows plus 1e-7 noise then have errors near 0
+        # against class c, and the forward's rounding, about
+        # eps ||Q_i||^2 ||P_c||^2, is all that is left. The constant 16 was
+        # fixed before this test was first run.
+        r, d, kr, n, per_class = 5, 32, 10, 4, 3
+        lam, b = 0.5, n * per_class
+        rho = 1.0 + lam
+        rng = np.random.default_rng(23)
+        s = np.stack([np.linalg.qr(rng.standard_normal((d, kr)))[0].T for _ in range(n)])
+        labels = np.repeat(np.arange(n), per_class)
+        q = np.concatenate([rng.standard_normal((r, kr)) @ s[c] + 1e-7 * rng.standard_normal((r, d))
+                            for c in labels])
+        errs = ad.ridge_recon_errors(q, s, lam, rho, r, "woodbury").value
+        ref = residual_errors(q, s, lam, rho, r)
+
+        eye = np.eye(d)
+        p_sq = np.array([np.sum((eye - rho * np.linalg.solve(sc.T @ sc + lam * eye, sc.T @ sc)) ** 2)
+                         for sc in s])
+        q_sq = (q.reshape(b, -1) ** 2).sum(axis=1)
+        bound = 16 * np.finfo(np.float64).eps * np.outer(q_sq, p_sq) / r
+        assert np.all(ref[np.arange(b), labels] < 1e-10 * q_sq / r)
+        assert np.all(np.abs(errs - ref) <= bound)
+
+
 class TestSgd:
     def test_zero_lr_leaves_parameters_bit_identical(self):
         rng = np.random.default_rng(6)
@@ -420,6 +499,19 @@ class TestMetaTrain:
             assert h["ce"] > 0.0
             assert (h["aux"] > 0.0) if use_aux else (h["aux"] == 0.0)
 
+    # lr 1e12 aborts at step 1; a fixed gamma keeps its initial 1/d
+    @pytest.mark.parametrize("lr,learn_gamma", [(0.05, True), (1e12, True), (0.05, False)])
+    def test_history_records_gamma(self, lr, learn_gamma):
+        ds = gaussian_dataset(n_classes=5, items=8, seed=10)
+        cfg = TrainConfig(head="frn", way=3, shot=1, query=3, episodes=6, lr=lr,
+                          val_every=0, embed_dim=4, learn_gamma=learn_gamma, seed=2)
+        result = meta_train(ds, ds, cfg)
+        assert result.aborted == (lr > 1.0)
+        assert all(h["gamma"] >= GAMMA_FLOOR for h in result.history)
+        assert result.history[-1]["gamma"] == float(result.params["gamma"])
+        if not learn_gamma:
+            assert all(h["gamma"] == 0.25 for h in result.history)
+
     def test_history_records_losses(self):
         ds = gaussian_dataset(n_classes=5, items=8, seed=11)
         cfg = TrainConfig(head="proto", way=3, shot=1, query=3, episodes=5,
@@ -471,6 +563,16 @@ class TestPretrain:
         result = pretrain(ds, cfg)
         losses = [h["loss"] for h in result.history]
         assert losses[10] < losses[0]
+
+    @pytest.mark.parametrize("lr", [0.05, 1e12])  # 1e12 drives gamma to the floor, then aborts
+    def test_history_records_clamped_gamma(self, lr):
+        ds = gaussian_dataset(n_classes=4, items=6, seed=14)
+        result = pretrain(ds, PretrainConfig(steps=5, lr=lr, embed_dim=4, seed=2))
+        assert result.aborted == (lr > 1.0)
+        assert all(h["gamma"] >= GAMMA_FLOOR for h in result.history)
+        assert result.history[-1]["gamma"] == result.gamma
+        if lr > 1.0:
+            assert result.history[0]["gamma"] == GAMMA_FLOOR
 
     def test_dummy_maps_distinct_and_discardable(self):
         ds = gaussian_dataset(n_classes=4, items=6, seed=14)
