@@ -4,16 +4,20 @@ Just enough machinery to differentiate episode losses through the
 closed-form reconstruction: a ``Var`` wraps an ndarray and records a
 backward closure; ``backward`` walks the graph in reverse topological
 order. Non-Var operands are treated as constants: the two-operand ops
-form no gradient product for them. Broadcasting in the elementwise ops
-is undone on the way back by summing over the broadcast axes.
+form no gradient product for them. Broadcasting in the elementwise ops,
+and in ``matmul`` of an (n, m, d) stack by a (d, p) matrix, is undone
+on the way back by summing over the broadcast axes.
 
 The solve node uses the closed-form sensitivity of X = A^-1 B:
 grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
 d(A^-1) = -A^-1 dA A^-1.
 
-Training builds one node per loss term from two fused closed-form nodes,
+Training builds one node per loss term from fused closed-form nodes,
 each with an analytic VJP (dX is the gradient of X; w = 2 dE / r, where
-dE is the gradient of the errors):
+dE is the gradient of the errors). The frn and dsn heads score through
+``ridge_recon_errors`` (dsn on average-pooled maps, at r = 1 and rho = 1),
+proto through ``proto_distances`` and ctx through ``ctx_errors``; the
+last two run the forward of the eval head in ``baselines``.
 
 * ``ridge_recon_errors``: the (b, n) reconstruction errors of every query
   against every class pool.
@@ -37,12 +41,24 @@ dE is the gradient of the errors):
   ||N_c N_e^T||^2, that is ||N N^T||^2 minus its diagonal blocks, taken
   on the d x d side: ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and
   G = sum_c G_c, and dN_c = 4 N_c (G - G_c).
+* ``proto_distances``: D_ic = ||qp_i - P_c||^2 between pooled queries qp
+  and prototypes P. dqp = 2 (diag(g 1) qp - g P) and
+  dP = 2 (diag(g^T 1) P - g^T qp), with g = dD, spread as 1/r over each
+  query's rows and 1/(kr) over each pool's rows.
+* ``ctx_errors``: per class, A = softmax(Q1 K^T / sqrt(d_k)) and
+  R = A V - Q2, err_ic = ||R_i||^2 / r. Backward, one class at a time and
+  with A recomputed (no n attention tensors are kept): dR = w R,
+  dQ2 -= dR, dV = A^T dR, dL = A * (dR V^T - rowsum(dR V^T * A)) / sqrt(d_k),
+  dQ1 += dL K and dK = dL^T Q1, all as 2-D products over the b*r rows.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from . import baselines
 from .linalg import spd_solve as _spd_solve_np
 
 
@@ -56,36 +72,6 @@ class Var:
         self.grad = None
         self._parents = tuple(parents)
         self._vjp = vjp
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    # operator sugar; constants are auto-wrapped inside the ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def value_of(x) -> np.ndarray:
@@ -175,39 +161,12 @@ def mul(a, b):
     return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
 
 
-def div(a, b):
-    av, bv = value_of(a), value_of(b)
-    return _binary(a, b, av / bv, lambda g: g / bv, lambda g: -g * av / (bv * bv))
-
-
 def exp(a):
     av = value_of(a)
     out = Var(np.exp(av), parents=(a,))
 
     def vjp(g):
         _accumulate(a, g * out.value)
-
-    out._vjp = vjp
-    return out
-
-
-def log(a):
-    av = value_of(a)
-    out = Var(np.log(av), parents=(a,))
-
-    def vjp(g):
-        _accumulate(a, g / av)
-
-    out._vjp = vjp
-    return out
-
-
-def sqrt(a):
-    av = value_of(a)
-    out = Var(np.sqrt(av), parents=(a,))
-
-    def vjp(g):
-        _accumulate(a, g / (2.0 * out.value))
 
     out._vjp = vjp
     return out
@@ -226,19 +185,13 @@ def vsum(a, axis=None, keepdims=False):
     return out
 
 
-def mean(a, axis=None, keepdims=False):
-    av = value_of(a)
-    n = av.size if axis is None else av.shape[axis]
-    return mul(vsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # matrix ops
 
 
 def matmul(a, b):
     av, bv = value_of(a), value_of(b)
-    return _binary(a, b, av @ bv, lambda g: g @ bv.T, lambda g: av.T @ g)
+    return _binary(a, b, av @ bv, lambda g: g @ bv.T, lambda g: np.swapaxes(av, -1, -2) @ g)
 
 
 def transpose(a):
@@ -275,19 +228,6 @@ def spd_solve(a, b):
         gb = _spd_solve_np(av, g)
         _accumulate(b, gb)
         _accumulate(a, -gb @ x.T)
-
-    out._vjp = vjp
-    return out
-
-
-def concat_rows(parts):
-    vals = [value_of(p) for p in parts]
-    out = Var(np.vstack(vals), parents=tuple(parts))
-    offsets = np.cumsum([0] + [v.shape[0] for v in vals])
-
-    def vjp(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accumulate(p, g[lo:hi])
 
     out._vjp = vjp
     return out
@@ -355,21 +295,6 @@ def block_mean_rows(x, rows_per_block: int):
     return out
 
 
-def pairwise_sqdist(a, b):
-    """(n, d) x (m, d) -> (n, m) matrix of squared Euclidean distances."""
-    av, bv = value_of(a), value_of(b)
-    diff = av[:, None, :] - bv[None, :, :]
-    out = Var((diff * diff).sum(axis=2), parents=(a, b))
-
-    def vjp(g):
-        scaled = 2.0 * diff * g[:, :, None]
-        _accumulate(a, scaled.sum(axis=1))
-        _accumulate(b, -scaled.sum(axis=0))
-
-    out._vjp = vjp
-    return out
-
-
 def row_normalize(x):
     """Rows (along the last axis) projected to the unit sphere; zero rows stay zero."""
     xv = value_of(x)
@@ -383,21 +308,6 @@ def row_normalize(x):
         gx = (g - o * inner) / safe
         gx[norms[..., 0] == 0.0] = 0.0
         _accumulate(x, gx)
-
-    out._vjp = vjp
-    return out
-
-
-def row_softmax(x):
-    xv = value_of(x)
-    shifted = xv - xv.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Var(s, parents=(x,))
-
-    def vjp(g):
-        inner = (g * s).sum(axis=1, keepdims=True)
-        _accumulate(x, s * (g - inner))
 
     out._vjp = vjp
     return out
@@ -506,6 +416,61 @@ def ridge_recon_errors(q, supports, lam, rho, r: int, formulation: str):
         _accumulate(supports, ds)
         _accumulate(lam, dlam)
         _accumulate(rho, drho)
+
+    out._vjp = vjp
+    return out
+
+
+def proto_distances(q, supports, r: int, k: int):
+    """(b, n) squared distances from b pooled queries to n class prototypes, as one node.
+
+    ``q`` is the (b*r, d) query stack and ``supports`` the (n, k*r, d) pool
+    stack; the forward is ``baselines.proto_sqdist``.
+    """
+    qv, sv = value_of(q), value_of(supports)
+    maps = qv.reshape(qv.shape[0] // r, r, qv.shape[1])
+    out = Var(baselines.proto_sqdist(maps, sv), parents=(q, supports))
+
+    def vjp(g):
+        qp = maps.mean(axis=1)
+        protos = baselines.proto_prototypes(sv, r)
+        dqp = 2.0 * (g.sum(axis=1)[:, None] * qp - g @ protos)
+        dp = 2.0 * (g.sum(axis=0)[:, None] * protos - g.T @ qp)
+        _accumulate(q, np.repeat(dqp / r, r, axis=0))
+        _accumulate(supports, np.broadcast_to((dp / (k * r))[:, None, :], sv.shape))
+
+    out._vjp = vjp
+    return out
+
+
+def ctx_errors(q1, q2, keys, values, r: int):
+    """(b, n) mean squared attention-reconstruction errors, as one node.
+
+    ``q1`` (b*r, d_k) and ``q2`` (b*r, d_v) are the projected query stacks,
+    ``keys`` (n, kr, d_k) and ``values`` (n, kr, d_v) the projected pool
+    stacks; the forward is ``baselines.ctx_errors``.
+    """
+    q1v, q2v, kv, vv = (value_of(x) for x in (q1, q2, keys, values))
+    b = q1v.shape[0] // r
+    err = baselines.ctx_errors(q1v.reshape(b, r, -1), q2v.reshape(b, r, -1), kv, vv)
+    out = Var(err, parents=(q1, q2, keys, values))
+
+    def vjp(g):
+        w = np.repeat(2.0 / r * g, r, axis=0)  # (b*r, n): each residual row's weight
+        scale = 1.0 / math.sqrt(q1v.shape[1])
+        dq1, dq2 = np.zeros_like(q1v), np.zeros_like(q2v)
+        dk, dv = np.empty_like(kv), np.empty_like(vv)
+        for c in range(kv.shape[0]):
+            a = baselines.ctx_attention(q1v, kv[c])
+            dr = (a @ vv[c] - q2v) * w[:, c : c + 1]
+            dq2 -= dr
+            dv[c] = a.T @ dr
+            da = dr @ vv[c].T
+            dl = a * (da - (da * a).sum(axis=1, keepdims=True)) * scale
+            dq1 += dl @ kv[c]
+            dk[c] = dl.T @ q1v
+        for x, gx in ((q1, dq1), (q2, dq2), (keys, dk), (values, dv)):
+            _accumulate(x, gx)
 
     out._vjp = vjp
     return out

@@ -18,6 +18,10 @@ every ``*_distances``/``*_scores`` function returns a (b, n) array over
 the n class pools. Baseline logits are normalized by the channel count d
 before temperature scaling, which keeps their scale comparable across
 feature widths.
+
+The array-level forwards ``proto_sqdist`` and ``ctx_errors`` are shared
+with training, whose ``autodiff`` nodes call them. ``ctx_distances``
+projects the queries once per episode, not once per pool.
 """
 
 from __future__ import annotations
@@ -90,17 +94,29 @@ class CtxParams:
 # prototype head
 
 
+def proto_prototypes(supports, r: int) -> np.ndarray:
+    """(n, d) prototypes of n pools of r-row maps, a list or a stack.
+
+    A prototype is the mean of the pool's per-image average-pooled vectors.
+    """
+    return np.stack([s.reshape(-1, r, s.shape[-1]).mean(axis=1).mean(axis=0) for s in supports])
+
+
 def proto_prototype(pool: SupportPool) -> np.ndarray:
-    """Class prototype: mean of the k per-image average-pooled vectors."""
-    per_image = pool.values.reshape(pool.k, pool.r, pool.d).mean(axis=1)
-    return per_image.mean(axis=0)
+    """Class prototype of one pool (see ``proto_prototypes``)."""
+    return proto_prototypes([pool.values], pool.r)[0]
+
+
+def proto_sqdist(maps: np.ndarray, supports) -> np.ndarray:
+    """(b, n) squared Euclidean distances from the pooled (b, r, d) query maps to each prototype."""
+    qp = maps.mean(axis=1).astype(np.float64)
+    protos = proto_prototypes(supports, maps.shape[1]).astype(np.float64)
+    return np.sum((qp[:, None, :] - protos[None, :, :]) ** 2, axis=2)
 
 
 def proto_distances(q, pools: Sequence[SupportPool]) -> np.ndarray:
     """(b, n) squared Euclidean distances from the pooled queries to each prototype."""
-    qv = _query_stack(q, *_check_pools(pools)).maps.mean(axis=1).astype(np.float64)
-    protos = np.stack([proto_prototype(p).astype(np.float64) for p in pools])
-    return np.sum((qv[:, None, :] - protos[None, :, :]) ** 2, axis=2)
+    return proto_sqdist(_query_stack(q, *_check_pools(pools)).maps, [p.values for p in pools])
 
 
 def proto_scores(q, pools: Sequence[SupportPool], gamma: float) -> np.ndarray:
@@ -160,32 +176,44 @@ def ctx_attention(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return _softmax_in_place(logits.astype(np.float64, copy=False))
 
 
+def _ctx_project(x: np.ndarray, params: CtxParams):
+    """Rows of ``x`` (the last axis) as keys and values: (x W_k, x W_v)."""
+    if params.identity_mode:
+        return x, x
+    return x @ params.key_proj, x @ params.value_proj
+
+
 def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams):
     """Attention reconstruction; returns (projected query, reconstruction).
 
     ``q_vals`` is one (r, d) map or a (b, r, d) stack; each map attends
     over the pool on its own.
     """
-    if params.identity_mode:
-        q1, q2 = q_vals, q_vals
-        s1, s2 = pool_vals, pool_vals
-    else:
-        q1, q2 = q_vals @ params.key_proj, q_vals @ params.value_proj
-        s1, s2 = pool_vals @ params.key_proj, pool_vals @ params.value_proj
-    attn = ctx_attention(q1, s1)
-    return q2, attn @ s2
+    q1, q2 = _ctx_project(q_vals, params)
+    s1, s2 = _ctx_project(pool_vals, params)
+    return q2, ctx_attention(q1, s1) @ s2
 
 
-def ctx_distances(q, pools: Sequence[SupportPool], params: CtxParams) -> np.ndarray:
-    """(b, n) mean squared attention-reconstruction errors."""
-    maps = _query_stack(q, *_check_pools(pools)).maps
-    r = maps.shape[1]
+def ctx_errors(q1: np.ndarray, q2: np.ndarray, keys, values) -> np.ndarray:
+    """(b, n) mean squared attention-reconstruction errors of projected queries.
+
+    ``q1`` (b, r, d_k) and ``q2`` (b, r, d_v) are the projected query maps,
+    ``keys`` and ``values`` the n projected pools (lists or stacks).
+    """
+    r = q1.shape[1]
     out = []
-    for pool in pools:
-        q2, resid = ctx_reconstruct(maps, pool.values, params)
+    for s1, s2 in zip(keys, values):
+        resid = ctx_attention(q1, s1) @ s2
         resid -= q2  # the residual negated exactly, on the fresh reconstruction
         out.append(_sq_rows(resid) / r)
     return np.column_stack(out)
+
+
+def ctx_distances(q, pools: Sequence[SupportPool], params: CtxParams) -> np.ndarray:
+    """(b, n) mean squared attention-reconstruction errors; queries are projected once."""
+    q1, q2 = _ctx_project(_query_stack(q, *_check_pools(pools)).maps, params)
+    keys, values = zip(*(_ctx_project(pool.values, params) for pool in pools))
+    return ctx_errors(q1, q2, keys, values)
 
 
 def ctx_scores(

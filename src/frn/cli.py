@@ -36,10 +36,6 @@ from .training import (
 )
 
 
-class ConfigError(ValueError):
-    """Invalid command-line configuration."""
-
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -200,8 +196,8 @@ def cmd_eval(args) -> int:
             formulation=args.formulation,
             downscale_features=train_cfg_dict.get("downscale_features"),
         )
-        if head_kind == "ctx" and "ctx_key" not in params:
-            raise ConfigError("checkpoint has no attention projections but --head ctx given")
+        required = ("embed_weight", "embed_bias") + (("ctx_key", "ctx_value") if head_kind == "ctx" else ())
+        _check_tensors(args.from_ckpt, params, ds.d, required)
         head_fn = make_eval_head_fn(params, tc)
     else:
         head_kind = args.head or "frn"
@@ -234,6 +230,23 @@ def cmd_eval(args) -> int:
     print(f"accuracy {report.accuracy_mean:.4f} +/- {report.ci95_halfwidth:.4f} "
           f"({report.trials} trials)")
     return EXIT_OK
+
+
+def _check_tensors(path, params: dict, d_in: int, required=()):
+    """Raise CheckpointError naming a ``required`` tensor the file lacks, or a
+    tensor whose shape does not fit data with ``d_in`` channels:
+    embed_weight (d_in, d), embed_bias (d,), ctx_key and ctx_value (d, *)."""
+    for name in required:
+        if name not in params:
+            raise CheckpointError(f"{path} has no tensor {name!r}")
+    weight = params.get("embed_weight")
+    d = weight.shape[-1] if weight is not None and weight.ndim else None
+    for name, want in (("embed_weight", (d_in, d)), ("embed_bias", (d,)),
+                       ("ctx_key", (d, None)), ("ctx_value", (d, None))):
+        shape = params[name].shape if name in params else want  # an absent tensor passes
+        if len(shape) != len(want) or any(n != w for n, w in zip(shape, want) if w is not None):
+            want_text = "(" + ", ".join("*" if w is None else str(w) for w in want) + ")"
+            raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, expected {want_text}")
 
 
 def _to_f32(episode):
@@ -299,46 +312,41 @@ def _train_config(args) -> TrainConfig:
     )
 
 
+def _write_run(out_dir: Path, command: str, cfg_dict: dict, params: dict, train_config: dict,
+               result, **summary):
+    """Write checkpoint.bin, history.jsonl and <command>.json of a Train- or PretrainResult."""
+    chash, seed, steps = config_hash(cfg_dict), cfg_dict["seed"], len(result.history)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(
+        out_dir / "checkpoint.bin",
+        params,
+        {"config_hash": chash, "rng_state": {"seed": seed, "steps": steps}, "train_config": train_config},
+    )
+    with open(out_dir / "history.jsonl", "w") as fh:
+        fh.write(json.dumps({"event": "config", "config_hash": chash, "seed": seed},
+                            sort_keys=True) + "\n")
+        for entry in result.history:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    summary.update(command=command, config=cfg_dict, config_hash=chash, seed=seed,
+                   aborted=result.aborted, steps_run=steps)
+    _write(out_dir, f"{command}.json", _json_dumps(summary))
+
+
 def cmd_train(args) -> int:
     ds_base = _load_dataset(args.data)
     ds_val = _load_dataset(args.val_data) if args.val_data else ds_base
     cfg = _train_config(args)
     cfg_dict = dataclasses.asdict(cfg)
-    chash = config_hash(cfg_dict)
 
     init = None
     if args.from_ckpt:
         init, _ = load_checkpoint(args.from_ckpt)
         init = {n: v for n, v in init.items() if not n.startswith("dummy_")}
+        _check_tensors(args.from_ckpt, init, ds_base.d)
 
     result = meta_train(ds_base, ds_val, cfg, init=init)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        out_dir / "checkpoint.bin",
-        result.best_params,
-        {
-            "config_hash": chash,
-            "rng_state": {"seed": cfg.seed, "steps": len(result.history)},
-            "train_config": cfg_dict,
-        },
-    )
-    with open(out_dir / "history.jsonl", "w") as fh:
-        fh.write(json.dumps({"event": "config", "config_hash": chash, "seed": cfg.seed},
-                            sort_keys=True) + "\n")
-        for entry in result.history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    summary = {
-        "command": "train",
-        "config": cfg_dict,
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "best_val_accuracy": result.best_val_accuracy,
-        "aborted": result.aborted,
-        "steps_run": len(result.history),
-    }
-    _write(out_dir, "train.json", _json_dumps(summary))
+    _write_run(Path(args.out), "train", cfg_dict, result.best_params, cfg_dict, result,
+               best_val_accuracy=result.best_val_accuracy)
     print(f"best validation accuracy {result.best_val_accuracy:.4f} "
           f"({'aborted' if result.aborted else 'completed'})")
     return EXIT_OK
@@ -355,35 +363,10 @@ def cmd_pretrain(args) -> int:
         seed=args.seed,
     )
     cfg_dict = dataclasses.asdict(cfg)
-    chash = config_hash(cfg_dict)
     result = pretrain(ds, cfg)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(
-        out_dir / "checkpoint.bin",
-        result.as_init(),
-        {
-            "config_hash": chash,
-            "rng_state": {"seed": cfg.seed, "steps": len(result.history)},
-            "train_config": {"head": "frn", "downscale_features": cfg.downscale_features},
-        },
-    )
-    with open(out_dir / "history.jsonl", "w") as fh:
-        fh.write(json.dumps({"event": "config", "config_hash": chash, "seed": cfg.seed},
-                            sort_keys=True) + "\n")
-        for entry in result.history:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    summary = {
-        "command": "pretrain",
-        "config": cfg_dict,
-        "config_hash": chash,
-        "seed": cfg.seed,
-        "final_gamma": result.gamma,
-        "aborted": result.aborted,
-        "steps_run": len(result.history),
-    }
-    _write(out_dir, "pretrain.json", _json_dumps(summary))
+    _write_run(Path(args.out), "pretrain", cfg_dict, result.as_init(),
+               {"head": "frn", "downscale_features": cfg.downscale_features},
+               result, final_gamma=result.gamma)
     print(f"pretrain finished in {len(result.history)} steps "
           f"({'aborted' if result.aborted else 'completed'})")
     return EXIT_OK
@@ -408,7 +391,7 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_NUMERICAL
     if isinstance(exc, (OSError, IngestError, CheckpointError)):
         return EXIT_IO
-    if isinstance(exc, (ConfigError, GenerationError, ValueError)):
+    if isinstance(exc, (GenerationError, ValueError)):
         return EXIT_CONFIG
     return EXIT_NUMERICAL
 

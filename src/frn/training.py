@@ -4,11 +4,14 @@ The embedding stands in for a feature extractor: a per-location affine map
 from raw (r, d_in) inputs to (r, d) feature maps. Training differentiates
 the full episode loss (cross-entropy plus optional orthogonality term)
 through the closed-form reconstruction using the reverse-mode engine in
-``autodiff``; no iterative inner solver is involved. The frn graph has
-one node per loss term: ``autodiff.ridge_recon_errors`` scores every
-query against every class pool (also against the dummy maps in
-pretraining), and ``autodiff.cross_class_orthogonality`` is the
-orthogonality term of all class pairs.
+``autodiff``; no iterative inner solver is involved. Every head's graph
+has one node per loss term, which scores every query against every class
+pool: ``autodiff.ridge_recon_errors`` for frn (also against the dummy
+maps in pretraining) and for dsn (pooled maps, r = 1, rho = 1),
+``autodiff.proto_distances`` for proto and ``autodiff.ctx_errors`` for
+ctx, whose forwards are the eval heads' own; and
+``autodiff.cross_class_orthogonality`` is the orthogonality term of all
+class pairs.
 
 Two regimes are provided:
 
@@ -199,9 +202,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     scale = 1.0 / math.sqrt(d) if resolve_downscale(cfg.downscale_features, d) else 1.0
     q_emb = _embed(queries, variables, scale)
     s_embs = [_embed(s, variables, scale) for s in support]
-    use_aux = cfg.use_aux and len(s_embs) >= 2
-    # (n, kr, d), built only for the frn node and the orthogonality term
-    s_stack = ad.stack(s_embs) if cfg.head == "frn" or use_aux else None
+    s_stack = ad.stack(s_embs)  # (n, kr, d)
     gamma = _scalar(variables, "gamma", 1.0)
 
     if cfg.head == "frn":
@@ -212,47 +213,26 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
         formulation = cfg.formulation
         if formulation == "auto":
             formulation = choose_formulation(k, r, d)
-        errs = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, formulation)
-        logits = ad.mul(ad.mul(errs, gamma), -1.0)
+        dists = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, formulation)
     elif cfg.head == "proto":
-        protos = [
-            ad.block_mean_rows(ad.block_mean_rows(s_emb, r), k) for s_emb in s_embs
-        ]
-        qp = ad.block_mean_rows(q_emb, r)
-        dists = ad.pairwise_sqdist(qp, ad.concat_rows(protos))
-        logits = ad.mul(ad.mul(dists, gamma), -1.0 / d)
+        dists = ad.proto_distances(q_emb, s_stack, r, k)
     elif cfg.head == "dsn":
-        qp = ad.block_mean_rows(q_emb, r)
-        residuals = []
-        for s_emb in s_embs:
-            pooled = ad.block_mean_rows(s_emb, r)
-            m = ad.matmul(pooled, ad.transpose(pooled))
-            a = ad.add_scaled_identity(m, cfg.dsn_lambda)
-            t1 = ad.matmul(qp, ad.transpose(pooled))
-            t2 = ad.spd_solve(a, ad.transpose(t1))
-            proj = ad.matmul(ad.transpose(t2), pooled)
-            residuals.append(ad.block_sqnorm(ad.sub(qp, proj), 1))
-        logits = ad.mul(ad.mul(ad.column_stack(residuals), gamma), -1.0 / d)
+        # the ridge residual of the pooled maps: r = 1 and rho = 1
+        pooled = ad.stack([ad.block_mean_rows(s_emb, r) for s_emb in s_embs])
+        dists = ad.ridge_recon_errors(
+            ad.block_mean_rows(q_emb, r), pooled, cfg.dsn_lambda, None, 1, "direct")
     elif cfg.head == "ctx":
-        wk = variables["ctx_key"]
-        wv = variables["ctx_value"]
-        d_k = ad.value_of(wk).shape[1]
-        q1 = ad.matmul(q_emb, wk)
-        q2 = ad.matmul(q_emb, wv)
-        errs = []
-        for s_emb in s_embs:
-            s1 = ad.matmul(s_emb, wk)
-            s2 = ad.matmul(s_emb, wv)
-            attn = ad.row_softmax(ad.mul(ad.matmul(q1, ad.transpose(s1)), 1.0 / math.sqrt(d_k)))
-            q2_bar = ad.matmul(attn, s2)
-            errs.append(ad.mul(ad.block_sqnorm(ad.sub(q2, q2_bar), r), 1.0 / r))
-        logits = ad.mul(ad.mul(ad.column_stack(errs), gamma), -1.0 / d)
+        wk, wv = variables["ctx_key"], variables["ctx_value"]
+        dists = ad.ctx_errors(ad.matmul(q_emb, wk), ad.matmul(q_emb, wv),
+                              ad.matmul(s_stack, wk), ad.matmul(s_stack, wv), r)
     else:
         raise ValueError(f"unknown head kind {cfg.head!r}")
+    # the baselines' logits are normalised by the channel count d
+    logits = ad.mul(ad.mul(dists, gamma), -1.0 if cfg.head == "frn" else -1.0 / d)
 
     loss = ce = ad.cross_entropy_logits(logits, labels)
     aux = 0.0
-    if use_aux:
+    if cfg.use_aux and len(s_embs) >= 2:
         aux_term = _aux_term(s_stack, cfg.aux_scale)
         loss = ad.add(ce, aux_term)
         aux = float(aux_term.value)

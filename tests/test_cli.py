@@ -6,11 +6,18 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, main
 from frn.data import MAGIC, manifest_path
-from frn.training import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, CheckpointError, load_checkpoint
+from frn.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    CheckpointError,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def run(argv):
@@ -342,3 +349,33 @@ class TestBadCheckpoint:
             "--seed", "0", "--out", str(tmp_path / "x"),
         ])
         assert code == EXIT_IO
+
+    # well-formed files whose tensors do not fit the command or the data (d = 6):
+    # (extra eval flags, tensors, words the error must name)
+    UNFIT = {
+        "no_embed_weight": ([], {"embed_bias": (4,)}, ["'embed_weight'"]),
+        "ctx_without_value": (["--head", "ctx"], {"embed_weight": (6, 4), "embed_bias": (4,),
+                                                  "ctx_key": (4, 4)}, ["'ctx_value'"]),
+        "embed_rows_not_d": ([], {"embed_weight": (5, 4), "embed_bias": (4,)},
+                             ["'embed_weight'", "(5, 4)", "(6, 4)"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNFIT))
+    def test_unfit_tensors_rejected_as_io_error(self, dataset, tmp_path, capsys, case):
+        flags, shapes, named = self.UNFIT[case]
+        ckpt = tmp_path / "unfit.bin"
+        save_checkpoint(ckpt, {n: np.ones(shape) for n, shape in shapes.items()})
+        code = run(["eval", "--data", str(dataset), "--from", str(ckpt), "--trials", "10",
+                    "--seed", "0", "--out", str(tmp_path / "x")] + flags)
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert all(word in err for word in named), err
+
+    def test_train_from_unfit_embedding_is_io_error(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "unfit.bin"
+        save_checkpoint(ckpt, {"embed_weight": np.ones((5, 4)), "embed_bias": np.zeros(4)})
+        code = run(["train", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
+                    "--query", "2", "--episodes", "2", "--embed-dim", "4", "--val-every", "0",
+                    "--seed", "0", "--out", str(tmp_path / "x")])
+        assert code == EXIT_IO
+        assert "(5, 4)" in capsys.readouterr().err
