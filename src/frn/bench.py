@@ -5,8 +5,12 @@ pool for both the direct (kr x kr solve) and woodbury (d x d solve)
 paths at a fixed precision (float32 by default, matching the usual
 deep-feature setting). The direct time is its scoring cost: it never
 forms the reconstruction Q_bar. Warm-up iterations are discarded and the
-monotonic clock is used; the loop itself is single-threaded to keep
-timings stable.
+monotonic clock is used. The timed loop calls each path from one thread,
+but the direct path splits its query-side products across the CPUs
+available to the process, and either path's BLAS calls may start
+threads of their own; the report records the direct path's worker count
+and ``OPENBLAS_NUM_THREADS``, so timings taken under different settings
+can be told apart.
 
 The report carries data only; it asserts nothing about which path wins.
 The two paths are cross-checked on their squared-error outputs once
@@ -18,11 +22,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import head
 from .head import HeadParams, SupportPool, reconstruct_direct, reconstruct_woodbury
 from .linalg import NumericalError, resolve_dtype
 
@@ -65,6 +71,8 @@ class BenchReport:
     direct: PathTiming
     woodbury: PathTiming
     equivalence_max_delta: float
+    #: the direct path's worker count at this b, and OPENBLAS_NUM_THREADS (None if unset)
+    threads: dict
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +89,7 @@ class BenchReport:
             "direct": self.direct.to_dict(),
             "woodbury": self.woodbury.to_dict(),
             "equivalence_max_delta": self.equivalence_max_delta,
+            "threads": dict(self.threads),
         }
 
     def to_json(self) -> str:
@@ -96,6 +105,8 @@ class BenchReport:
             f"woodbury median   {self.woodbury.median_ns / 1e6:.3f} ms  "
             f"p95 {self.woodbury.p95_ns / 1e6:.3f} ms",
             f"equivalence delta {self.equivalence_max_delta:.3e}",
+            f"direct workers    {self.threads['direct_workers']}  "
+            f"OPENBLAS_NUM_THREADS {self.threads['OPENBLAS_NUM_THREADS']}",
         ]
         return "\n".join(lines)
 
@@ -139,4 +150,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
 
     direct = _time_path(reconstruct_direct, queries, pool, params, cfg.iterations, cfg.warmup)
     wood = _time_path(reconstruct_woodbury, queries, pool, params, cfg.iterations, cfg.warmup)
-    return BenchReport(config=cfg, direct=direct, woodbury=wood, equivalence_max_delta=delta)
+    threads = {
+        "direct_workers": min(head._WORKERS, cfg.b),  # one chunk of queries each
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+    return BenchReport(config=cfg, direct=direct, woodbury=wood, equivalence_max_delta=delta,
+                       threads=threads)

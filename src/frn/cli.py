@@ -22,7 +22,7 @@ from .bench import BenchConfig, run_benchmark
 from .data import GEN_KINDS, GenSpec, GenerationError, IngestError, generate, ingest, save_dataset
 from .episodes import EvaluationError, SamplingError, evaluate, make_head_fn
 from .head import HeadParams
-from .linalg import NumericalError, ShapeError
+from .linalg import NumericalError, ShapeError, resolve_dtype
 from .training import (
     CheckpointError,
     GradientError,
@@ -136,11 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_dataset(path: str):
+def _load_dataset(path: str, dtype):
+    """The container's maps, cast once to the ``dtype`` the command computes in."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"dataset container {path} does not exist")
-    return ingest(p)
+    return ingest(p, dtype)
 
 
 def cmd_gen(args) -> int:
@@ -183,7 +184,7 @@ def _eval_config(args) -> dict:
 
 
 def cmd_eval(args) -> int:
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args.data, resolve_dtype(args.precision))
     cfg = _eval_config(args)
     chash = config_hash(cfg)
 
@@ -204,12 +205,6 @@ def cmd_eval(args) -> int:
         gamma = 1.0 / ds.d
         base_fn_params = HeadParams(gamma=gamma)
         head_fn = make_head_fn(head_kind, base_fn_params, formulation=args.formulation)
-
-    if args.precision == "f32":
-        inner = head_fn
-
-        def head_fn(episode, _inner=inner):
-            return _inner(_to_f32(episode))
 
     report = evaluate(ds, head_fn, n=args.way, k=args.shot, q=args.query,
                       trials=args.trials, seed=args.seed)
@@ -250,9 +245,17 @@ def _check_tensors(path, params: dict, d_in: int, required=()):
 
 
 def _to_f32(episode):
+    """The episode with float32 maps; an episode that has only float32 maps is returned as is.
+
+    ``frn eval`` loads its data in the compute dtype, so its episodes need
+    no conversion; this serves callers that hold an episode of other data.
+    """
     from .episodes import Episode
     from .head import FeatureMap, SupportPool
 
+    arrays = [p.values for p in episode.support] + [qm.values for qm, _ in episode.queries]
+    if all(a.dtype == np.float32 for a in arrays):
+        return episode
     # no head writes into episode arrays, so float32 data is shared, not copied
     support = [
         SupportPool(class_id=p.class_id, k=p.k, values=p.values.astype(np.float32, copy=False))
@@ -333,8 +336,8 @@ def _write_run(out_dir: Path, command: str, cfg_dict: dict, params: dict, train_
 
 
 def cmd_train(args) -> int:
-    ds_base = _load_dataset(args.data)
-    ds_val = _load_dataset(args.val_data) if args.val_data else ds_base
+    ds_base = _load_dataset(args.data, np.float64)
+    ds_val = _load_dataset(args.val_data, np.float64) if args.val_data else ds_base
     cfg = _train_config(args)
     cfg_dict = dataclasses.asdict(cfg)
 
@@ -353,7 +356,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    ds = _load_dataset(args.data)
+    ds = _load_dataset(args.data, np.float64)
     cfg = PretrainConfig(
         steps=args.steps,
         batch_size=args.batch_size,

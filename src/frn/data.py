@@ -180,14 +180,15 @@ def save_dataset(path, ds: Dataset, dtype=np.float64):
         for m in ds.classes[cid]:
             items.append(m.values)
             labels.append(cid)
-    tensor = np.ascontiguousarray(np.stack(items).astype(dtype))
+    tensor = np.stack(items, dtype=dtype.newbyteorder("<"))  # C-ordered, little-endian
     dims = tensor.shape
     header = MAGIC + struct.pack("<III", VERSION, _TAG_OF[dtype], len(dims))
     header += struct.pack(f"<{len(dims)}I", *dims)
-    body = header + tensor.astype(dtype.newbyteorder("<")).tobytes()
-    crc = binascii.crc32(body) & 0xFFFFFFFF
+    crc = binascii.crc32(tensor.data, binascii.crc32(header)) & 0xFFFFFFFF
     with open(path, "wb") as fh:
-        fh.write(body + struct.pack("<I", crc))
+        fh.write(header)
+        fh.write(tensor.data)
+        fh.write(struct.pack("<I", crc))
     with open(manifest_path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["item_index", "class_id"])
@@ -195,14 +196,15 @@ def save_dataset(path, ds: Dataset, dtype=np.float64):
             writer.writerow([i, cid])
 
 
-def _read_exact(blob: bytes, offset: int, count: int, what: str) -> bytes:
+def _read_exact(blob: bytes, offset: int, count: int, what: str) -> memoryview:
+    """``count`` bytes of ``blob`` at ``offset``, as a view: the payload is not copied."""
     if offset + count > len(blob):
         raise IngestError(
             f"truncated container while reading {what} "
             f"(needed {count} bytes at offset {offset})",
             byte_offset=offset,
         )
-    return blob[offset : offset + count]
+    return memoryview(blob)[offset : offset + count]
 
 
 def load_tensor(path) -> np.ndarray:
@@ -231,7 +233,7 @@ def load_tensor(path) -> np.ndarray:
     payload = _read_exact(blob, payload_off, nbytes, "payload")
     crc_off = payload_off + nbytes
     (crc_stored,) = struct.unpack("<I", _read_exact(blob, crc_off, 4, "checksum"))
-    if binascii.crc32(blob[:crc_off]) & 0xFFFFFFFF != crc_stored:
+    if binascii.crc32(memoryview(blob)[:crc_off]) & 0xFFFFFFFF != crc_stored:
         raise IngestError("checksum mismatch", byte_offset=crc_off)
     tensor = np.frombuffer(payload, dtype=dtype).reshape(dims)
     finite = np.isfinite(tensor)
@@ -244,9 +246,15 @@ def load_tensor(path) -> np.ndarray:
     return tensor.astype(tensor.dtype.newbyteorder("="))
 
 
-def ingest(path) -> Dataset:
-    """Load a dataset from a tensor container and its label manifest."""
+def ingest(path, dtype=None) -> Dataset:
+    """Load a dataset from a tensor container and its label manifest.
+
+    The maps keep the container's dtype unless ``dtype`` is given, in
+    which case the whole tensor is cast to it once.
+    """
     tensor = load_tensor(path)
+    if dtype is not None:
+        tensor = tensor.astype(dtype, copy=False)
     if tensor.ndim != 3:
         raise IngestError(f"dataset tensor must be rank 3, got rank {tensor.ndim}", byte_offset=16)
     mpath = manifest_path(path)
@@ -271,4 +279,4 @@ def ingest(path) -> Dataset:
     if any(l is None for l in labels):
         missing = labels.index(None)
         raise IngestError(f"manifest missing a label for item {missing}")
-    return Dataset.from_arrays(tensor.astype(np.float64), labels)
+    return Dataset.from_arrays(tensor, labels)

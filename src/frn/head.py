@@ -31,15 +31,23 @@ of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
 
 The direct form never forms Q_bar to score: it takes each error from
 the kr-space identity in ``reconstruct_direct``, which stays within
-256 eps ||Q||^2 / r of a float64 solve. All functions are pure;
+256 eps ||Q||^2 / r of a float64 solve. Its query-side products split
+the stack into one contiguous chunk of queries per CPU available to the
+process and run the chunks on threads; since each query's products
+depend only on that query, the results are bit-identical to a serial
+run. The woodbury form runs serially. All functions are pure;
 per-class calls may run concurrently.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
+import os
+import threading
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,15 +230,90 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a.reshape(n, -1), b.reshape(n, -1), dtype=np.float64)
 
 
-def _direct_factors(q_batch, pool: SupportPool, params: HeadParams):
-    """Validated queries Q, G = S S^T, W = A (G + lam I)^-1 and A = Q S^T."""
-    r, d = pool.r, pool.d
-    queries = _query_stack(q_batch, r, d)
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: chunks the direct kernel splits a query stack into: one per CPU
+#: available to the process, the first run by the caller
+_WORKERS = _available_cpus()
+_executor: ThreadPoolExecutor | None = None
+_executor_lock = threading.Lock()
+
+
+def _drop_executor():
+    """In a forked child: the parent's worker threads do not exist there."""
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _chunk_executor() -> ThreadPoolExecutor:
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            _executor = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="frn-direct")
+        return _executor
+
+
+def _over_chunks(fn, b: int):
+    """Run ``fn(lo, hi)`` on one contiguous slice of range(b) per worker, concurrently.
+
+    The caller runs the first slice itself; the others run on the shared
+    executor, each in a copy of the caller's context, so its
+    ``np.errstate`` holds there too. An exception is raised only after
+    every slice has finished.
+    """
+    n = max(min(_WORKERS, b), 1)
+    bounds = [b * i // n for i in range(n + 1)]
+    if n == 1:
+        fn(0, b)
+        return
+    executor = _chunk_executor()
+    futures = [
+        executor.submit(contextvars.copy_context().run, fn, lo, hi)
+        for lo, hi in zip(bounds[1:-1], bounds[2:])
+    ]
+    try:
+        fn(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _direct_kernel(q: np.ndarray, pool: SupportPool, params: HeadParams):
+    """W = A (G + lam I)^-1 for A = Q S^T and G = S S^T, and the float64 row dots
+    <A_i, W_i> and <W_i G, W_i> of each query of the (b, r, d) stack ``q``.
+
+    The pool-side factor is computed here; the query-side products run in
+    contiguous chunks of queries across the CPUs (``_over_chunks``). Each
+    is still one 3-D ``np.matmul`` per chunk, so every query's results are
+    bit-identical to a serial run, whatever the number of workers.
+    """
     s = pool.values
     g = gram(s, "outer")
-    m_inv = spd_inverse(add_ridge(g, effective_lambda(params, pool.k, r, d)))
-    a = queries.maps @ np.ascontiguousarray(s.T)
-    return queries, g, a @ m_inv, a
+    m_inv = spd_inverse(add_ridge(g, effective_lambda(params, pool.k, pool.r, pool.d)))
+    st = np.ascontiguousarray(s.T)
+    a = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
+    w = np.empty_like(a)
+    dots = np.empty((2, len(q)))
+
+    def chunk(lo, hi):
+        ac, wc = a[lo:hi], w[lo:hi]
+        np.matmul(q[lo:hi], st, out=ac)
+        np.matmul(ac, m_inv, out=wc)
+        dots[0, lo:hi] = _row_dots(ac, wc)
+        np.matmul(wc, g, out=ac)  # W G, in A's place
+        dots[1, lo:hi] = _row_dots(ac, wc)
+
+    _over_chunks(chunk, len(q))
+    return w, dots[0], dots[1]
 
 
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -243,9 +326,11 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Recons
     instead need W (G + lam I) = A to hold exactly. Rounding can still
     take a near-zero error below zero, so it is clamped at 0.
     """
-    queries, g, w, a = _direct_factors(q_batch, pool, params)
+    queries = _query_stack(q_batch, pool.r, pool.d)
+    sq_norms = queries.sq_norms  # before the chunks run: none of them reaches the cache
+    w, aw, wgw = _direct_kernel(queries.maps, pool, params)
     rho, s = params.rho, pool.values
-    err = queries.sq_norms - 2 * rho * _row_dots(a, w) + rho * rho * _row_dots(w @ g, w)
+    err = sq_norms - 2 * rho * aw + rho * rho * wgw
     return Reconstructions(
         np.maximum(err / pool.r, 0.0), pool.class_id, w, s, np.asarray(rho, dtype=s.dtype)
     )
@@ -330,4 +415,4 @@ def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> li
     Exposed so the ridge objective ||Q - W S||^2 + lam ||W||^2 can be
     evaluated against the unscaled (rho = 1) solution.
     """
-    return list(_direct_factors(q_batch, pool, params)[2])
+    return list(_direct_kernel(_query_stack(q_batch, pool.r, pool.d).maps, pool, params)[0])

@@ -281,8 +281,15 @@ def _learnable_names(cfg: TrainConfig) -> list[str]:
     return names
 
 
-def init_params(cfg: TrainConfig, d_in: int, rng) -> dict[str, np.ndarray]:
-    """Fresh parameter set: zero head scalars, gamma = 1/d, random embedding."""
+def init_params(
+    cfg: TrainConfig, d_in: int, rng, width: int | None = None
+) -> dict[str, np.ndarray]:
+    """Fresh parameter set: zero head scalars, gamma = 1/d, random (d_in, d) embedding.
+
+    d is ``cfg.embed_dim or d_in``. The ctx projections act on the
+    features that are trained, so they are (width, width), where
+    ``width`` (default d) is the width of the embedding actually trained.
+    """
     d = cfg.embed_dim or d_in
     emb = EmbeddingModel.random(d_in, d, rng)
     params = {
@@ -293,8 +300,9 @@ def init_params(cfg: TrainConfig, d_in: int, rng) -> dict[str, np.ndarray]:
         "gamma": np.float64(1.0 / d),
     }
     if cfg.head == "ctx":
-        params["ctx_key"] = rng.standard_normal((d, d)) / math.sqrt(d)
-        params["ctx_value"] = rng.standard_normal((d, d)) / math.sqrt(d)
+        w = width or d
+        params["ctx_key"] = rng.standard_normal((w, w)) / math.sqrt(w)
+        params["ctx_value"] = rng.standard_normal((w, w)) / math.sqrt(w)
     return params
 
 
@@ -355,7 +363,8 @@ def meta_train(
     as constants, so they keep their initial values exactly.
     """
     rng = np.random.default_rng(cfg.seed)
-    params = init_params(cfg, ds_base.d, rng)
+    width = init["embed_weight"].shape[-1] if init and "embed_weight" in init else None
+    params = init_params(cfg, ds_base.d, rng, width)
     if init:
         for name, value in init.items():
             params[name] = np.array(value, dtype=np.float64)

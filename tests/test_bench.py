@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from frn import head
 from frn.bench import BenchConfig, run_benchmark
 
 
@@ -45,3 +46,16 @@ class TestRunBenchmark:
         cfg = BenchConfig(b=1, k=1, r=2, d=2, iterations=3, warmup=0, seed=3)
         report = run_benchmark(cfg)
         assert report.direct.median_ns > 0 and report.woodbury.median_ns > 0
+
+    @pytest.mark.parametrize("blas_threads", [None, "1"])
+    def test_report_records_thread_settings(self, monkeypatch, blas_threads):
+        # direct timings depend on both; a report must say which it ran with
+        monkeypatch.setattr(head, "_WORKERS", 3)
+        if blas_threads is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        report = run_benchmark(BenchConfig(b=2, k=1, r=2, d=4, iterations=2, warmup=0))
+        data = json.loads(report.to_json())
+        assert data["threads"] == {"direct_workers": 2, "OPENBLAS_NUM_THREADS": blas_threads}
+        assert "direct workers    2" in report.to_text()

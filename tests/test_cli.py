@@ -154,6 +154,7 @@ class TestToF32:
 
         episode = self._episode(self._dataset(np.float32))
         out = _to_f32(episode)
+        assert out is episode  # an all-float32 episode passes through
         for new, old in zip(out.support, episode.support):
             assert np.shares_memory(new.values, old.values)
         for (new, _), (old, _) in zip(out.queries, episode.queries):
@@ -192,6 +193,53 @@ class TestToF32:
                      trials=3, seed=0)
         for m, old in zip(maps, before):
             np.testing.assert_array_equal(m.values, old)
+
+
+class TestContainerPrecision:
+    """An f32 container scores and trains as an f64 one holding the same values."""
+
+    @staticmethod
+    def _containers(tmp_path):
+        from frn.data import GenSpec, generate, ingest, save_dataset
+
+        ds = generate(GenSpec(6, 8, 2, 6, 0.05, "gaussian-prototype", 3))
+        dirs = {}
+        for tag in ("f32", "f64"):
+            dirs[tag] = tmp_path / tag
+            dirs[tag].mkdir()
+        save_dataset(dirs["f32"] / "data.frnt", ds, dtype=np.float32)
+        rounded = ingest(dirs["f32"] / "data.frnt")
+        save_dataset(dirs["f64"] / "data.frnt", rounded, dtype=np.float64)
+        return dirs
+
+    def test_eval_in_f64_is_byte_identical(self, tmp_path, monkeypatch):
+        outputs = []
+        for where in self._containers(tmp_path).values():
+            monkeypatch.chdir(where)  # the same --data text in both configs
+            code = run([
+                "eval", "--head", "frn", "--data", "data.frnt", "--way", "3", "--shot", "2",
+                "--query", "3", "--trials", "6", "--precision", "f64", "--seed", "0",
+                "--out", "out",
+            ])
+            assert code == EXIT_OK
+            outputs.append((where / "out" / "eval.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_pretrain_then_train_are_byte_identical(self, tmp_path, monkeypatch):
+        outputs = []
+        for where in self._containers(tmp_path).values():
+            monkeypatch.chdir(where)
+            assert run(["pretrain", "--data", "data.frnt", "--steps", "3", "--batch-size", "8",
+                        "--embed-dim", "4", "--seed", "0", "--out", "pre"]) == EXIT_OK
+            assert run(["train", "--head", "frn", "--data", "data.frnt",
+                        "--from", "pre/checkpoint.bin", "--way", "3", "--shot", "1",
+                        "--query", "2", "--episodes", "3", "--val-every", "3",
+                        "--val-trials", "4", "--val-query", "3", "--seed", "0",
+                        "--out", "fine"]) == EXIT_OK
+            outputs.append([(where / run_dir / name).read_bytes()
+                            for run_dir in ("pre", "fine")
+                            for name in ("checkpoint.bin", "history.jsonl")])
+        assert outputs[0] == outputs[1]
 
 
 class TestBench:
@@ -306,6 +354,24 @@ class TestTrainAndCheckpoints:
             "--val-every", "0", "--seed", "0", "--out", str(fine_out),
         ])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("embed_dim", [[], ["--embed-dim", "5"]])
+    def test_ctx_finetunes_from_an_embedding_of_another_width(self, dataset, tmp_path, embed_dim):
+        # the ctx projections act on the trained features: the checkpoint's
+        # width (4), not --embed-dim or the data's d (6)
+        pre_out = tmp_path / "pre"
+        assert run(["pretrain", "--data", str(dataset), "--steps", "2", "--batch-size", "8",
+                    "--embed-dim", "4", "--seed", "0", "--out", str(pre_out)]) == EXIT_OK
+        out = tmp_path / "ctx"
+        code = run([
+            "train", "--head", "ctx", "--data", str(dataset),
+            "--from", str(pre_out / "checkpoint.bin"), "--way", "3", "--shot", "1",
+            "--query", "2", "--episodes", "2", "--val-every", "2", "--val-trials", "4", "--val-query", "2",
+            "--seed", "0", "--out", str(out), *embed_dim,
+        ])
+        assert code == EXIT_OK
+        params, _ = load_checkpoint(out / "checkpoint.bin")
+        assert params["ctx_key"].shape == params["ctx_value"].shape == (4, 4)
 
     def test_ctx_training_runs(self, dataset, tmp_path):
         out = tmp_path / "ctx"

@@ -200,6 +200,21 @@ class TestContainer:
         save_dataset(path, ds, dtype=np.float32)
         loaded = ingest(path)
         assert loaded.counts == ds.counts
+        for cid in ds.classes:
+            for a, b in zip(ds.classes[cid], loaded.classes[cid]):
+                assert b.values.dtype == np.float32  # the container's dtype, not upcast
+                np.testing.assert_array_equal(a.values.astype(np.float32), b.values)
+
+    def test_ingest_casts_once_to_a_requested_dtype(self, tmp_path):
+        ds = gen_gaussian(spec("gaussian-prototype"))
+        path = tmp_path / "data32.frnt"
+        save_dataset(path, ds, dtype=np.float32)
+        native = ingest(path)
+        wide = ingest(path, np.float64)
+        for cid in ds.classes:
+            for a, b in zip(native.classes[cid], wide.classes[cid]):
+                assert b.values.dtype == np.float64
+                np.testing.assert_array_equal(a.values.astype(np.float64), b.values)
 
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.frnt"

@@ -2,6 +2,9 @@
 scoring, and the algebraic invariants they must satisfy."""
 
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -291,6 +294,115 @@ class TestQueryStackOncePerEpisode:
         assert np.array_equal(head.frn_distances(q, pools, params, formulation), expected)
         # woodbury reduces each pool's residual and never needs ||Q||^2
         assert calls == {"validate": 1, "square": 1 if formulation == "direct" else 0}
+
+
+def _score_in_child(q, pool, expected):
+    """Forked child: score again; exit code 1 unless the bits match the parent's."""
+    if not np.array_equal(reconstruct_direct(q, pool, HeadParams()).sq_errors, expected):
+        raise SystemExit(1)
+
+
+class TestThreadedDirectKernel:
+    @staticmethod
+    def _cases(dtype):
+        rng = np.random.default_rng(21)
+        for b in range(1, 8):  # 2 and 3 workers get uneven and empty chunks
+            k, r = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            d = k * r + int(rng.integers(1, 30))
+            pools = [
+                SupportPool(c, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
+                for c in range(3)
+            ]
+            q = (rng.standard_normal((b * r, d)) / math.sqrt(d)).astype(dtype)
+            params = HeadParams(alpha=rng.uniform(-1, 1), beta=rng.uniform(-1, 1), gamma=0.5)
+            yield q, pools, params
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_for_any_worker_count(self, workers, dtype, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        serial = [
+            (head.frn_distances(q, pools, p, "direct"), episode_logits(q, pools, p, "direct"))
+            for q, pools, p in self._cases(dtype)
+        ]
+        threads = set()
+        row_dots = head._row_dots
+
+        def spy(a, b):
+            threads.add(threading.get_ident())
+            return row_dots(a, b)
+
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_row_dots", spy)
+        for (q, pools, p), (dist, logits) in zip(self._cases(dtype), serial):
+            assert np.array_equal(head.frn_distances(q, pools, p, "direct"), dist)
+            assert np.array_equal(episode_logits(q, pools, p, "direct"), logits)
+            for pool in pools:
+                recs = reconstruct_direct(q, pool, p)
+                assert recs[0].q_bar.dtype == dtype
+                for rec, (q_bar, _) in zip(recs, per_block_direct(q, pool, p), strict=True):
+                    assert np.array_equal(rec.q_bar, q_bar)
+        # with more than one worker, chunks after the first ran on other threads
+        assert (len(threads) > 1) == (workers > 1)
+
+    def test_concurrent_callers_share_the_executor(self, monkeypatch):
+        # more workers than cores and callers racing for the executor's first
+        # build: every caller still gets the serial bits for its own queries
+        cases = list(self._cases(np.float64))
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        serial = [head.frn_distances(q, pools, p, "direct") for q, pools, p in cases]
+        monkeypatch.setattr(head, "_WORKERS", 3)
+        monkeypatch.setattr(head, "_executor", None)
+        results = [[] for _ in cases]
+
+        def caller(i):
+            q, pools, p = cases[i]
+            for _ in range(5):
+                results[i].append(head.frn_distances(q, pools, p, "direct"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(cases))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got, want in zip(results, serial):
+            assert len(got) == 5 and all(np.array_equal(g, want) for g in got)
+
+    def test_callers_errstate_holds_in_a_worker_chunk(self, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        pool = SupportPool(0, 1, np.ones((2, 8), dtype=np.float32))
+        q = np.ones((4, 8), dtype=np.float32)
+        q[2:] = 3e38  # only the second query, a worker's chunk, overflows Q S^T
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            reconstruct_direct(q, pool, HeadParams())
+        with np.errstate(over="ignore", invalid="ignore"):
+            errs = reconstruct_direct(q, pool, HeadParams()).sq_errors
+        assert np.isfinite(errs[0])
+
+    # newer Pythons warn on any fork of a process that has threads; this
+    # fork is the case under test
+    @pytest.mark.filterwarnings("ignore:.*fork\\(\\) may lead to deadlocks:DeprecationWarning")
+    def test_a_forked_child_can_score(self, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(22)
+        pool = random_pool(rng, 1, 3, 12)
+        q = rng.standard_normal((4 * 3, 12))
+        expected = reconstruct_direct(q, pool, HeadParams()).sq_errors  # threads now exist
+        child = multiprocessing.get_context("fork").Process(
+            target=_score_in_child, args=(q, pool, expected)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 # (in_span, alpha, beta): random queries, or queries within 1e-4 of the

@@ -117,3 +117,29 @@ def test_benchmark_selftest_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "selftest passed"
+
+
+def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch):
+    # the direct kernel runs chunks of queries on worker threads; they must
+    # call no wrapped name, or spans from two threads would interleave on the
+    # recorder's one stack and the layer table's self times would go wrong
+    import frn.episodes
+    import frn.head
+    from frn.data import GenSpec, generate
+    from frn.head import HeadParams
+
+    monkeypatch.setattr(frn.head, "_WORKERS", 2)  # dispatch even on a one-CPU box
+    ds = generate(GenSpec(6, 8, 3, 24, 0.05, "gaussian-prototype", 0))
+    head_fn = frn.episodes.make_head_fn("frn", HeadParams(), formulation="direct")
+    recorder = spans.Recorder()
+    with recorder.instrument(True):
+        frn.episodes.evaluate(ds, head_fn, n=3, k=2, q=4, trials=3, seed=0)
+    names = [s[0] for s in recorder.spans]
+    # each pool's factor is made once, on the calling thread, and no chunk adds a span
+    assert names.count("head.direct") == names.count("linalg.gram") == 3 * 3  # trials x pools
+    assert names.count("linalg.spd_inverse") == names.count("head.direct")
+    assert min(recorder.self_times()) >= 0
+    for name, start, end, parent, _ in recorder.spans:
+        if parent >= 0:
+            _, p_start, p_end, _, _ = recorder.spans[parent]
+            assert p_start <= start <= end <= p_end, name
