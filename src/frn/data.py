@@ -208,7 +208,13 @@ def _read_exact(blob: bytes, offset: int, count: int, what: str) -> memoryview:
 
 
 def load_tensor(path) -> np.ndarray:
-    """Read and validate a tensor container; errors carry byte offsets."""
+    """Read and validate a tensor container; errors carry byte offsets.
+
+    The result is in native byte order. On a little-endian host it is a
+    read-only view of the bytes read from the file, so the payload is
+    not copied here; a caller that needs a writable array copies it
+    (``ingest`` does, once per item, in ``Dataset.from_arrays``).
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if _read_exact(blob, 0, 8, "magic") != MAGIC:
@@ -243,7 +249,7 @@ def load_tensor(path) -> np.ndarray:
             f"non-finite value at flat index {first_bad}",
             byte_offset=payload_off + first_bad * dtype.itemsize,
         )
-    return tensor.astype(tensor.dtype.newbyteorder("="))
+    return tensor.astype(tensor.dtype.newbyteorder("="), copy=False)
 
 
 def ingest(path, dtype=None) -> Dataset:

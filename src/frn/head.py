@@ -35,8 +35,12 @@ the kr-space identity in ``reconstruct_direct``, which stays within
 the stack into one contiguous chunk of queries per CPU available to the
 process and run the chunks on threads; since each query's products
 depend only on that query, the results are bit-identical to a serial
-run. The woodbury form runs serially. All functions are pure;
-per-class calls may run concurrently.
+run. The woodbury form, and the ctx head in ``baselines``, run
+serially: their query-side work is many small products and element-wise
+passes, and on a shared 2-vCPU host a second thread sped it up 2x when
+the other vCPU was free but not at all, or made it slower, when the host
+was busy, so their cost followed the host more than the code. All
+functions are pure; per-class calls may run concurrently.
 """
 
 from __future__ import annotations
@@ -376,7 +380,7 @@ def _softmax_in_place(e: np.ndarray) -> np.ndarray:
 
 
 def _sq_rows(resid: np.ndarray) -> np.ndarray:
-    """Per-query float64 squared norms of a fresh (b, ...) residual, squared in place."""
+    """Per-query float64 squared norms of a (b, ...) residual the caller owns, squared in place."""
     resid = resid.astype(np.float64, copy=False).reshape(len(resid), -1)
     return np.sum(np.square(resid, out=resid), axis=1)
 

@@ -93,6 +93,14 @@ class TestBatchedAgainstPerQuery:
             got = ctx_scores(maps.reshape(-1, d), pools, params, gamma=0.7)
             assert np.array_equal(got, per_query_ctx(maps, pools, params, 0.7))
 
+    def test_ctx_pools_of_different_sizes_share_the_attention_buffer(self):
+        rng = np.random.default_rng(36)
+        pools = [SupportPool(c, k, rng.standard_normal((k * 4, 6))) for c, k in enumerate((3, 1, 2))]
+        maps = rng.standard_normal((5, 4, 6))
+        for params in (CtxParams.identity(), CtxParams.random(6, 3, 5, rng=rng)):
+            got = ctx_scores(maps.reshape(-1, 6), pools, params, gamma=0.7)
+            assert np.array_equal(got, per_query_ctx(maps, pools, params, 0.7))
+
     def test_dsn_within_float64_rounding(self):
         # one solve with b right-hand sides need not round like b solves
         rng = np.random.default_rng(32)

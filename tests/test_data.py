@@ -216,6 +216,19 @@ class TestContainer:
                 assert b.values.dtype == np.float64
                 np.testing.assert_array_equal(a.values.astype(np.float64), b.values)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ingested_items_own_writable_memory(self, tmp_path, dtype):
+        # load_tensor returns a read-only view of the file's bytes; every
+        # item is copied out of it, so no map keeps that buffer alive
+        ds = gen_gaussian(spec("gaussian-prototype"))
+        path = tmp_path / "data.frnt"
+        save_dataset(path, ds, dtype=dtype)
+        assert not load_tensor(path).flags.writeable
+        for maps in ingest(path).classes.values():
+            for m in maps:
+                assert m.values.flags.owndata and m.values.flags.writeable
+                m.values[0, 0] += 1.0
+
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.frnt"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 40)
