@@ -45,11 +45,15 @@ last two run the forward of the eval head in ``baselines``.
   and prototypes P. dqp = 2 (diag(g 1) qp - g P) and
   dP = 2 (diag(g^T 1) P - g^T qp), with g = dD, spread as 1/r over each
   query's rows and 1/(kr) over each pool's rows.
-* ``ctx_errors``: per class, A = softmax(Q1 K^T / sqrt(d_k)) and
-  R = A V - Q2, err_ic = ||R_i||^2 / r. Backward, one class at a time and
-  with A recomputed (no n attention tensors are kept): dR = w R,
-  dQ2 -= dR, dV = A^T dR, dL = A * (dR V^T - rowsum(dR V^T * A)) / sqrt(d_k),
-  dQ1 += dL K and dK = dL^T Q1, all as 2-D products over the b*r rows.
+* ``ctx_errors``: per class, E = exp(Q1 K^T / sqrt(d_k) - rowmax) with
+  row sums s, A = E / s and R = A V - Q2, err_ic = ||R_i||^2 / r. The
+  forward keeps each class's E, s and R (n (b*r, kr) weight arrays), so
+  the backward forms no logits: one class at a time, dR = w R,
+  dQ2 -= dR, u = dR / s, dV = A^T dR = E^T u and
+  dL = A * (dR V^T - rowsum(dR V^T * A)) / sqrt(d_k)
+     = E * (u V^T - rowsum(u * (R + Q2))) / sqrt(d_k),
+  since rowsum(dR V^T * A) = rowsum(dR * A V); then dQ1 += dL K and
+  dK = dL^T Q1, all as 2-D products over the b*r rows.
 """
 
 from __future__ import annotations
@@ -452,7 +456,8 @@ def ctx_errors(q1, q2, keys, values, r: int):
     """
     q1v, q2v, kv, vv = (value_of(x) for x in (q1, q2, keys, values))
     b = q1v.shape[0] // r
-    err = baselines.ctx_errors(q1v.reshape(b, r, -1), q2v.reshape(b, r, -1), kv, vv)
+    kept = []
+    err = baselines.ctx_errors(q1v.reshape(b, r, -1), q2v.reshape(b, r, -1), kv, vv, keep=kept)
     out = Var(err, parents=(q1, q2, keys, values))
 
     def vjp(g):
@@ -460,13 +465,16 @@ def ctx_errors(q1, q2, keys, values, r: int):
         scale = 1.0 / math.sqrt(q1v.shape[1])
         dq1, dq2 = np.zeros_like(q1v), np.zeros_like(q2v)
         dk, dv = np.empty_like(kv), np.empty_like(vv)
-        for c in range(kv.shape[0]):
-            a = baselines.ctx_attention(q1v, kv[c])
-            dr = (a @ vv[c] - q2v) * w[:, c : c + 1]
+        for c, (e, sums, res) in enumerate(kept):
+            e, res = e.reshape(b * r, -1), res.reshape(b * r, -1)
+            dr = res * w[:, c : c + 1]
             dq2 -= dr
-            dv[c] = a.T @ dr
-            da = dr @ vv[c].T
-            dl = a * (da - (da * a).sum(axis=1, keepdims=True)) * scale
+            u = dr / sums.reshape(-1, 1)
+            dv[c] = e.T @ u
+            dl = u @ vv[c].T
+            dl -= np.sum(u * (res + q2v), axis=1, keepdims=True)
+            dl *= e
+            dl *= scale
             dq1 += dl @ kv[c]
             dk[c] = dl.T @ q1v
         for x, gx in ((q1, dq1), (q2, dq2), (keys, dk), (values, dv)):

@@ -23,10 +23,14 @@ The array-level forwards ``proto_sqdist`` and ``ctx_errors`` are shared
 with training, whose ``autodiff`` nodes call them. ``ctx_distances``
 projects the queries once per episode, not once per pool.
 
-``ctx_errors`` scores every pool through one attention buffer and one
+``ctx_errors`` scores every pool through one weight buffer and one
 residual buffer, allocated once per call and reused across pools; fresh
-arrays per pool made an episode about an eighth slower. All three heads
-run serially (see ``head`` for why).
+arrays per pool made an episode about an eighth slower. ``ctx_errors``,
+``ctx_reconstruct`` and ``ctx_attention`` share one attention pass,
+``_ctx_exp``: logits, max-subtract, ``exp`` and row sums, once per pool,
+with 1/sqrt(d_k) folded into the key copy. The errors normalise the rows
+after the product by the values, so batched and per-query results stay
+bit-identical. All three heads run serially (see ``head`` for why).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .head import SupportPool, _check_pools, _query_stack, _softmax_in_place, _sq_rows
+from .head import SupportPool, _check_pools, _query_stack, _shifted_exp, _sq_rows
 from .linalg import add_ridge, as_matrix, gram, spd_solve
 
 
@@ -174,20 +178,33 @@ def dsn_scores(
 # attention head
 
 
-def ctx_attention(q1: np.ndarray, s1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k)), in float64.
+def _ctx_exp(q1: np.ndarray, s1: np.ndarray, out: np.ndarray | None = None):
+    """One unnormalised attention pass: E = exp(L - rowmax L), L = Q1 S1^T / sqrt(d_k).
 
-    The logits are rounded in the inputs' dtype, written to ``out`` (a
-    fresh array by default), and the softmax is taken there in place.
+    Returns E in float64 (written to ``out``, a fresh array by default) and
+    its (..., 1) row sums, each at least 1; callers normalise by them. The
+    1/sqrt(d_k) scales the C-ordered copy of S1^T (d_k*kr entries) rather
+    than the (..., kr) logits, which are rounded in the inputs' dtype. The
+    stacked product by a C-ordered copy takes about 3/5 of the time of the
+    transposed view's.
     """
     dtype = np.result_type(q1, s1)
     if out is None:
         out = np.empty(q1.shape[:-1] + (len(s1),), dtype=np.result_type(dtype, np.float64))
-    # a C-ordered S1^T gives the transposed view's bits, and the stacked
-    # product by it takes about 3/5 of the time
-    np.matmul(q1, np.ascontiguousarray(s1.T), out=out)
-    np.divide(out, math.sqrt(q1.shape[-1]), out=out, dtype=dtype)
-    return _softmax_in_place(out)
+    keys_t = np.empty(s1.shape[::-1], dtype)
+    np.divide(s1.T, math.sqrt(q1.shape[-1]), out=keys_t)
+    np.matmul(q1, keys_t, out=out)
+    return out, _shifted_exp(out)
+
+
+def ctx_attention(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
+    """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k)), in float64.
+
+    The ``_ctx_exp`` pass the errors take, divided here by its row sums.
+    """
+    e, sums = _ctx_exp(q1, s1)
+    e /= sums
+    return e
 
 
 def _ctx_project(x: np.ndarray, params: CtxParams):
@@ -205,23 +222,37 @@ def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams
     """
     q1, q2 = _ctx_project(q_vals, params)
     s1, s2 = _ctx_project(pool_vals, params)
-    return q2, ctx_attention(q1, s1) @ s2
+    e, sums = _ctx_exp(q1, s1)
+    recon = e @ s2
+    recon /= sums
+    return q2, recon
 
 
-def ctx_errors(q1: np.ndarray, q2: np.ndarray, keys, values) -> np.ndarray:
+def ctx_errors(q1: np.ndarray, q2: np.ndarray, keys, values, keep: list | None = None) -> np.ndarray:
     """(b, n) mean squared attention-reconstruction errors of projected queries.
 
     ``q1`` (b, r, d_k) and ``q2`` (b, r, d_v) are the projected query maps,
-    ``keys`` and ``values`` the n projected pools (lists or stacks). Every
-    pool reuses one attention buffer and one residual buffer allocated here.
+    ``keys`` and ``values`` the n projected pools (lists or stacks). Each
+    pool takes one ``_ctx_exp`` pass, and its rows are normalised after the
+    product by the values, on (b, r, d_v) rather than (b, r, kr). Every pool
+    reuses one weight buffer and one residual buffer allocated here. Given a
+    list ``keep``, each pool gets fresh ones instead, and its (E, row sums,
+    residual A V - Q2) is appended for the training backward; the errors
+    are the same bits either way.
     """
     b, r = q1.shape[:2]
-    att = np.empty((b, r, max(len(s1) for s1 in keys)), np.result_type(q1, keys[0], np.float64))
-    resid = np.empty(q2.shape, np.result_type(att, values[0]))
+    e = np.empty((b, r, max(len(s1) for s1 in keys)), np.result_type(q1, keys[0], np.float64))
+    resid = np.empty(q2.shape, np.result_type(e, values[0]))
     err = np.empty((b, len(keys)))
     for c, (s1, s2) in enumerate(zip(keys, values)):
-        np.matmul(ctx_attention(q1, s1, out=att[:, :, : len(s1)]), s2, out=resid)
+        if keep is not None:
+            e, resid = np.empty_like(e), np.empty_like(resid)
+        e_c, sums = _ctx_exp(q1, s1, out=e[:, :, : len(s1)])
+        np.matmul(e_c, s2, out=resid)
+        resid /= sums
         resid -= q2  # the residual negated exactly
+        if keep is not None:
+            keep.append((e_c, sums, resid.copy()))
         err[:, c] = _sq_rows(resid) / r
     return err
 

@@ -368,15 +368,20 @@ def reconstruct(
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax (max-subtracted)."""
-    return _softmax_in_place(np.array(logits, dtype=np.float64))
+    e = np.array(logits, dtype=np.float64)
+    e /= _shifted_exp(e)
+    return e
 
 
-def _softmax_in_place(e: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of a fresh float64 array, overwriting it."""
+def _shifted_exp(e: np.ndarray) -> np.ndarray:
+    """exp(e - rowmax) over the last axis of a float64 array the caller owns, in place.
+
+    Returns the (..., 1) row sums: each is at least 1, since a row's largest
+    entry becomes exp(0), so dividing by them is safe.
+    """
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    return e.sum(axis=-1, keepdims=True)
 
 
 def _sq_rows(resid: np.ndarray) -> np.ndarray:

@@ -1,11 +1,13 @@
 """Baseline head contracts and their consistency with the reconstruction head."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from frn import baselines
+from frn import autodiff as ad
+from frn import baselines, training
 from frn.baselines import (
     CtxParams,
     ProjectionConfig,
@@ -306,3 +308,65 @@ class TestCtx:
         q = FeatureMap(values=a)
         dists = ctx_distances(q, pools, CtxParams.identity())[0]
         assert dists[0] < dists[1]
+
+    @staticmethod
+    def normalise_then_multiply(maps, pools):
+        """Float64 mean squared errors with the weights normalised before the
+        product by the values, as the benchmark's reference writes them."""
+        q = maps.astype(np.float64)
+        out = np.empty((len(q), len(pools)))
+        for c, pool in enumerate(pools):
+            s = pool.values.astype(np.float64)
+            logits = q @ s.T / math.sqrt(q.shape[2])
+            attn = np.exp(logits - logits.max(axis=2, keepdims=True))
+            attn /= attn.sum(axis=2, keepdims=True)
+            diff = q - attn @ s
+            out[:, c] = (diff * diff).sum(axis=(1, 2)) / q.shape[1]
+        return out
+
+    @pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_extreme_logits_match_the_normalised_reference(self, dtype, rel):
+        n, k, r, d, b = 3, 2, 4, 6, 5
+        scale = math.sqrt(3e3 * math.sqrt(d) / d)  # logits of about ±1e4
+        for seed in range(10):
+            rng = np.random.default_rng(40 + seed)
+            values = scale * rng.standard_normal((n, k * r, d))
+            maps = scale * rng.standard_normal((b, r, d))
+            maps[0, 0] = 3.0 * values[0, 0]  # one key dominates by far
+            maps[1, 0] *= 1e-4  # logits near zero: weights spread over the pool
+            maps, values = maps.astype(dtype), values.astype(dtype)
+            pools = [SupportPool(class_id=c, k=k, values=values[c]) for c in range(n)]
+            logits = np.einsum("brd,nkd->brnk", maps.astype(np.float64), values.astype(np.float64))
+            assert 5e3 <= np.abs(logits).max() / math.sqrt(d) <= 5e4
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = ctx_distances(maps.reshape(-1, d), pools, CtxParams.identity())
+            assert np.all(np.isfinite(got))
+            ref = self.normalise_then_multiply(maps, pools)
+            assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+    def test_grad_step_forms_each_class_logits_once(self, monkeypatch):
+        # the backward reuses the forward's weights instead of recomputing them
+        calls = []
+        ctx_exp = baselines._ctx_exp
+
+        def spy(q1, s1, out=None):
+            calls.append(s1.shape)
+            return ctx_exp(q1, s1, out)
+
+        monkeypatch.setattr(baselines, "_ctx_exp", spy)
+        rng = np.random.default_rng(11)
+        n, kr, r, b, d = 4, 6, 3, 5, 7
+        queries, pools = rng.standard_normal((b * r, d)), rng.standard_normal((n, kr, d))
+        w = rng.standard_normal((b, n))
+
+        def loss(v):
+            wk, wv = v["key"], v["value"]
+            errors = ad.ctx_errors(ad.matmul(queries, wk), ad.matmul(queries, wv),
+                                   ad.matmul(pools, wk), ad.matmul(pools, wv), r)
+            return ad.vsum(ad.mul(errors, w))
+
+        params = {"key": rng.standard_normal((d, d)), "value": rng.standard_normal((d, d))}
+        _, grads = training.grad(loss, params)
+        assert len(calls) == n
+        assert all(np.any(g != 0) for g in grads.values())
