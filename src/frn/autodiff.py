@@ -30,13 +30,15 @@ last two run the forward of the eval head in ``baselines``.
     reuses both stacks: dQ_i = Q_i sum_c w_ic T_c and
     dP_c = (sum_i w_ic C_i) P_c (dR P^T and Q^T dR regrouped), then
     dH = -rho dP, drho = -<H, dP>, the solve sensitivity above for
-    H = M^-1 G, dlam = tr dM and dS = S (dG + dG^T).
-  - direct: K_c = S_c S_c^T + lam I, A_c = Q S_c^T, W_c = A_c K_c^-1 and
-    R_c = Q - rho W_c S_c. Backward: dW = -rho dR S^T, dA = dW K^-1,
-    dK = -W^T dA, dlam = tr dK, drho = -<dR, W S>,
-    dS = -rho W^T dR + (dK + dK^T) S + dA^T Q and dQ = sum_c dR_c + dA_c S_c.
-  The forward solves and the backward solves (one each per class) go
-  through ``_spd_solve_np``, looked up when called.
+    H = M^-1 G, dlam = tr dM and dS = S (dG + dG^T). Its solves, one per
+    class each way, go through ``_spd_solve_np``, looked up when called.
+  - direct: per class, one factor G_c = S_c S_c^T, M_c^-1 = (G_c + lam I)^-1
+    and the eval head's direct step, on the calling thread, give A = Q S_c^T,
+    W = A M_c^-1, W G_c and the unclamped errors. Backward keeps W,
+    A - rho W G and M^-1 and solves nothing: dW = -rho w (A - rho W G),
+    dA = dW M^-1, dM = -W^T dA, dlam = tr dM, drho = -sum w <A - rho W G, W>,
+    dS = (dA - rho w W)^T Q + (rho^2 sum_i w W^T W + dM + dM^T) S and
+    dQ = (sum_c w) Q + sum_c (dA - rho w W) S_c.
 * ``cross_class_orthogonality``: sum over ordered class pairs c != e of
   ||N_c N_e^T||^2, that is ||N N^T||^2 minus its diagonal blocks, taken
   on the d x d side: ||G||^2 - sum_c ||G_c||^2 with G_c = N_c^T N_c and
@@ -62,7 +64,7 @@ import math
 
 import numpy as np
 
-from . import baselines
+from . import baselines, head
 from .linalg import spd_solve as _spd_solve_np
 
 
@@ -374,26 +376,28 @@ def _woodbury_errors(qv, sv, lam, rho, r):
 
 
 def _direct_errors(qv, sv, lam, rho, r):
-    """kr x kr side: W_c = A_c K_c^-1, A_c = Q S_c^T, K_c = S_c S_c^T + lam I, R_c = Q - rho W_c S_c."""
-    n, kr, _ = sv.shape
-    b = qv.shape[0] // r
-    st = np.swapaxes(sv, 1, 2)
-    k = sv @ st + lam * np.eye(kr)
-    w = np.stack([_spd_solve_np(k[c], (qv @ st[c]).T).T for c in range(n)])
-    ws = w @ sv
-    res = qv - rho * ws
-    flat = res.reshape(n, b, -1)
-    err = np.einsum("cij,cij->ic", flat, flat) / r
+    """kr x kr side: head's direct step for each class on the calling thread, not clamped at 0."""
+    n, kr, d = sv.shape
+    qb = qv.reshape(-1, r, d)
+    b, sq_norms = len(qb), head._row_dots(qb, qb)
+    factors = [head._direct_factor(sv[c], lam) for c in range(n)]
+    a, w = np.empty((2, n, b, r, kr))
+    wg, err = np.empty((b, r, kr)), np.empty((b, n))
+    for c in range(n):
+        head._direct_step(qb, sq_norms, factors[c], rho, a[c], w[c], wg, err[:, c])
+        a[c] -= rho * wg  # A - rho W G: all the backward needs of A
 
     def grads(ge):
-        dres = res * np.repeat(2.0 / r * ge.T, r, axis=1)[:, :, None]
-        dw = -rho * (dres @ st)
-        da = np.stack([_spd_solve_np(k[c], dw[c].T).T for c in range(n)])
-        wt = np.swapaxes(w, 1, 2)
-        dk = -wt @ da
-        ds = -rho * (wt @ dres) + (dk + np.swapaxes(dk, 1, 2)) @ sv + np.swapaxes(da, 1, 2) @ qv
-        dq = (dres + da @ sv).sum(axis=0)
-        return dq, ds, np.trace(dk, axis1=1, axis2=2).sum(), -np.vdot(dres, ws)
+        wq = (2.0 / r * ge.T)[:, :, None, None]  # (n, b, 1, 1): w = 2 dE / r
+        ws, wws = w.reshape(n, b * r, kr), (wq * w).reshape(n, b * r, kr)
+        da = (-rho * wq * a).reshape(n, b * r, kr) @ np.stack([f[1] for f in factors])
+        dm = -np.swapaxes(ws, 1, 2) @ da
+        da -= rho * wws  # dA - rho w W: the whole gradient of A = Q S^T
+        dg = rho * rho * (np.swapaxes(wws, 1, 2) @ ws) + dm + np.swapaxes(dm, 1, 2)
+        ds = np.swapaxes(da, 1, 2) @ qv + dg @ sv
+        dq = (wq.sum(axis=0) * qb).reshape(b * r, d)
+        dq += np.swapaxes(da, 0, 1).reshape(b * r, n * kr) @ sv.reshape(n * kr, d)
+        return dq, ds, np.trace(dm, axis1=1, axis2=2).sum(), -np.vdot(a, wws)
 
     return err, grads
 

@@ -29,18 +29,17 @@ batched results are bit-identical to one-at-a-time ones. A pool's result
 is one ``Reconstructions``: a (b,) float64 error array, and a sequence
 of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
 
-The direct form never forms Q_bar to score: it takes each error from
-the kr-space identity in ``reconstruct_direct``, which stays within
-256 eps ||Q||^2 / r of a float64 solve. Its query-side products split
-the stack into one contiguous chunk of queries per CPU available to the
-process and run the chunks on threads; since each query's products
-depend only on that query, the results are bit-identical to a serial
-run. The woodbury form, and the ctx head in ``baselines``, run
-serially: their query-side work is many small products and element-wise
-passes, and on a shared 2-vCPU host a second thread sped it up 2x when
-the other vCPU was free but not at all, or made it slower, when the host
-was busy, so their cost followed the host more than the code. All
-functions are pure; per-class calls may run concurrently.
+The direct form never forms Q_bar to score. One step serves eval and
+the training node ``autodiff.ridge_recon_errors``: ``_direct_factor`` per
+pool, then ``_direct_step`` over a query stack, which takes each error
+from a kr-space identity within 256 eps ||Q||^2 / r of a float64 solve.
+Only ``reconstruct_direct`` threads the step: it splits the stack into
+one contiguous chunk of queries per CPU available to the process; since
+each query's products depend only on that query, the results are
+bit-identical to a serial run. Training, the woodbury form and the ctx
+head in ``baselines`` run serially: on a shared 2-vCPU host a second
+thread sped their small products up only while the other vCPU was idle.
+All functions are pure; per-class calls may run concurrently.
 """
 
 from __future__ import annotations
@@ -291,52 +290,49 @@ def _over_chunks(fn, b: int):
         future.result()
 
 
-def _direct_kernel(q: np.ndarray, pool: SupportPool, params: HeadParams):
-    """W = A (G + lam I)^-1 for A = Q S^T and G = S S^T, and the float64 row dots
-    <A_i, W_i> and <W_i G, W_i> of each query of the (b, r, d) stack ``q``.
-
-    The pool-side factor is computed here; the query-side products run in
-    contiguous chunks of queries across the CPUs (``_over_chunks``). Each
-    is still one 3-D ``np.matmul`` per chunk, so every query's results are
-    bit-identical to a serial run, whatever the number of workers.
-    """
-    s = pool.values
+def _direct_factor(s: np.ndarray, lam: float):
+    """Pool side of the direct step: G = S S^T, M^-1 = (G + lam I)^-1 and S^T, all C-ordered."""
     g = gram(s, "outer")
-    m_inv = spd_inverse(add_ridge(g, effective_lambda(params, pool.k, pool.r, pool.d)))
-    st = np.ascontiguousarray(s.T)
-    a = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
-    w = np.empty_like(a)
-    dots = np.empty((2, len(q)))
+    return g, spd_inverse(add_ridge(g, lam)), np.ascontiguousarray(s.T)
 
-    def chunk(lo, hi):
-        ac, wc = a[lo:hi], w[lo:hi]
-        np.matmul(q[lo:hi], st, out=ac)
-        np.matmul(ac, m_inv, out=wc)
-        dots[0, lo:hi] = _row_dots(ac, wc)
-        np.matmul(wc, g, out=ac)  # W G, in A's place
-        dots[1, lo:hi] = _row_dots(ac, wc)
 
-    _over_chunks(chunk, len(q))
-    return w, dots[0], dots[1]
+def _direct_step(q: np.ndarray, sq_norms, factor, rho: float, a, w, wg, err):
+    """Query side of the direct step for the (b, r, d) stack ``q`` and its ||Q_i||^2.
+
+    Fills the (b, r, kr) buffers with A = Q S^T, W = A M^-1 and W G (``wg``
+    may be ``a``: W G then overwrites A), and the (b,) ``err`` with the
+    unclamped (||Q||^2 - 2 rho <A, W> + rho^2 <W G, W>) / r, row dots in
+    float64: <W G, W> = ||W S||^2 for any W, so it is the residual of the W
+    actually computed.
+    """
+    g, m_inv, st = factor
+    np.matmul(q, st, out=a)
+    np.matmul(a, m_inv, out=w)
+    aw = _row_dots(a, w)
+    np.matmul(w, g, out=wg)
+    err[...] = (sq_norms - 2 * rho * aw + rho * rho * _row_dots(wg, w)) / q.shape[1]
 
 
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Score each query via the kr x kr system without forming Q_bar.
 
-    With A = Q S^T, W = A (G + lam I)^-1 and G = S S^T, the error
-    ||Q - rho W S||^2 expands to ||Q||^2 - 2 rho <A, W> + rho^2 <W G, W>.
-    ``<W G, W>`` equals ||W S||^2 for any W, so the result is the
-    residual of the W actually computed; ``<A, W> - lam ||W||^2`` would
-    instead need W (G + lam I) = A to hold exactly. Rounding can still
-    take a near-zero error below zero, so it is clamped at 0.
+    The direct step runs in query chunks across the CPUs. Rounding can take
+    a near-zero error below zero, so it is clamped at 0.
     """
     queries = _query_stack(q_batch, pool.r, pool.d)
     sq_norms = queries.sq_norms  # before the chunks run: none of them reaches the cache
-    w, aw, wgw = _direct_kernel(queries.maps, pool, params)
-    rho, s = params.rho, pool.values
-    err = sq_norms - 2 * rho * aw + rho * rho * wgw
+    q, s, rho = queries.maps, pool.values, params.rho
+    factor = _direct_factor(s, effective_lambda(params, pool.k, pool.r, pool.d))
+    a = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
+    w, err = np.empty_like(a), np.empty(len(q))
+
+    def chunk(lo, hi):
+        ac = a[lo:hi]  # W G in A's place
+        _direct_step(q[lo:hi], sq_norms[lo:hi], factor, rho, ac, w[lo:hi], ac, err[lo:hi])
+
+    _over_chunks(chunk, len(q))
     return Reconstructions(
-        np.maximum(err / pool.r, 0.0), pool.class_id, w, s, np.asarray(rho, dtype=s.dtype)
+        np.maximum(err, 0.0), pool.class_id, w, s, np.asarray(rho, dtype=s.dtype)
     )
 
 
@@ -424,4 +420,4 @@ def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> li
     Exposed so the ridge objective ||Q - W S||^2 + lam ||W||^2 can be
     evaluated against the unscaled (rho = 1) solution.
     """
-    return list(_direct_kernel(_query_stack(q_batch, pool.r, pool.d).maps, pool, params)[0])
+    return list(reconstruct_direct(q_batch, pool, params)._coef)

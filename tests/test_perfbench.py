@@ -84,9 +84,11 @@ def test_frn_scores_through_the_wrapped_linalg_names(spans, formulation, solve):
 
 
 def test_training_solves_run_through_the_wrapped_names(spans):
-    # the fused training nodes solve inside the graph build and inside
+    # the woodbury training node solves inside the graph build and inside
     # backward; solves that went around autodiff._spd_solve_np would leave
-    # the benchmark's linalg.spd_solve count and its autodiff self times wrong
+    # the benchmark's linalg.spd_solve count and its autodiff self times wrong.
+    # The direct node factors each class once in the graph build, through
+    # head's spd_inverse, and its backward reuses M^-1 instead of solving.
     from dataclasses import replace
 
     from frn.data import GenSpec, generate
@@ -105,9 +107,22 @@ def test_training_solves_run_through_the_wrapped_names(spans):
             run()
         names = [s[0] for s in recorder.spans]
         solve_parents = {names[s[3]] for s in recorder.spans if s[0] == "linalg.spd_solve"}
+
+        def ancestors(span):
+            while span[3] >= 0:
+                span = recorder.spans[span[3]]
+                yield span[0]
+
         for name in ("autodiff.forward", "autodiff.backward"):
             assert name in names, (label, name)
-            assert name in solve_parents, (label, name)
+            if label != "meta_train direct":
+                assert name in solve_parents, (label, name)
+        if label == "meta_train direct":
+            inverses = [s for s in recorder.spans if s[0] == "linalg.spd_inverse"]
+            assert inverses and solve_parents == {"linalg.spd_inverse"}
+            assert all("autodiff.forward" in ancestors(s) for s in inverses)
+            assert not any("autodiff.backward" in ancestors(s)
+                           for s in recorder.spans if s[0] == "linalg.spd_solve")
 
 
 def test_benchmark_selftest_passes():

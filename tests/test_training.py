@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from frn import autodiff as ad
-from frn import training
+from frn import head, training
 from frn.episodes import Dataset, sample_episode, trial_rng
-from frn.head import FeatureMap, choose_formulation
+from frn.head import FeatureMap, HeadParams, SupportPool, choose_formulation, effective_lambda
 from frn.linalg import add_ridge, spd_solve
 from frn.training import (
     GAMMA_FLOOR,
@@ -353,6 +353,40 @@ def residual_errors(q, s, lam, rho, r):
     return out
 
 
+def assert_node_matches_references(formulation, params, n, r, rng, fixed_lam=None):
+    """The node's errors within 1e-12 of the float64 residual, and its loss and
+    gradients within FUSED_REL of the per-class graph.
+
+    ``params`` holds q and s0..s{n-1}, and lam and rho when they are learned;
+    otherwise lam is ``fixed_lam`` and rho is 1 with no node.
+    """
+    lam = params.get("lam", fixed_lam)
+    rho = params.get("rho")
+    s = np.stack([params[f"s{c}"] for c in range(n)])
+
+    errs = ad.ridge_recon_errors(params["q"], s, lam, rho, r, formulation).value
+    ref = residual_errors(params["q"], s, lam, 1.0 if rho is None else rho, r)
+    assert np.max(np.abs(errs - ref)) <= 1e-12 * np.max(ref)
+
+    w = rng.standard_normal(errs.shape)
+
+    def fused(v):
+        stack = ad.stack([v[f"s{c}"] for c in range(n)])
+        return ad.vsum(ad.mul(ad.ridge_recon_errors(
+            v["q"], stack, v.get("lam", lam), v.get("rho"), r, formulation), w))
+
+    def per_class(v):
+        return ad.vsum(ad.mul(ad.column_stack([
+            per_class_error(v["q"], v[f"s{c}"], v.get("lam", lam), v.get("rho"), r, formulation)
+            for c in range(n)]), w))
+
+    value, grads = value_and_grads(fused, params)
+    ref_value, ref_grads = value_and_grads(per_class, params)
+    assert_fused_matches(value, ref_value)
+    for name in params:
+        assert_fused_matches(grads[name], ref_grads[name])
+
+
 class TestWoodburyNodeAtBenchmarkShapes:
     """The woodbury node at the benchmark's train shapes (r25, d64): a meta
     step of 5-way 5-shot with 15 queries per class, and a pretrain step of
@@ -361,37 +395,12 @@ class TestWoodburyNodeAtBenchmarkShapes:
     @pytest.mark.parametrize("b,n,kr", [(75, 5, 125), (32, 20, 25)])
     def test_values_and_gradients(self, b, n, kr):
         r, d = 25, 64
-        meta = kr > d
         rng = np.random.default_rng(b * n)
         params = {"q": rng.standard_normal((b * r, d)),
                   **{f"s{c}": 0.5 * rng.standard_normal((kr, d)) for c in range(n)}}
-        if meta:  # lam = exp(alpha) kr/d and rho = exp(beta) at alpha = 0.3, beta = -0.2
+        if kr > d:  # lam = exp(alpha) kr/d and rho = exp(beta) at alpha = 0.3, beta = -0.2
             params.update(lam=np.array(np.exp(0.3) * kr / d), rho=np.array(np.exp(-0.2)))
-        lam = params.get("lam", r / d)
-        rho = params.get("rho")
-        s = np.stack([params[f"s{c}"] for c in range(n)])
-
-        errs = ad.ridge_recon_errors(params["q"], s, lam, rho, r, "woodbury").value
-        ref = residual_errors(params["q"], s, lam, 1.0 if rho is None else rho, r)
-        assert np.max(np.abs(errs - ref)) <= 1e-12 * np.max(ref)
-
-        w = rng.standard_normal((b, n))
-
-        def fused(v):
-            stack = ad.stack([v[f"s{c}"] for c in range(n)])
-            return ad.vsum(ad.mul(ad.ridge_recon_errors(
-                v["q"], stack, v.get("lam", lam), v.get("rho"), r, "woodbury"), w))
-
-        def per_class(v):
-            return ad.vsum(ad.mul(ad.column_stack([
-                per_class_error(v["q"], v[f"s{c}"], v.get("lam", lam), v.get("rho"), r, "woodbury")
-                for c in range(n)]), w))
-
-        value, grads = value_and_grads(fused, params)
-        ref_value, ref_grads = value_and_grads(per_class, params)
-        assert_fused_matches(value, ref_value)
-        for name in params:
-            assert_fused_matches(grads[name], ref_grads[name])
+        assert_node_matches_references("woodbury", params, n, r, rng, fixed_lam=r / d)
 
     def test_nearly_in_span_queries_within_rounding_bound(self):
         # each S_c has orthonormal rows, so G_c has eigenvalues 1 (on its
@@ -418,6 +427,98 @@ class TestWoodburyNodeAtBenchmarkShapes:
         bound = 16 * np.finfo(np.float64).eps * np.outer(q_sq, p_sq) / r
         assert np.all(ref[np.arange(b), labels] < 1e-10 * q_sq / r)
         assert np.all(np.abs(errs - ref) <= bound)
+
+
+class TestDirectNodeAtPaperShapes:
+    """The direct node in the paper's ResNet-12 regime (r25, d640): 5-way
+    1-shot and 5-shot pools (kr = 25 and 125 < d) against a few queries."""
+
+    @pytest.mark.parametrize("kr", [25, 125])
+    def test_values_and_gradients(self, kr):
+        r, d, n, b = 25, 640, 5, 4
+        rng = np.random.default_rng(kr)
+        params = {"q": rng.standard_normal((b * r, d)),
+                  **{f"s{c}": 0.5 * rng.standard_normal((kr, d)) for c in range(n)},
+                  "lam": np.array(np.exp(0.3) * kr / d), "rho": np.array(np.exp(-0.2))}
+        assert_node_matches_references("direct", params, n, r, rng)
+
+
+class TestDirectNodeNearlyInSpan:
+    def test_nearly_in_span_queries_within_rounding_bound(self):
+        # as the woodbury case: each S_c has orthonormal rows, so G_c = I and
+        # rho = 1 + lam makes rho W_c S_c the projection onto S_c's span.
+        # Queries built from S_c's rows plus 1e-7 noise then have errors near
+        # 0 against class c, where the kr-space identity cancels. The bound is
+        # head's 256 eps ||Q_i||^2 / r, times rho^2 for the identity's largest
+        # term, fixed before this test was first run; the node must not clamp.
+        r, d, kr, n, per_class = 5, 32, 10, 4, 3
+        lam, b = 0.5, n * per_class
+        rho = 1.0 + lam
+        rng = np.random.default_rng(29)
+        s = np.stack([np.linalg.qr(rng.standard_normal((d, kr)))[0].T for _ in range(n)])
+        labels = np.repeat(np.arange(n), per_class)
+        in_span = [rng.standard_normal((r, kr)) @ s[c] for c in labels]
+        q = np.concatenate([x + 1e-7 * rng.standard_normal((r, d)) for x in in_span])
+        errs = ad.ridge_recon_errors(q, s, lam, rho, r, "direct").value
+        ref = residual_errors(q, s, lam, rho, r)
+
+        q_sq = (q.reshape(b, -1) ** 2).sum(axis=1)
+        bound = 256 * np.finfo(np.float64).eps * max(rho, 1.0) ** 2 * q_sq / r
+        assert np.all(ref[np.arange(b), labels] < 1e-10 * q_sq / r)
+        assert np.all(np.abs(errs - ref) <= bound[:, None])
+        # exactly in span, what is left is rounding, and some of it is negative
+        exact = ad.ridge_recon_errors(np.concatenate(in_span), s, lam, rho, r, "direct").value
+        assert np.all(np.abs(exact[np.arange(b), labels]) <= bound)
+        assert np.any(exact[np.arange(b), labels] < 0)
+
+
+class TestDirectNodeIsTheEvalStep:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_errors_equal_eval_bit_for_bit_where_positive(self, seed):
+        # the same lam and rho that eval derives from HeadParams; queries in
+        # the last class's span give errors that eval clamps at 0
+        rng = np.random.default_rng(60 + seed)
+        k, r, n, b = int(rng.integers(1, 4)), int(rng.integers(1, 6)), 3, 5
+        d = k * r + int(rng.integers(1, 30))
+        s = rng.standard_normal((n, k * r, d)) / math.sqrt(d)
+        q = rng.standard_normal((b * r, d)) / math.sqrt(d)
+        q[-r:] = rng.standard_normal((r, k * r)) @ s[-1]
+        params = HeadParams(alpha=rng.uniform(-8, 1), beta=rng.uniform(-0.5, 0.5))
+        lam = effective_lambda(params, k, r, d)
+        pools = [SupportPool(c, k, s[c]) for c in range(n)]
+
+        evaluated = head.frn_distances(q, pools, params, "direct")
+        trained = ad.ridge_recon_errors(q, s, lam, params.rho, r, "direct").value
+        positive = evaluated > 0
+        assert positive.sum() >= b * n - 1
+        assert np.array_equal(trained[positive], evaluated[positive])
+        assert np.all(trained[~positive] <= 0)
+
+
+class TestDirectNodeFactorsOncePerClass:
+    @pytest.mark.parametrize("kind", ["frn", "dsn"])
+    def test_one_factor_per_class_and_no_solve_in_a_step(self, kind, monkeypatch):
+        # kr = 1 * 2 < d = 6, so frn trains on the direct side; dsn always does
+        ds = gaussian_dataset(n_classes=5, items=6, r=2, d_in=5, seed=8)
+        cfg = TrainConfig(head=kind, way=4, shot=1, query=2, embed_dim=6)
+        assert choose_formulation(cfg.shot, 2, cfg.embed_dim) == "direct"
+        params = init_params(cfg, ds.d, np.random.default_rng(0))
+        episode = sample_episode(ds, cfg.way, cfg.shot, cfg.query, trial_rng(0, 0))
+        calls = {"factor": 0, "solve": 0}
+        factor, solve = head._direct_factor, ad._spd_solve_np
+
+        def counted_factor(*args):
+            calls["factor"] += 1
+            return factor(*args)
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(head, "_direct_factor", counted_factor)
+        monkeypatch.setattr(ad, "_spd_solve_np", counted_solve)
+        grad(lambda v: episode_loss_graph(v, episode, cfg, cfg.embed_dim), params)
+        assert calls == {"factor": cfg.way, "solve": 0}
 
 
 class TestSgd:
