@@ -6,7 +6,9 @@ backward closure; ``backward`` walks the graph in reverse topological
 order. Non-Var operands are treated as constants: the two-operand ops
 form no gradient product for them. Broadcasting in the elementwise ops,
 and in ``matmul`` of an (n, m, d) stack by a (d, p) matrix, is undone
-on the way back by summing over the broadcast axes.
+on the way back by summing over the broadcast axes. ``affine`` is the
+embedding's x W + b as one node, over 2-D rows or a stack of pools:
+dW = x^T g and db = sum g over every row.
 
 The solve node uses the closed-form sensitivity of X = A^-1 B:
 grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
@@ -21,17 +23,18 @@ last two run the forward of the eval head in ``baselines``.
 
 * ``ridge_recon_errors``: the (b, n) reconstruction errors of every query
   against every class pool.
-  - woodbury: G_c = S_c^T S_c, M_c = G_c + lam I, H_c = M_c^-1 G_c and
-    P_c = I - rho H_c. The errors come from two stacks of d x d Grams,
+  - woodbury: G_c = S_c^T S_c, M_c = G_c + lam I and X_c = M_c^-1, one
+    ``head.spd_inverse`` per class (looked up when called). Since
+    M^-1 G = I - lam X, P_c = I - rho M_c^-1 G_c = (1 - rho) I + rho lam X_c
+    and nothing is solved. The errors come from two stacks of d x d Grams,
     C_i = Q_i^T Q_i and T_c = P_c P_c^T, as err_ic = <C_i, T_c> / r (one
     GEMM over the flattened stacks; no (b*r, n*d) residual is formed).
     Rounding can take an error below zero by about eps ||Q_i||^2 ||P_c||^2;
     it is not clamped, since a clamp would cut the gradient. Backward
-    reuses both stacks: dQ_i = Q_i sum_c w_ic T_c and
+    reuses both stacks and X: dQ_i = Q_i sum_c w_ic T_c and
     dP_c = (sum_i w_ic C_i) P_c (dR P^T and Q^T dR regrouped), then
-    dH = -rho dP, drho = -<H, dP>, the solve sensitivity above for
-    H = M^-1 G, dlam = tr dM and dS = S (dG + dG^T). Its solves, one per
-    class each way, go through ``_spd_solve_np``, looked up when called.
+    dX = rho lam dP, dM = dG = -X^T dX X^T, dlam = rho <X, dP> + tr dM,
+    drho = -<I - lam X, dP> and dS = S (dG + dG^T).
   - direct: per class, one factor G_c = S_c S_c^T, M_c^-1 = (G_c + lam I)^-1
     and the eval head's direct step, on the calling thread, give A = Q S_c^T,
     W = A M_c^-1, W G_c and the unclamped errors. Backward keeps W,
@@ -200,6 +203,22 @@ def matmul(a, b):
     return _binary(a, b, av @ bv, lambda g: g @ bv.T, lambda g: np.swapaxes(av, -1, -2) @ g)
 
 
+def affine(x, w, b):
+    """x @ W + b for 2-D rows or an (n, m, d_in) stack x; W and b reach every row."""
+    xv, wv = value_of(x), value_of(w)
+    out = Var(xv @ wv + value_of(b), parents=(x, w, b))
+
+    def vjp(g):
+        rows, g_rows = xv.reshape(-1, xv.shape[-1]), g.reshape(-1, g.shape[-1])
+        for v, grad_v in ((x, lambda: g @ wv.T), (w, lambda: rows.T @ g_rows),
+                          (b, lambda: g_rows.sum(axis=0))):
+            if isinstance(v, Var):
+                _accumulate(v, grad_v())
+
+    out._vjp = vjp
+    return out
+
+
 def transpose(a):
     av = value_of(a)
     out = Var(av.T.copy(), parents=(a,))
@@ -287,14 +306,14 @@ def block_sqnorm(x, rows_per_block: int):
 
 
 def block_mean_rows(x, rows_per_block: int):
-    """Mean over consecutive row blocks: (m*rows, d) -> (m, d)."""
+    """Mean over consecutive row blocks: (..., m*rows, d) -> (..., m, d)."""
     xv = value_of(x)
-    m = xv.shape[0] // rows_per_block
-    out_val = xv.reshape(m, rows_per_block, xv.shape[1]).mean(axis=1)
+    *lead, m_rows, d = xv.shape
+    out_val = xv.reshape(*lead, m_rows // rows_per_block, rows_per_block, d).mean(axis=-2)
     out = Var(out_val, parents=(x,))
 
     def vjp(g):
-        expanded = np.repeat(g / rows_per_block, rows_per_block, axis=0)
+        expanded = np.repeat(g / rows_per_block, rows_per_block, axis=-2)
         _accumulate(x, expanded)
 
     out._vjp = vjp
@@ -350,9 +369,9 @@ def _woodbury_errors(qv, sv, lam, rho, r):
     b = qv.shape[0] // r
     eye = np.eye(d)
     g = np.swapaxes(sv, 1, 2) @ sv
-    m = g + lam * eye
-    hat = np.stack([_spd_solve_np(m[c], g[c]) for c in range(n)])
-    p = eye - rho * hat
+    # X = M^-1 with M = G + lam I, once per class; M^-1 G = I - lam X
+    x = np.stack([head.spd_inverse(g[c] + lam * eye) for c in range(n)])
+    p = (1.0 - rho) * eye + (rho * lam) * x
     qb = qv.reshape(b, r, d)
     qtq = (np.swapaxes(qb, 1, 2) @ qb).reshape(b, d * d)
     ppt = (p @ np.swapaxes(p, 1, 2)).reshape(n, d * d)
@@ -365,12 +384,14 @@ def _woodbury_errors(qv, sv, lam, rho, r):
         w = 2.0 / r * ge
         dq = (qb @ (w @ ppt).reshape(b, d, d)).reshape(b * r, d)
         dp = (w.T @ qtq).reshape(n, d, d) @ p
-        # H = M^-1 G through the solve sensitivity, with M = G + lam I
-        gb = np.stack([_spd_solve_np(m[c], -rho * dp[c]) for c in range(n)])
-        dm = -gb @ np.swapaxes(hat, 1, 2)
-        dg = gb + dm
-        ds = sv @ (dg + np.swapaxes(dg, 1, 2))
-        return dq, ds, np.trace(dm, axis1=1, axis2=2).sum(), -np.vdot(hat, dp)
+        # dX = rho lam dP, and d(M^-1) = -X dM X gives dM = dG = -X^T dX X^T
+        xt = np.swapaxes(x, 1, 2)
+        dm = -(rho * lam) * (xt @ dp @ xt)
+        ds = sv @ (dm + np.swapaxes(dm, 1, 2))
+        x_dp = np.vdot(x, dp)
+        # P = (1 - rho) I + rho lam X: drho = -<I - lam X, dP>
+        dlam = rho * x_dp + np.trace(dm, axis1=1, axis2=2).sum()
+        return dq, ds, dlam, lam * x_dp - np.trace(dp, axis1=1, axis2=2).sum()
 
     return err, grads
 

@@ -169,10 +169,7 @@ def _episode_arrays(episode: Episode):
 
 def _embed(x: np.ndarray, variables: dict, scale: float):
     w = variables.get("embed_weight")
-    b = variables.get("embed_bias")
-    if w is None:
-        return ad.mul(ad.Var(x), scale) if scale != 1.0 else ad.Var(x)
-    h = ad.add(ad.matmul(x, w), b if b is not None else 0.0)
+    h = ad.Var(x) if w is None else ad.affine(x, w, variables.get("embed_bias", 0.0))
     return ad.mul(h, scale) if scale != 1.0 else h
 
 
@@ -201,8 +198,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     support, queries, labels, k, r = _episode_arrays(episode)
     scale = 1.0 / math.sqrt(d) if resolve_downscale(cfg.downscale_features, d) else 1.0
     q_emb = _embed(queries, variables, scale)
-    s_embs = [_embed(s, variables, scale) for s in support]
-    s_stack = ad.stack(s_embs)  # (n, kr, d)
+    s_stack = _embed(np.stack(support), variables, scale)  # (n, kr, d)
     gamma = _scalar(variables, "gamma", 1.0)
 
     if cfg.head == "frn":
@@ -218,9 +214,8 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
         dists = ad.proto_distances(q_emb, s_stack, r, k)
     elif cfg.head == "dsn":
         # the ridge residual of the pooled maps: r = 1 and rho = 1
-        pooled = ad.stack([ad.block_mean_rows(s_emb, r) for s_emb in s_embs])
-        dists = ad.ridge_recon_errors(
-            ad.block_mean_rows(q_emb, r), pooled, cfg.dsn_lambda, None, 1, "direct")
+        dists = ad.ridge_recon_errors(ad.block_mean_rows(q_emb, r), ad.block_mean_rows(s_stack, r),
+                                      cfg.dsn_lambda, None, 1, "direct")
     elif cfg.head == "ctx":
         wk, wv = variables["ctx_key"], variables["ctx_value"]
         dists = ad.ctx_errors(ad.matmul(q_emb, wk), ad.matmul(q_emb, wv),
@@ -232,7 +227,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
 
     loss = ce = ad.cross_entropy_logits(logits, labels)
     aux = 0.0
-    if cfg.use_aux and len(s_embs) >= 2:
+    if cfg.use_aux and len(support) >= 2:
         aux_term = _aux_term(s_stack, cfg.aux_scale)
         loss = ad.add(ce, aux_term)
         aux = float(aux_term.value)

@@ -128,6 +128,51 @@ class TestMatrixOps:
         check_op(build_cols, c1)
 
 
+class _MatmulCounter(np.ndarray):
+    """An array that counts the matrix products it is an operand of."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            type(self).calls += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, _MatmulCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestAffine:
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 5, 4)])  # rows, and a stack of pools
+    def test_grads(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape)
+        w = rng.standard_normal((4, 3))
+        b = rng.standard_normal(3)
+        weights = rng.standard_normal(shape[:-1] + (3,))
+
+        def build(x_, w_, b_):
+            h = ad.affine(x_, w_, b_)
+            return ad.vsum(ad.mul(ad.mul(h, h), weights))
+
+        check_op(lambda v: build(v, w, b), x)
+        check_op(lambda v: build(x, v, b), w)
+        check_op(lambda v: build(x, w, v), b)
+        np.testing.assert_array_equal(ad.affine(x, w, b).value, x @ w + b)
+
+    @pytest.mark.parametrize("x_is_var, products", [(False, 1), (True, 2)])
+    def test_constant_x_gets_no_product(self, x_is_var, products):
+        # W takes part in the forward product, and in the backward only in x's
+        # gradient g W^T, which a constant x does not need
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((6, 4))
+        w = ad.Var(np.zeros((4, 3)))
+        w.value = rng.standard_normal((4, 3)).view(_MatmulCounter)
+        _MatmulCounter.calls = 0
+        xin = ad.Var(x) if x_is_var else x
+        ad.backward(ad.vsum(ad.affine(xin, w, ad.Var(np.zeros(3)))))
+        assert _MatmulCounter.calls == products
+        np.testing.assert_allclose(w.grad, np.repeat(x.sum(axis=0)[:, None], 3, axis=1))
+
+
 class TestFusedOps:
     def test_block_sqnorm(self):
         rng = np.random.default_rng(9)
@@ -151,6 +196,20 @@ class TestFusedOps:
         v = ad.Var(x)
         out = ad.block_mean_rows(v, 3)
         np.testing.assert_allclose(out.value, x.reshape(2, 3, 3).mean(axis=1))
+
+    def test_block_mean_rows_over_a_stack(self):
+        # dsn pools an (n, k*r, d) stack of embedded supports in one node
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((2, 6, 3))
+
+        def build(v):
+            m = ad.block_mean_rows(v, 3)
+            return ad.vsum(ad.mul(m, m))
+
+        check_op(build, x)
+        for c in range(2):
+            np.testing.assert_array_equal(ad.block_mean_rows(x, 3).value[c],
+                                          ad.block_mean_rows(x[c], 3).value)
 
     def test_row_normalize(self):
         rng = np.random.default_rng(12)

@@ -84,11 +84,10 @@ def test_frn_scores_through_the_wrapped_linalg_names(spans, formulation, solve):
 
 
 def test_training_solves_run_through_the_wrapped_names(spans):
-    # the woodbury training node solves inside the graph build and inside
-    # backward; solves that went around autodiff._spd_solve_np would leave
-    # the benchmark's linalg.spd_solve count and its autodiff self times wrong.
-    # The direct node factors each class once in the graph build, through
-    # head's spd_inverse, and its backward reuses M^-1 instead of solving.
+    # both training nodes factor each class once in the graph build, through
+    # head's spd_inverse, and their backwards reuse M^-1 instead of solving;
+    # a factor that went around the wrapped name would leave the benchmark's
+    # linalg counts and its autodiff self times wrong.
     from dataclasses import replace
 
     from frn.data import GenSpec, generate
@@ -115,14 +114,11 @@ def test_training_solves_run_through_the_wrapped_names(spans):
 
         for name in ("autodiff.forward", "autodiff.backward"):
             assert name in names, (label, name)
-            if label != "meta_train direct":
-                assert name in solve_parents, (label, name)
-        if label == "meta_train direct":
-            inverses = [s for s in recorder.spans if s[0] == "linalg.spd_inverse"]
-            assert inverses and solve_parents == {"linalg.spd_inverse"}
-            assert all("autodiff.forward" in ancestors(s) for s in inverses)
-            assert not any("autodiff.backward" in ancestors(s)
-                           for s in recorder.spans if s[0] == "linalg.spd_solve")
+        inverses = [s for s in recorder.spans if s[0] == "linalg.spd_inverse"]
+        assert inverses and solve_parents == {"linalg.spd_inverse"}, label
+        assert all("autodiff.forward" in ancestors(s) for s in inverses), label
+        assert not any("autodiff.backward" in ancestors(s)
+                       for s in recorder.spans if s[0] == "linalg.spd_solve"), label
 
 
 def test_benchmark_selftest_passes():

@@ -496,29 +496,79 @@ class TestDirectNodeIsTheEvalStep:
 
 
 class TestDirectNodeFactorsOncePerClass:
-    @pytest.mark.parametrize("kind", ["frn", "dsn"])
+    # kr = 1 * 2 < d = 6, so frn trains on the direct side and dsn always does;
+    # at shot 2 and d = 3 (kr = 4 > d) frn trains on the woodbury side, and a
+    # pretrain step scores its batch against one woodbury dummy map per class
+    @pytest.mark.parametrize("kind", ["frn", "dsn", "woodbury", "pretrain"])
     def test_one_factor_per_class_and_no_solve_in_a_step(self, kind, monkeypatch):
-        # kr = 1 * 2 < d = 6, so frn trains on the direct side; dsn always does
         ds = gaussian_dataset(n_classes=5, items=6, r=2, d_in=5, seed=8)
-        cfg = TrainConfig(head=kind, way=4, shot=1, query=2, embed_dim=6)
-        assert choose_formulation(cfg.shot, 2, cfg.embed_dim) == "direct"
+        calls = {"factor": 0, "inverse": 0, "solve": 0}
+        for name, owner, attr in (("factor", head, "_direct_factor"), ("inverse", head, "spd_inverse"),
+                                  ("solve", ad, "_spd_solve_np")):
+            def counted(*args, _name=name, _fn=getattr(owner, attr)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+        if kind == "pretrain":
+            pretrain(ds, PretrainConfig(steps=1, batch_size=4, embed_dim=6))
+            assert calls == {"factor": 0, "inverse": len(ds.classes), "solve": 0}
+            return
+        woodbury = kind == "woodbury"
+        cfg = TrainConfig(head="dsn" if kind == "dsn" else "frn", way=4, shot=2 if woodbury else 1,
+                          query=2, embed_dim=3 if woodbury else 6)
+        assert choose_formulation(cfg.shot, 2, cfg.embed_dim) == ("woodbury" if woodbury else "direct")
         params = init_params(cfg, ds.d, np.random.default_rng(0))
         episode = sample_episode(ds, cfg.way, cfg.shot, cfg.query, trial_rng(0, 0))
-        calls = {"factor": 0, "solve": 0}
-        factor, solve = head._direct_factor, ad._spd_solve_np
-
-        def counted_factor(*args):
-            calls["factor"] += 1
-            return factor(*args)
-
-        def counted_solve(*args):
-            calls["solve"] += 1
-            return solve(*args)
-
-        monkeypatch.setattr(head, "_direct_factor", counted_factor)
-        monkeypatch.setattr(ad, "_spd_solve_np", counted_solve)
         grad(lambda v: episode_loss_graph(v, episode, cfg, cfg.embed_dim), params)
-        assert calls == {"factor": cfg.way, "solve": 0}
+        assert calls == {"factor": 0 if woodbury else cfg.way, "inverse": cfg.way, "solve": 0}
+
+
+def per_pool_episode_loss(variables, episode, cfg, d):
+    """The proto, dsn or ctx episode loss with the queries and each support pool
+    embedded by their own matmul and add nodes, the pools stacked afterwards."""
+    support, queries, labels, k, r = training._episode_arrays(episode)
+    w, b = variables["embed_weight"], variables["embed_bias"]
+    q_emb = ad.add(ad.matmul(queries, w), b)
+    s_embs = [ad.add(ad.matmul(s, w), b) for s in support]
+    s_stack = ad.stack(s_embs)
+    if cfg.head == "proto":
+        dists = ad.proto_distances(q_emb, s_stack, r, k)
+    elif cfg.head == "dsn":
+        pooled = ad.stack([ad.block_mean_rows(s, r) for s in s_embs])
+        dists = ad.ridge_recon_errors(ad.block_mean_rows(q_emb, r), pooled, cfg.dsn_lambda, None, 1, "direct")
+    else:
+        wk, wv = variables["ctx_key"], variables["ctx_value"]
+        dists = ad.ctx_errors(ad.matmul(q_emb, wk), ad.matmul(q_emb, wv),
+                              ad.matmul(s_stack, wk), ad.matmul(s_stack, wv), r)
+    loss = ad.cross_entropy_logits(ad.mul(ad.mul(dists, variables["gamma"]), -1.0 / d), labels)
+    return ad.add(loss, pairwise_aux_term(s_embs, cfg.aux_scale))
+
+
+class TestEmbeddingNodeMatchesPerPoolGraph:
+    """One affine node for the queries and one for the stacked supports give
+    the loss and gradients of per-pool embedding to FUSED_REL (frn is covered
+    by TestFusedNodesMatchPerClassGraph)."""
+
+    @pytest.mark.parametrize("kind", ["proto", "dsn", "ctx"])
+    @pytest.mark.parametrize("way,shot,r,embed_dim", [(3, 2, 2, 4), (5, 3, 3, 7)])
+    def test_episode_loss_and_gradients(self, kind, way, shot, r, embed_dim):
+        ds = gaussian_dataset(n_classes=6, items=8, r=r, d_in=5, sigma=0.4, seed=way + r)
+        cfg = TrainConfig(head=kind, way=way, shot=shot, query=3, embed_dim=embed_dim, use_aux=True)
+        rng = np.random.default_rng(way * shot)
+        params = init_params(cfg, ds.d, rng)
+        params["embed_bias"] = 0.1 * rng.standard_normal(embed_dim)
+        params["gamma"] = np.array(rng.uniform(0.3, 1.5))
+        params = {n: v for n, v in params.items() if n not in ("alpha", "beta")}
+        episode = sample_episode(ds, way, shot, cfg.query, trial_rng(way, shot))
+
+        fused, fused_grads = value_and_grads(
+            lambda v: episode_loss_graph(v, episode, cfg, embed_dim), params)
+        ref, ref_grads = value_and_grads(
+            lambda v: per_pool_episode_loss(v, episode, cfg, embed_dim), params)
+        assert_fused_matches(fused, ref)
+        for name in params:
+            assert_fused_matches(fused_grads[name], ref_grads[name])
 
 
 class TestSgd:
