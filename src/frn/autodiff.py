@@ -10,10 +10,6 @@ on the way back by summing over the broadcast axes. ``affine`` is the
 embedding's x W + b as one node, over 2-D rows or a stack of pools:
 dW = x^T g and db = sum g over every row.
 
-The solve node uses the closed-form sensitivity of X = A^-1 B:
-grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
-d(A^-1) = -A^-1 dA A^-1.
-
 Training builds one node per loss term from fused closed-form nodes,
 each with an analytic VJP (dX is the gradient of X; w = 2 dE / r, where
 dE is the gradient of the errors). The frn and dsn heads score through
@@ -68,7 +64,7 @@ import math
 import numpy as np
 
 from . import baselines, head
-from .linalg import spd_solve as _spd_solve_np
+from .linalg import spd_solve as _spd_solve_np  # not called here; perfbench's SPAN_TARGETS patches it
 
 
 class Var:
@@ -161,10 +157,6 @@ def add(a, b):
     return _binary(a, b, value_of(a) + value_of(b), lambda g: g, lambda g: g)
 
 
-def sub(a, b):
-    return _binary(a, b, value_of(a) - value_of(b), lambda g: g, lambda g: -g)
-
-
 def mul(a, b):
     av, bv = value_of(a), value_of(b)
     return _binary(a, b, av * bv, lambda g: g * bv, lambda g: g * av)
@@ -176,19 +168,6 @@ def exp(a):
 
     def vjp(g):
         _accumulate(a, g * out.value)
-
-    out._vjp = vjp
-    return out
-
-
-def vsum(a, axis=None, keepdims=False):
-    av = value_of(a)
-    out = Var(av.sum(axis=axis, keepdims=keepdims), parents=(a,))
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, av.shape))
 
     out._vjp = vjp
     return out
@@ -219,45 +198,6 @@ def affine(x, w, b):
     return out
 
 
-def transpose(a):
-    av = value_of(a)
-    out = Var(av.T.copy(), parents=(a,))
-
-    def vjp(g):
-        _accumulate(a, g.T)
-
-    out._vjp = vjp
-    return out
-
-
-def add_scaled_identity(a, s):
-    """A + s * I for square A and scalar s."""
-    av, sv = value_of(a), value_of(s)
-    out = Var(av + sv * np.eye(av.shape[-1]), parents=(a, s))
-
-    def vjp(g):
-        _accumulate(a, g)
-        _accumulate(s, np.asarray(np.trace(g)))
-
-    out._vjp = vjp
-    return out
-
-
-def spd_solve(a, b):
-    """X = A^-1 B with A symmetric positive-definite."""
-    av, bv = value_of(a), value_of(b)
-    x = _spd_solve_np(av, bv)
-    out = Var(x, parents=(a, b))
-
-    def vjp(g):
-        gb = _spd_solve_np(av, g)
-        _accumulate(b, gb)
-        _accumulate(a, -gb @ x.T)
-
-    out._vjp = vjp
-    return out
-
-
 def stack(parts):
     """Stack equal-shaped operands along a new leading axis."""
     out = Var(np.stack([value_of(p) for p in parts]), parents=tuple(parts))
@@ -270,39 +210,8 @@ def stack(parts):
     return out
 
 
-def column_stack(cols):
-    """Stack 1-D vectors of equal length into the columns of a matrix."""
-    vals = [value_of(c) for c in cols]
-    out = Var(np.column_stack(vals), parents=tuple(cols))
-
-    def vjp(g):
-        for j, c in enumerate(cols):
-            _accumulate(c, g[:, j])
-
-    out._vjp = vjp
-    return out
-
-
 # ---------------------------------------------------------------------------
 # fused ops for episode losses
-
-
-def block_sqnorm(x, rows_per_block: int):
-    """Per-block squared Frobenius norm of consecutive row blocks.
-
-    An (m*rows_per_block, d) input yields an (m,) vector whose i-th entry
-    is the sum of squares of block i.
-    """
-    xv = value_of(x)
-    m = xv.shape[0] // rows_per_block
-    blocks = xv.reshape(m, rows_per_block * xv.shape[1])
-    out = Var((blocks * blocks).sum(axis=1), parents=(x,))
-
-    def vjp(g):
-        _accumulate(x, (2.0 * blocks * g[:, None]).reshape(xv.shape))
-
-    out._vjp = vjp
-    return out
 
 
 def block_mean_rows(x, rows_per_block: int):

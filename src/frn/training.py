@@ -22,8 +22,13 @@ Two regimes are provided:
   map that acts as its support pool. Alpha and beta stay fixed at zero;
   gamma remains learnable. The dummy maps are discarded afterwards.
 
-Optimization is SGD with Nesterov momentum; weight decay applies to the
-embedding weight matrix only, never to the reparameterized head scalars.
+Both run one SGD loop, ``_descend``, with Nesterov momentum ``MOMENTUM``
+and weight decay ``WEIGHT_DECAY`` on the embedding weight matrix only. The
+learning rate drops tenfold at steps int(0.5 T) and int(0.75 T) of T
+episodes (``META_LR_DECAY_AT``) and int(0.6 T) and int(0.85 T) of T
+pretrain steps (``PRETRAIN_LR_DECAY_AT``). ``AUX_SCALE`` scales the
+orthogonality term, ``DUMMY_INIT_SCALE`` the initial dummy maps, and dsn
+trains at its eval head's ``ProjectionConfig().lambda_fixed``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,13 @@ from .head import HeadParams, SupportPool, choose_formulation, frn_distances
 from .linalg import NumericalError
 
 GAMMA_FLOOR = 1e-6
+MOMENTUM = 0.9
+NESTEROV = True
+WEIGHT_DECAY = 5e-4
+META_LR_DECAY_AT = (0.5, 0.75)
+PRETRAIN_LR_DECAY_AT = (0.6, 0.85)
+AUX_SCALE = 0.03
+DUMMY_INIT_SCALE = 0.1
 
 
 class GradientError(ArithmeticError):
@@ -136,10 +148,6 @@ class TrainConfig:
     query: int = 15
     episodes: int = 200
     lr: float = 0.05
-    momentum: float = 0.9
-    nesterov: bool = True
-    weight_decay: float = 5e-4
-    lr_decay_at: tuple[float, ...] = (0.5, 0.75)
     val_every: int = 50
     val_trials: int = 100
     val_query: int = 16
@@ -151,10 +159,10 @@ class TrainConfig:
     learn_alpha: bool = True
     learn_beta: bool = True
     learn_gamma: bool = True
+    # "woodbury" forced at kr < d with a learned alpha gives dlam good to only
+    # about 1e-4 relative at alpha = -10; "auto" (choose_formulation) never does that
     formulation: str = "auto"
     use_aux: bool = True
-    aux_scale: float = 0.03
-    dsn_lambda: float = 0.01
     seed: int = 0
 
 
@@ -215,7 +223,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     elif cfg.head == "dsn":
         # the ridge residual of the pooled maps: r = 1 and rho = 1
         dists = ad.ridge_recon_errors(ad.block_mean_rows(q_emb, r), ad.block_mean_rows(s_stack, r),
-                                      cfg.dsn_lambda, None, 1, "direct")
+                                      ProjectionConfig().lambda_fixed, None, 1, "direct")
     elif cfg.head == "ctx":
         wk, wv = variables["ctx_key"], variables["ctx_value"]
         dists = ad.ctx_errors(ad.matmul(q_emb, wk), ad.matmul(q_emb, wv),
@@ -228,7 +236,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     loss = ce = ad.cross_entropy_logits(logits, labels)
     aux = 0.0
     if cfg.use_aux and len(support) >= 2:
-        aux_term = _aux_term(s_stack, cfg.aux_scale)
+        aux_term = _aux_term(s_stack, AUX_SCALE)
         loss = ad.add(ce, aux_term)
         aux = float(aux_term.value)
     if terms is not None:
@@ -245,21 +253,59 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     velocity: dict[str, np.ndarray],
     lr: float,
-    momentum: float = 0.9,
-    nesterov: bool = True,
-    weight_decay: float = 0.0,
-    decay_names: frozenset[str] = frozenset({"embed_weight"}),
+    momentum: float = MOMENTUM,
+    nesterov: bool = NESTEROV,
+    weight_decay: float = WEIGHT_DECAY,
 ):
-    """One in-place SGD update. Weight decay touches ``decay_names`` only."""
+    """One in-place SGD update. Weight decay touches ``embed_weight`` only."""
     for name, p in params.items():
         g = grads[name].astype(p.dtype, copy=True)
-        if weight_decay and name in decay_names:
+        if weight_decay and name == "embed_weight":
             g += weight_decay * p
         v = velocity.setdefault(name, np.zeros_like(p))
         v *= momentum
         v += g
         step = g + momentum * v if nesterov else v
         params[name] = p - lr * step
+
+
+def _descend(state, constants, lr, steps, decay_at, step_loss, after_step=None):
+    """The SGD loop of both training regimes; returns ``(state, history, aborted)``.
+
+    ``state`` holds the learned parameters and ``constants`` the fixed ones.
+    The learning rate ``lr`` drops tenfold at step int(f * steps) for each f
+    in ``decay_at``. Step t calls ``step_loss(t)`` for ``(loss_fn, terms)``:
+    ``loss_fn`` builds the loss from all parameters, the learned ones as
+    Vars, and fills ``terms`` for the history entry. After the ``sgd_step``
+    and the ``GAMMA_FLOOR`` clamp, ``after_step(t, params, entry)`` may add
+    to the entry. A non-finite loss or gradient ends the loop with an
+    ``aborted_non_finite`` entry and the last finite state.
+    """
+    decay_steps = {int(f * steps) for f in decay_at}
+    velocity: dict[str, np.ndarray] = {}
+    history: list[dict] = []
+    last_finite = {n: v.copy() for n, v in state.items()}
+    for step in range(steps):
+        if step in decay_steps and step > 0:
+            lr /= 10.0
+        loss_fn, terms = step_loss(step)
+        try:
+            with np.errstate(all="ignore"):
+                loss_value, grads = grad(lambda variables: loss_fn({**constants, **variables}), state)
+        except (GradientError, NumericalError):
+            history.append({"step": step, "event": "aborted_non_finite", "lr": lr,
+                            "gamma": float({**constants, **last_finite}["gamma"])})
+            return last_finite, history, True
+        last_finite = {n: v.copy() for n, v in state.items()}
+        sgd_step(state, grads, velocity, lr)
+        if "gamma" in state:
+            state["gamma"] = np.maximum(state["gamma"], GAMMA_FLOOR)
+        params = {**constants, **state}
+        entry = {"step": step, "loss": loss_value, **terms, "gamma": float(params["gamma"]), "lr": lr}
+        if after_step is not None:
+            after_step(step, params, entry)
+        history.append(entry)
+    return state, history, False
 
 
 def _learnable_names(cfg: TrainConfig) -> list[str]:
@@ -318,7 +364,7 @@ def make_eval_head_fn(params: dict[str, np.ndarray], cfg: TrainConfig):
         cfg.head,
         head_params_from(params),
         formulation=cfg.formulation,
-        proj_cfg=ProjectionConfig(lambda_fixed=cfg.dsn_lambda),
+        proj_cfg=ProjectionConfig(),
         ctx_params=ctx,
         transform=feature_transform(emb, resolve_downscale(cfg.downscale_features, emb.d)),
     )
@@ -366,73 +412,34 @@ def meta_train(
     learnable = _learnable_names(cfg)
     constants = {n: v for n, v in params.items() if n not in learnable}
     state = {n: np.array(params[n], dtype=np.float64) for n in learnable}
-    velocity: dict[str, np.ndarray] = {}
     d = state["embed_weight"].shape[1]
+    best_val, best_params = -1.0, None
 
-    decay_steps = {int(f * cfg.episodes) for f in cfg.lr_decay_at}
-    lr = cfg.lr
-    history: list[dict] = []
-    best_val = -1.0
-    best_params = {**constants, **{n: v.copy() for n, v in state.items()}}
-    last_finite = {n: v.copy() for n, v in state.items()}
-    aborted = False
-
-    for step in range(cfg.episodes):
-        if step in decay_steps and step > 0:
-            lr /= 10.0
-        episode = sample_episode(
-            ds_base, cfg.way, cfg.shot, cfg.query, trial_rng(cfg.seed, step)
-        )
-
+    def step_loss(step):
+        episode = sample_episode(ds_base, cfg.way, cfg.shot, cfg.query, trial_rng(cfg.seed, step))
         terms = {}
+        return (lambda variables: episode_loss_graph(variables, episode, cfg, d, terms)), terms
 
-        def loss_fn(variables):
-            merged = dict(variables)
-            for n, v in constants.items():
-                merged.setdefault(n, v)
-            return episode_loss_graph(merged, episode, cfg, d, terms)
-
-        try:
-            with np.errstate(all="ignore"):
-                loss_value, grads = grad(loss_fn, state)
-        except (GradientError, NumericalError):
-            aborted = True
-            state = last_finite
-            history.append({"step": step, "event": "aborted_non_finite", "lr": lr,
-                            "gamma": float({**constants, **state}["gamma"])})
-            break
-        last_finite = {n: v.copy() for n, v in state.items()}
-        sgd_step(
-            state,
-            grads,
-            velocity,
-            lr,
-            momentum=cfg.momentum,
-            nesterov=cfg.nesterov,
-            weight_decay=cfg.weight_decay,
+    def validate(step, current, entry):
+        nonlocal best_val, best_params
+        if not (cfg.val_every and (step + 1) % cfg.val_every == 0):
+            return
+        report = evaluate(
+            ds_val,
+            make_eval_head_fn(current, cfg),
+            n=cfg.val_way or cfg.way,
+            k=cfg.shot,
+            q=cfg.val_query,
+            trials=cfg.val_trials,
+            seed=cfg.seed + VAL_SEED_OFFSET,
         )
-        if "gamma" in state:
-            state["gamma"] = np.maximum(state["gamma"], GAMMA_FLOOR)
-        entry = {"step": step, "loss": loss_value, **terms,
-                 "gamma": float({**constants, **state}["gamma"]), "lr": lr}
+        entry["val_accuracy"] = report.accuracy_mean
+        if report.accuracy_mean > best_val:
+            best_val = report.accuracy_mean
+            best_params = {n: v.copy() for n, v in current.items()}
 
-        if cfg.val_every and (step + 1) % cfg.val_every == 0:
-            current = {**constants, **state}
-            report = evaluate(
-                ds_val,
-                make_eval_head_fn(current, cfg),
-                n=cfg.val_way or cfg.way,
-                k=cfg.shot,
-                q=cfg.val_query,
-                trials=cfg.val_trials,
-                seed=cfg.seed + VAL_SEED_OFFSET,
-            )
-            entry["val_accuracy"] = report.accuracy_mean
-            if report.accuracy_mean > best_val:
-                best_val = report.accuracy_mean
-                best_params = {**constants, **{n: v.copy() for n, v in state.items()}}
-        history.append(entry)
-
+    state, history, aborted = _descend(state, constants, cfg.lr, cfg.episodes, META_LR_DECAY_AT,
+                                       step_loss, validate)
     final = {**constants, **state}
     if best_val < 0:
         best_params = final
@@ -455,13 +462,8 @@ class PretrainConfig:
     steps: int = 300
     batch_size: int = 32
     lr: float = 0.05
-    momentum: float = 0.9
-    nesterov: bool = True
-    weight_decay: float = 5e-4
-    lr_decay_at: tuple[float, ...] = (0.6, 0.85)
     embed_dim: int | None = None
     downscale_features: bool | None = None
-    dummy_init_scale: float = 0.1
     seed: int = 0
 
 
@@ -499,7 +501,8 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
     Every base class gets a learnable (r, d) matrix acting as its support
     pool; logits are reconstruction errors against it. alpha and beta are
     fixed at zero (so rho = 1 and lam = r/d); gamma is learned, and each
-    history entry records it after the ``GAMMA_FLOOR`` clamp.
+    history entry records it after the ``GAMMA_FLOOR`` clamp, with the
+    accuracy of the batch's logits before the step.
     """
     rng = np.random.default_rng(cfg.seed)
     class_ids = tuple(sorted(ds_base.classes))
@@ -519,56 +522,23 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
         "gamma": np.float64(1.0 / d),
     }
     for c in range(len(class_ids)):
-        state[f"dummy_{c}"] = cfg.dummy_init_scale * rng.standard_normal((r, d)) / math.sqrt(d)
+        state[f"dummy_{c}"] = DUMMY_INIT_SCALE * rng.standard_normal((r, d)) / math.sqrt(d)
 
-    velocity: dict[str, np.ndarray] = {}
-    decay_steps = {int(f * cfg.steps) for f in cfg.lr_decay_at}
-    lr = cfg.lr
-    history: list[dict] = []
-    aborted = False
-    last_finite = {n: v.copy() for n, v in state.items()}
-
-    for step in range(cfg.steps):
-        if step in decay_steps and step > 0:
-            lr /= 10.0
+    def step_loss(step):
         srng = trial_rng(cfg.seed, step)
         idx = srng.choice(len(items), size=min(cfg.batch_size, len(items)), replace=False)
         batch = np.vstack([items[i][0] for i in idx])
         labels = np.array([items[i][1] for i in idx])
-
-        forward = {}
+        terms = {}
 
         def loss_fn(variables):
             logits = _pretrain_logits_graph(variables, batch, r, d, len(class_ids), scale)
-            # keep the values only: holding the Var would keep the whole graph alive
-            forward["logits"] = logits.value
+            terms["batch_accuracy"] = float(np.mean(np.argmax(logits.value, axis=1) == labels))
             return ad.cross_entropy_logits(logits, labels)
 
-        try:
-            with np.errstate(all="ignore"):
-                loss_value, grads = grad(loss_fn, state)
-        except (GradientError, NumericalError):
-            aborted = True
-            state = last_finite
-            history.append({"step": step, "event": "aborted_non_finite", "lr": lr,
-                            "gamma": float(state["gamma"])})
-            break
-        last_finite = {n: v.copy() for n, v in state.items()}
-        # batch accuracy of the logits the loss was computed from
-        acc = float(np.mean(np.argmax(forward["logits"], axis=1) == labels))
-        sgd_step(
-            state,
-            grads,
-            velocity,
-            lr,
-            momentum=cfg.momentum,
-            nesterov=cfg.nesterov,
-            weight_decay=cfg.weight_decay,
-        )
-        state["gamma"] = np.maximum(state["gamma"], GAMMA_FLOOR)
-        history.append({"step": step, "loss": loss_value, "gamma": float(state["gamma"]),
-                        "lr": lr, "batch_accuracy": acc})
+        return loss_fn, terms
 
+    state, history, aborted = _descend(state, {}, cfg.lr, cfg.steps, PRETRAIN_LR_DECAY_AT, step_loss)
     dummy = np.stack([state[f"dummy_{c}"] for c in range(len(class_ids))])
     return PretrainResult(
         embedding=EmbeddingModel(weight=state["embed_weight"], bias=state["embed_bias"]),
@@ -647,11 +617,14 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         raise CheckpointError(f"{path}: header length {header_len} runs past the end of the file")
     try:
         header = json.loads(body[8:offset].decode("utf-8"))
-        specs = [(spec["name"], tuple(int(n) for n in spec["shape"])) for spec in header["tensors"]]
+        specs = [(spec["name"], spec["dtype"], tuple(int(n) for n in spec["shape"]))
+                 for spec in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path} has a malformed header: {exc!r}") from exc
     params = {}
-    for name, shape in specs:
+    for name, dtype, shape in specs:
+        if dtype != "f64":
+            raise CheckpointError(f"{path}: tensor {name!r} has dtype {dtype!r}; only 'f64' is read")
         if any(n < 0 for n in shape):
             raise CheckpointError(f"{path}: tensor {name!r} has a negative shape {shape}")
         nbytes = math.prod(shape) * 8

@@ -1,4 +1,8 @@
-"""Gradient checks for every autodiff op against central finite differences."""
+"""Gradient checks for every autodiff op, and for the test-only ops of
+``reference_ops``, against central finite differences."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from frn import autodiff as ad
 from frn.baselines import CtxParams, ctx_distances, proto_distances
 from frn.head import SupportPool
+
+import reference_ops as refops
 
 
 def finite_diff(f, x, h=1e-6):
@@ -43,11 +49,11 @@ class TestElementwise:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 4))
         bias = rng.standard_normal(4)
-        check_op(lambda v: ad.vsum(ad.mul(ad.add(v, bias), ad.add(v, bias))), x)
+        check_op(lambda v: refops.vsum(ad.mul(ad.add(v, bias), ad.add(v, bias))), x)
         # gradient w.r.t. the broadcast operand
         vb = ad.Var(bias)
         vx = ad.Var(x)
-        loss = ad.vsum(ad.mul(ad.add(vx, vb), ad.add(vx, vb)))
+        loss = refops.vsum(ad.mul(ad.add(vx, vb), ad.add(vx, vb)))
         ad.backward(loss)
         fd = finite_diff(
             lambda b: float(np.sum((x + b) ** 2)), bias.copy()
@@ -57,17 +63,17 @@ class TestElementwise:
     def test_mul_div(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(0.5, 2.0, size=(2, 3))
-        check_op(lambda v: ad.vsum(ad.mul(ad.mul(v, v), ad.add(v, 3.0))), x)
+        check_op(lambda v: refops.vsum(ad.mul(ad.mul(v, v), ad.add(v, 3.0))), x)
 
     def test_exp_log_sqrt(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(0.5, 2.0, size=(4,))
-        check_op(lambda v: ad.vsum(ad.exp(v)), x)
+        check_op(lambda v: refops.vsum(ad.exp(v)), x)
 
     def test_sum_axis_keepdims(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((3, 5))
-        check_op(lambda v: ad.vsum(ad.mul(ad.vsum(v, axis=1, keepdims=True), v)), x)
+        check_op(lambda v: refops.vsum(ad.mul(refops.vsum(v, axis=1, keepdims=True), v)), x)
 
 
 class TestMatrixOps:
@@ -75,25 +81,25 @@ class TestMatrixOps:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((3, 4))
         b = rng.standard_normal((4, 2))
-        check_op(lambda v: ad.vsum(ad.mul(ad.matmul(v, b), ad.matmul(v, b))), a)
-        check_op(lambda v: ad.vsum(ad.mul(ad.matmul(a, v), ad.matmul(a, v))), b)
+        check_op(lambda v: refops.vsum(ad.mul(ad.matmul(v, b), ad.matmul(v, b))), a)
+        check_op(lambda v: refops.vsum(ad.mul(ad.matmul(a, v), ad.matmul(a, v))), b)
         # a stack of left operands: the right operand's gradient sums over it
         stack = rng.standard_normal((2, 3, 4))
-        check_op(lambda v: ad.vsum(ad.mul(ad.matmul(stack, v), ad.matmul(stack, v))), b)
-        check_op(lambda v: ad.vsum(ad.mul(ad.matmul(v, b), ad.matmul(v, b))), stack)
+        check_op(lambda v: refops.vsum(ad.mul(ad.matmul(stack, v), ad.matmul(stack, v))), b)
+        check_op(lambda v: refops.vsum(ad.mul(ad.matmul(v, b), ad.matmul(v, b))), stack)
 
     def test_transpose(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((3, 4))
-        check_op(lambda v: ad.vsum(ad.mul(ad.transpose(v), ad.transpose(v))), a)
+        check_op(lambda v: refops.vsum(ad.mul(refops.transpose(v), refops.transpose(v))), a)
 
     def test_add_scaled_identity(self):
         rng = np.random.default_rng(6)
         a = rng.standard_normal((3, 3))
         s = 0.7
-        check_op(lambda v: ad.vsum(ad.mul(ad.add_scaled_identity(v, s), 2.0)), a)
+        check_op(lambda v: refops.vsum(ad.mul(refops.add_scaled_identity(v, s), 2.0)), a)
         vs = ad.Var(np.array(s))
-        loss = ad.vsum(ad.mul(ad.add_scaled_identity(ad.Var(a), vs), ad.add_scaled_identity(a, vs)))
+        loss = refops.vsum(ad.mul(refops.add_scaled_identity(ad.Var(a), vs), refops.add_scaled_identity(a, vs)))
         ad.backward(loss)
         fd = finite_diff(
             lambda sv: float(np.sum((a + sv * np.eye(3)) ** 2)), np.array(s)
@@ -106,14 +112,14 @@ class TestMatrixOps:
         spd = g @ g.T + 3.0 * np.eye(3)
         b = rng.standard_normal((3, 2))
         # grad through the right-hand side
-        check_op(lambda v: ad.vsum(ad.mul(ad.spd_solve(spd, v), ad.spd_solve(spd, v))), b)
+        check_op(lambda v: refops.vsum(ad.mul(refops.spd_solve(spd, v), refops.spd_solve(spd, v))), b)
         # grad through the (symmetrized) matrix: build A = M + M^T to keep the
         # perturbed matrix symmetric for the finite-difference probe
         m0 = g @ g.T / 2 + 1.5 * np.eye(3)
 
         def build(v):
-            a_sym = ad.add(v, ad.transpose(v))
-            return ad.vsum(ad.mul(ad.spd_solve(a_sym, b), ad.spd_solve(a_sym, b)))
+            a_sym = ad.add(v, refops.transpose(v))
+            return refops.vsum(ad.mul(refops.spd_solve(a_sym, b), refops.spd_solve(a_sym, b)))
 
         check_op(build, m0, rtol=1e-5, atol=1e-7)
 
@@ -122,8 +128,8 @@ class TestMatrixOps:
         c1 = rng.standard_normal(4)
 
         def build_cols(v):
-            mat = ad.column_stack([v, ad.mul(v, 2.0)])
-            return ad.vsum(ad.mul(mat, mat))
+            mat = refops.column_stack([v, ad.mul(v, 2.0)])
+            return refops.vsum(ad.mul(mat, mat))
 
         check_op(build_cols, c1)
 
@@ -151,7 +157,7 @@ class TestAffine:
 
         def build(x_, w_, b_):
             h = ad.affine(x_, w_, b_)
-            return ad.vsum(ad.mul(ad.mul(h, h), weights))
+            return refops.vsum(ad.mul(ad.mul(h, h), weights))
 
         check_op(lambda v: build(v, w, b), x)
         check_op(lambda v: build(x, v, b), w)
@@ -168,7 +174,7 @@ class TestAffine:
         w.value = rng.standard_normal((4, 3)).view(_MatmulCounter)
         _MatmulCounter.calls = 0
         xin = ad.Var(x) if x_is_var else x
-        ad.backward(ad.vsum(ad.affine(xin, w, ad.Var(np.zeros(3)))))
+        ad.backward(refops.vsum(ad.affine(xin, w, ad.Var(np.zeros(3)))))
         assert _MatmulCounter.calls == products
         np.testing.assert_allclose(w.grad, np.repeat(x.sum(axis=0)[:, None], 3, axis=1))
 
@@ -179,8 +185,8 @@ class TestFusedOps:
         x = rng.standard_normal((6, 3))
 
         def build(v):
-            e = ad.block_sqnorm(v, 2)
-            return ad.vsum(ad.mul(e, e))
+            e = refops.block_sqnorm(v, 2)
+            return refops.vsum(ad.mul(e, e))
 
         check_op(build, x)
 
@@ -190,7 +196,7 @@ class TestFusedOps:
 
         def build(v):
             m = ad.block_mean_rows(v, 3)
-            return ad.vsum(ad.mul(m, m))
+            return refops.vsum(ad.mul(m, m))
 
         check_op(build, x)
         v = ad.Var(x)
@@ -204,7 +210,7 @@ class TestFusedOps:
 
         def build(v):
             m = ad.block_mean_rows(v, 3)
-            return ad.vsum(ad.mul(m, m))
+            return refops.vsum(ad.mul(m, m))
 
         check_op(build, x)
         for c in range(2):
@@ -214,14 +220,14 @@ class TestFusedOps:
     def test_row_normalize(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((4, 3)) + 0.5
-        check_op(lambda v: ad.vsum(ad.mul(ad.row_normalize(v), np.arange(12.0).reshape(4, 3))), x)
+        check_op(lambda v: refops.vsum(ad.mul(ad.row_normalize(v), np.arange(12.0).reshape(4, 3))), x)
 
     def test_row_normalize_zero_row(self):
         x = np.array([[0.0, 0.0], [3.0, 4.0]])
         v = ad.Var(x)
         out = ad.row_normalize(v)
         np.testing.assert_allclose(out.value, [[0.0, 0.0], [0.6, 0.8]])
-        ad.backward(ad.vsum(ad.mul(out, np.ones((2, 2)))))
+        ad.backward(refops.vsum(ad.mul(out, np.ones((2, 2)))))
         np.testing.assert_array_equal(v.grad[0], [0.0, 0.0])
 
     def test_cross_entropy_logits(self):
@@ -246,7 +252,7 @@ class TestClosedFormTrainingNodes:
         w = rng.standard_normal((b, n))
 
         def build(q_, s_, lam_, rho_):
-            return ad.vsum(ad.mul(ad.ridge_recon_errors(q_, s_, lam_, rho_, r, formulation), w))
+            return refops.vsum(ad.mul(ad.ridge_recon_errors(q_, s_, lam_, rho_, r, formulation), w))
 
         check_op(lambda v: build(v, s, 0.6, 1.3), q)
         check_op(lambda v: build(q, v, 0.6, 1.3), s)
@@ -290,8 +296,8 @@ class TestClosedFormTrainingNodes:
         pools = [SupportPool(class_id=c, k=k, values=s[c]) for c in range(n)]
         assert np.array_equal(ad.proto_distances(q, s, r, k).value, proto_distances(q, pools))
         w = rng.standard_normal((b, n))
-        check_op(lambda v: ad.vsum(ad.mul(ad.proto_distances(v, s, r, k), w)), q)
-        check_op(lambda v: ad.vsum(ad.mul(ad.proto_distances(q, v, r, k), w)), s)
+        check_op(lambda v: refops.vsum(ad.mul(ad.proto_distances(v, s, r, k), w)), q)
+        check_op(lambda v: refops.vsum(ad.mul(ad.proto_distances(q, v, r, k), w)), s)
 
     @pytest.mark.parametrize("mode", ["identity", "square", "d_k != d_v"])
     def test_ctx_errors_forward_is_the_heads(self, mode):
@@ -320,7 +326,7 @@ class TestClosedFormTrainingNodes:
         for name in ops:
             def build(v, _name=name):
                 args = {**ops, _name: v}
-                return ad.vsum(ad.mul(ad.ctx_errors(args["q1"], args["q2"], args["keys"], args["values"], r), w))
+                return refops.vsum(ad.mul(ad.ctx_errors(args["q1"], args["q2"], args["keys"], args["values"], r), w))
 
             check_op(build, ops[name])
 
@@ -328,7 +334,7 @@ class TestClosedFormTrainingNodes:
         rng = np.random.default_rng(19)
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((2, 3))
-        check_op(lambda v: ad.vsum(ad.mul(ad.stack([v, b, v]), ad.stack([b, v, a]))), a)
+        check_op(lambda v: refops.vsum(ad.mul(ad.stack([v, b, v]), ad.stack([b, v, a]))), a)
 
 
 class TestGraph:
@@ -343,7 +349,7 @@ class TestGraph:
         # stack hands each part a view of its own gradient
         x = ad.Var(np.ones((2, 2)))
         out = ad.stack([x, np.zeros((2, 2))])
-        ad.backward(ad.vsum(ad.mul(out, 3.0)))
+        ad.backward(refops.vsum(ad.mul(out, 3.0)))
         assert x.grad.flags.owndata and x.grad.dtype == np.float64
         np.testing.assert_array_equal(x.grad, np.full((2, 2), 3.0))
 
@@ -358,12 +364,33 @@ class TestGraph:
         gram = g.T @ g
 
         def build(lam_var):
-            a = ad.add_scaled_identity(gram, lam_var)
-            hat = ad.spd_solve(a, gram)
-            return ad.vsum(hat)
+            a = refops.add_scaled_identity(gram, lam_var)
+            hat = refops.spd_solve(a, gram)
+            return refops.vsum(hat)
 
         lam0 = np.array(0.8)
         v = ad.Var(lam0)
         ad.backward(build(v))
         fd = finite_diff(lambda lv: float(ad.value_of(build(ad.Var(lv)))), lam0, h=1e-6)
         np.testing.assert_allclose(v.grad, fd, rtol=1e-6, atol=1e-9)
+
+
+def test_every_public_function_has_a_caller_in_src():
+    # ops that only tests build graphs from belong in reference_ops
+    package = Path(ad.__file__).parent
+    tree = ast.parse(Path(ad.__file__).read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in package.glob("*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        if path.name == "autodiff.py":  # calls only: a local variable may share an op's name
+            used |= {n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            continue
+        aliases = {a.asname or a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                   and n.level == 1 and not n.module for a in n.names if a.name == "autodiff"}
+        used |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
+                 and n.level == 1 and n.module == "autodiff" for a in n.names}
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id in aliases}
+    assert not public - used, sorted(public - used)

@@ -24,6 +24,8 @@ from frn.baselines import (
 from frn.head import FeatureMap, HeadParams, SupportPool, frn_distances, softmax
 from frn.linalg import add_ridge, gram, spd_solve
 
+import reference_ops as refops
+
 
 # Per-query loops: the reference the batched heads are checked against.
 
@@ -364,7 +366,7 @@ class TestCtx:
             wk, wv = v["key"], v["value"]
             errors = ad.ctx_errors(ad.matmul(queries, wk), ad.matmul(queries, wv),
                                    ad.matmul(pools, wk), ad.matmul(pools, wv), r)
-            return ad.vsum(ad.mul(errors, w))
+            return refops.vsum(ad.mul(errors, w))
 
         params = {"key": rng.standard_normal((d, d)), "value": rng.standard_normal((d, d))}
         _, grads = training.grad(loss, params)

@@ -395,6 +395,9 @@ BAD_CHECKPOINTS = {
     "short_payload": ({"tensors": [_f64_tensor("w", [2, 2])]}, bytes(8 * 3), None),
     "negative_shape": ({"tensors": [_f64_tensor("w", [-1, 2])]}, bytes(8 * 2), None),
     "trailing_bytes": ({"tensors": [_f64_tensor("w", [2])]}, bytes(8 * 3), None),
+    # four f32 values fill exactly the 16 bytes an f64 tensor of shape [2] would
+    "f32_tensor": ({"tensors": [{"name": "w", "dtype": "f32", "shape": [2]}]},
+                   np.array([1.5, 2.5, 3.5, 4.5], dtype=np.float32).tobytes(), None),
 }
 
 

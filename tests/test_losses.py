@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from frn import autodiff as ad
-from frn.training import _aux_term
-
-AUX_SCALE = 0.03
+from frn.training import AUX_SCALE, _aux_term
 
 
 def cross_entropy(logits, labels) -> float:

@@ -8,6 +8,7 @@ import pytest
 
 from frn import autodiff as ad
 from frn import head, training
+from frn.baselines import ProjectionConfig
 from frn.episodes import Dataset, sample_episode, trial_rng
 from frn.head import FeatureMap, HeadParams, SupportPool, choose_formulation, effective_lambda
 from frn.linalg import add_ridge, spd_solve
@@ -28,6 +29,8 @@ from frn.training import (
     save_checkpoint,
     sgd_step,
 )
+
+import reference_ops as refops
 
 
 def gaussian_dataset(n_classes=8, items=10, r=2, d_in=6, sigma=0.15, seed=0):
@@ -83,28 +86,28 @@ class TestGradEntryPoint:
         lam = 4 * 2 / 3
 
         def loss_fn(v):
-            g = ad.matmul(ad.transpose(s), s)
-            hat = ad.spd_solve(ad.add_scaled_identity(g, lam), g)
+            g = ad.matmul(refops.transpose(s), s)
+            hat = refops.spd_solve(refops.add_scaled_identity(g, lam), g)
             q_bar = ad.mul(ad.matmul(q, hat), ad.exp(v["beta"]))
-            return ad.vsum(q_bar)
+            return refops.vsum(q_bar)
 
         value, grads = grad(loss_fn, {"beta": np.array(0.4)})
         assert float(grads["beta"]) == pytest.approx(value, rel=1e-12)
 
     def test_non_finite_param_named(self):
         with pytest.raises(GradientError) as err:
-            grad(lambda v: ad.vsum(v["w"]), {"w": np.array([1.0, np.inf])})
+            grad(lambda v: refops.vsum(v["w"]), {"w": np.array([1.0, np.inf])})
         assert err.value.parameter == "w"
 
     def test_non_finite_loss_flagged(self):
         def loss_fn(v):
-            return ad.vsum(ad.exp(ad.mul(v["x"], 1000.0)))  # exp(2000) overflows
+            return refops.vsum(ad.exp(ad.mul(v["x"], 1000.0)))  # exp(2000) overflows
 
         with np.errstate(all="ignore"), pytest.raises(GradientError):
             grad(loss_fn, {"x": np.array(2.0)})
 
     def test_unused_parameter_gets_zero_gradient(self):
-        _, grads = grad(lambda v: ad.vsum(ad.mul(v["a"], v["a"])), {"a": np.array(2.0), "b": np.array(5.0)})
+        _, grads = grad(lambda v: refops.vsum(ad.mul(v["a"], v["a"])), {"a": np.array(2.0), "b": np.array(5.0)})
         assert float(grads["b"]) == 0.0
 
 
@@ -199,18 +202,18 @@ class TestEpisodeGradients:
 def per_class_error(q_emb, s_emb, lam, rho, r, formulation):
     """Per-query reconstruction errors against one class pool, op by op."""
     if formulation == "woodbury":
-        g = ad.matmul(ad.transpose(s_emb), s_emb)
-        hat = ad.spd_solve(ad.add_scaled_identity(g, lam), g)
+        g = ad.matmul(refops.transpose(s_emb), s_emb)
+        hat = refops.spd_solve(refops.add_scaled_identity(g, lam), g)
         q_bar = ad.matmul(q_emb, hat)
     else:
-        m = ad.matmul(s_emb, ad.transpose(s_emb))
-        a = ad.add_scaled_identity(m, lam)
-        t1 = ad.matmul(q_emb, ad.transpose(s_emb))
-        t2 = ad.spd_solve(a, ad.transpose(t1))
-        q_bar = ad.matmul(ad.transpose(t2), s_emb)
+        m = ad.matmul(s_emb, refops.transpose(s_emb))
+        a = refops.add_scaled_identity(m, lam)
+        t1 = ad.matmul(q_emb, refops.transpose(s_emb))
+        t2 = refops.spd_solve(a, refops.transpose(t1))
+        q_bar = ad.matmul(refops.transpose(t2), s_emb)
     if rho is not None:
         q_bar = ad.mul(q_bar, rho)
-    return ad.mul(ad.block_sqnorm(ad.sub(q_emb, q_bar), r), 1.0 / r)
+    return ad.mul(refops.block_sqnorm(refops.sub(q_emb, q_bar), r), 1.0 / r)
 
 
 def pairwise_aux_term(support_embs, scale):
@@ -220,8 +223,8 @@ def pairwise_aux_term(support_embs, scale):
         for j, sj in enumerate(normalized):
             if i == j:
                 continue
-            cross = ad.matmul(si, ad.transpose(sj))
-            t = ad.vsum(ad.mul(cross, cross))
+            cross = ad.matmul(si, refops.transpose(sj))
+            t = refops.vsum(ad.mul(cross, cross))
             terms = t if terms is None else ad.add(terms, t)
     if terms is None:
         return ad.Var(np.float64(0.0))
@@ -236,9 +239,9 @@ def per_class_episode_loss(variables, episode, cfg, d):
     lam = ad.mul(ad.exp(variables["alpha"]), k * r / d)
     rho = ad.exp(variables["beta"])
     errs = [per_class_error(q_emb, s, lam, rho, r, cfg.formulation) for s in s_embs]
-    logits = ad.mul(ad.mul(ad.column_stack(errs), variables["gamma"]), -1.0)
+    logits = ad.mul(ad.mul(refops.column_stack(errs), variables["gamma"]), -1.0)
     loss = ad.cross_entropy_logits(logits, labels)
-    return ad.add(loss, pairwise_aux_term(s_embs, cfg.aux_scale))
+    return ad.add(loss, pairwise_aux_term(s_embs, training.AUX_SCALE))
 
 
 def per_class_pretrain_logits(variables, batch, r, d, n_classes):
@@ -247,7 +250,7 @@ def per_class_pretrain_logits(variables, batch, r, d, n_classes):
         per_class_error(q_emb, variables[f"dummy_{c}"], r / d, None, r, "woodbury")
         for c in range(n_classes)
     ]
-    return ad.mul(ad.mul(ad.column_stack(errs), variables["gamma"]), -1.0)
+    return ad.mul(ad.mul(refops.column_stack(errs), variables["gamma"]), -1.0)
 
 
 FUSED_REL = 1e-12
@@ -372,11 +375,11 @@ def assert_node_matches_references(formulation, params, n, r, rng, fixed_lam=Non
 
     def fused(v):
         stack = ad.stack([v[f"s{c}"] for c in range(n)])
-        return ad.vsum(ad.mul(ad.ridge_recon_errors(
+        return refops.vsum(ad.mul(ad.ridge_recon_errors(
             v["q"], stack, v.get("lam", lam), v.get("rho"), r, formulation), w))
 
     def per_class(v):
-        return ad.vsum(ad.mul(ad.column_stack([
+        return refops.vsum(ad.mul(refops.column_stack([
             per_class_error(v["q"], v[f"s{c}"], v.get("lam", lam), v.get("rho"), r, formulation)
             for c in range(n)]), w))
 
@@ -536,13 +539,14 @@ def per_pool_episode_loss(variables, episode, cfg, d):
         dists = ad.proto_distances(q_emb, s_stack, r, k)
     elif cfg.head == "dsn":
         pooled = ad.stack([ad.block_mean_rows(s, r) for s in s_embs])
-        dists = ad.ridge_recon_errors(ad.block_mean_rows(q_emb, r), pooled, cfg.dsn_lambda, None, 1, "direct")
+        dists = ad.ridge_recon_errors(ad.block_mean_rows(q_emb, r), pooled,
+                                      ProjectionConfig().lambda_fixed, None, 1, "direct")
     else:
         wk, wv = variables["ctx_key"], variables["ctx_value"]
         dists = ad.ctx_errors(ad.matmul(q_emb, wk), ad.matmul(q_emb, wv),
                               ad.matmul(s_stack, wk), ad.matmul(s_stack, wv), r)
     loss = ad.cross_entropy_logits(ad.mul(ad.mul(dists, variables["gamma"]), -1.0 / d), labels)
-    return ad.add(loss, pairwise_aux_term(s_embs, cfg.aux_scale))
+    return ad.add(loss, pairwise_aux_term(s_embs, training.AUX_SCALE))
 
 
 class TestEmbeddingNodeMatchesPerPoolGraph:
@@ -663,6 +667,13 @@ class TestMetaTrain:
         if not learn_gamma:
             assert all(h["gamma"] == 0.25 for h in result.history)
 
+    def test_lr_drops_tenfold_at_half_and_three_quarters(self):
+        ds = gaussian_dataset(n_classes=5, items=8, seed=19)
+        cfg = TrainConfig(head="frn", way=3, shot=1, query=3, episodes=10, lr=0.05,
+                          val_every=0, embed_dim=4, seed=6)
+        lrs = [h["lr"] for h in meta_train(ds, ds, cfg).history]
+        assert lrs == [0.05] * 5 + [0.05 / 10] * 2 + [0.05 / 10 / 10] * 3  # drops at 5, 7
+
     def test_history_records_losses(self):
         ds = gaussian_dataset(n_classes=5, items=8, seed=11)
         cfg = TrainConfig(head="proto", way=3, shot=1, query=3, episodes=5,
@@ -724,6 +735,12 @@ class TestPretrain:
         assert result.history[-1]["gamma"] == result.gamma
         if lr > 1.0:
             assert result.history[0]["gamma"] == GAMMA_FLOOR
+
+    def test_lr_drops_tenfold_at_six_and_eight_and_a_half_tenths(self):
+        ds = gaussian_dataset(n_classes=4, items=6, seed=14)
+        result = pretrain(ds, PretrainConfig(steps=10, embed_dim=4, seed=2))
+        lrs = [h["lr"] for h in result.history]
+        assert lrs == [0.05] * 6 + [0.05 / 10] * 2 + [0.05 / 10 / 10] * 2  # drops at 6, 8
 
     def test_dummy_maps_distinct_and_discardable(self):
         ds = gaussian_dataset(n_classes=4, items=6, seed=14)
