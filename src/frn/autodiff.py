@@ -31,11 +31,13 @@ last two run the forward of the eval head in ``baselines``.
     dP_c = (sum_i w_ic C_i) P_c (dR P^T and Q^T dR regrouped), then
     dX = rho lam dP, dM = dG = -X^T dX X^T, dlam = rho <X, dP> + tr dM,
     drho = -<I - lam X, dP> and dS = S (dG + dG^T).
-  - direct: per class, one factor G_c = S_c S_c^T, M_c^-1 = (G_c + lam I)^-1
-    and the eval head's direct step, on the calling thread, give A = Q S_c^T,
-    W = A M_c^-1, W G_c and the unclamped errors. Backward keeps W,
-    A - rho W G and M^-1 and solves nothing: dW = -rho w (A - rho W G),
-    dA = dW M^-1, dM = -W^T dA, dlam = tr dM, drho = -sum w <A - rho W G, W>,
+  - direct: per class, one factor M_c^-1 = (S_c S_c^T + lam I)^-1 and the
+    eval head's direct step, on the calling thread, give A = Q S_c^T,
+    W = A M_c^-1, W G_c = A - lam W (in A's buffer) and the unclamped
+    errors. Backward keeps W, M^-1 and A - rho W G = (1 - rho) A + rho lam W,
+    formed elementwise as (1 - rho) W G + lam W, and solves nothing:
+    dW = -rho w (A - rho W G), dA = dW M^-1, dM = -W^T dA, dlam = tr dM,
+    drho = -sum w <A - rho W G, W>,
     dS = (dA - rho w W)^T Q + (rho^2 sum_i w W^T W + dM + dM^T) S and
     dQ = (sum_c w) Q + sum_c (dA - rho w W) S_c.
 * ``cross_class_orthogonality``: sum over ordered class pairs c != e of
@@ -311,16 +313,20 @@ def _direct_errors(qv, sv, lam, rho, r):
     qb = qv.reshape(-1, r, d)
     b, sq_norms = len(qb), head._row_dots(qb, qb)
     factors = [head._direct_factor(sv[c], lam) for c in range(n)]
+    st = np.ascontiguousarray(np.swapaxes(sv, 1, 2))
     a, w = np.empty((2, n, b, r, kr))
-    wg, err = np.empty((b, r, kr)), np.empty((b, n))
+    err = np.empty((b, n))
     for c in range(n):
-        head._direct_step(qb, sq_norms, factors[c], rho, a[c], w[c], wg, err[:, c])
-        a[c] -= rho * wg  # A - rho W G: all the backward needs of A
+        head._query_products(qb, st[c], a[c])
+        head._direct_step(a[c], sq_norms, factors[c], rho, w[c], err[:, c])
+        # A - rho W G, all the backward needs of A, from W G = A - lam W in A's place
+        a[c] *= 1.0 - rho
+        a[c] += lam * w[c]
 
     def grads(ge):
         wq = (2.0 / r * ge.T)[:, :, None, None]  # (n, b, 1, 1): w = 2 dE / r
         ws, wws = w.reshape(n, b * r, kr), (wq * w).reshape(n, b * r, kr)
-        da = (-rho * wq * a).reshape(n, b * r, kr) @ np.stack([f[1] for f in factors])
+        da = (-rho * wq * a).reshape(n, b * r, kr) @ np.stack([f[0] for f in factors])
         dm = -np.swapaxes(ws, 1, 2) @ da
         da -= rho * wws  # dA - rho w W: the whole gradient of A = Q S^T
         dg = rho * rho * (np.swapaxes(wws, 1, 2) @ ws) + dm + np.swapaxes(dm, 1, 2)

@@ -151,7 +151,9 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     direct = _time_path(reconstruct_direct, queries, pool, params, cfg.iterations, cfg.warmup)
     wood = _time_path(reconstruct_woodbury, queries, pool, params, cfg.iterations, cfg.warmup)
     threads = {
-        "direct_workers": min(head._WORKERS, cfg.b),  # one chunk of queries each
+        # threads, the caller's included, that share phase 1's query blocks
+        # with the factor and then take one chunk of phase 2 each
+        "direct_workers": min(head._WORKERS, cfg.b),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
     return BenchReport(config=cfg, direct=direct, woodbury=wood, equivalence_max_delta=delta,

@@ -32,6 +32,8 @@ from .training import (
     make_eval_head_fn,
     meta_train,
     pretrain,
+    pretrain_accuracy,
+    resolve_downscale,
     save_checkpoint,
 )
 
@@ -367,11 +369,15 @@ def cmd_pretrain(args) -> int:
     )
     cfg_dict = dataclasses.asdict(cfg)
     result = pretrain(ds, cfg)
+    # on the base set, with the feature scaling pretraining used
+    accuracy = pretrain_accuracy(result, ds, resolve_downscale(cfg.downscale_features,
+                                                               result.embedding.d))
     _write_run(Path(args.out), "pretrain", cfg_dict, result.as_init(),
                {"head": "frn", "downscale_features": cfg.downscale_features},
-               result, final_gamma=result.gamma)
+               result, final_gamma=result.gamma, pretrain_accuracy=accuracy)
     print(f"pretrain finished in {len(result.history)} steps "
-          f"({'aborted' if result.aborted else 'completed'})")
+          f"({'aborted' if result.aborted else 'completed'}), "
+          f"base-set accuracy {accuracy:.4f}")
     return EXIT_OK
 
 

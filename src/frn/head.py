@@ -31,15 +31,22 @@ of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
 
 The direct form never forms Q_bar to score. One step serves eval and
 the training node ``autodiff.ridge_recon_errors``: ``_direct_factor`` per
-pool, then ``_direct_step`` over a query stack, which takes each error
-from a kr-space identity within 256 eps ||Q||^2 / r of a float64 solve.
-Only ``reconstruct_direct`` threads the step: it splits the stack into
-one contiguous chunk of queries per CPU available to the process; since
-each query's products depend only on that query, the results are
-bit-identical to a serial run. Training, the woodbury form and the ctx
-head in ``baselines`` run serially: on a shared 2-vCPU host a second
-thread sped their small products up only while the other vCPU was idle.
-All functions are pure; per-class calls may run concurrently.
+pool, ``_query_products`` for A = Q S^T, then ``_direct_step`` over a
+query stack, which takes each error from a kr-space identity within
+256 eps ||Q||^2 / r of a float64 solve. Each query costs two products,
+A and W = A M^-1: since M = G + lam I with G = S S^T, M^-1 G = I - lam M^-1,
+so W G = A - lam W is formed elementwise in A's buffer.
+Only ``reconstruct_direct`` threads the step, in two phases. In phase 1
+worker threads take consecutive blocks of ``_BLOCK`` queries in turn and
+form A, which needs only S^T, while the calling thread squares the query
+stack and factors the pool; it then takes blocks too. Phase 2 splits the
+stack into one contiguous chunk of queries per CPU available to the
+process for W and the errors. Since each query's products depend only on
+that query, the results are bit-identical to a serial run. Training, the
+woodbury form and the ctx head in ``baselines`` run serially: on a
+shared 2-vCPU host a second thread sped their small products up only
+while the other vCPU was idle. All functions are pure; per-class calls
+may run concurrently.
 """
 
 from __future__ import annotations
@@ -240,9 +247,17 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: chunks the direct kernel splits a query stack into: one per CPU
-#: available to the process, the first run by the caller
+#: threads the direct kernel runs on: one per CPU available to the
+#: process, the caller among them
 _WORKERS = _available_cpus()
+#: queries per phase-1 block of ``reconstruct_direct``. Measured at the
+#: paper's 5-shot shape (5 pools, 75 queries, r 25, d 640, f32, 2 workers,
+#: 1 BLAS thread): blocks of 8 to 24 queries scored an episode in
+#: 24-25 ms, blocks of 2 and 4 in 25-26 ms (per-block overhead), and one
+#: 38-query block per thread in 26-27 ms. A block's product is about
+#: 80 us per query there, so 8 keeps the tail the last block can leave
+#: one thread waiting at about 0.7 ms.
+_BLOCK = 8
 _executor: ThreadPoolExecutor | None = None
 _executor_lock = threading.Lock()
 
@@ -264,71 +279,119 @@ def _chunk_executor() -> ThreadPoolExecutor:
         return _executor
 
 
+def _submit(fn, *args):
+    """``fn(*args)`` on the shared executor, in a copy of the caller's context:
+    its ``np.errstate`` holds there too."""
+    return _chunk_executor().submit(contextvars.copy_context().run, fn, *args)
+
+
+def _finish(futures):
+    """Wait for every future, then raise the first one's exception, if any."""
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _over_chunks(fn, b: int):
     """Run ``fn(lo, hi)`` on one contiguous slice of range(b) per worker, concurrently.
 
-    The caller runs the first slice itself; the others run on the shared
-    executor, each in a copy of the caller's context, so its
-    ``np.errstate`` holds there too. An exception is raised only after
-    every slice has finished.
+    The caller runs the first slice itself, the executor the others. An
+    exception is raised only after every slice has finished.
     """
     n = max(min(_WORKERS, b), 1)
     bounds = [b * i // n for i in range(n + 1)]
     if n == 1:
         fn(0, b)
         return
-    executor = _chunk_executor()
-    futures = [
-        executor.submit(contextvars.copy_context().run, fn, lo, hi)
-        for lo, hi in zip(bounds[1:-1], bounds[2:])
-    ]
+    futures = [_submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
     try:
         fn(bounds[0], bounds[1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        _finish(futures)
+
+
+def _over_blocks(fn, b: int, meanwhile):
+    """Run ``fn(lo, hi)`` on consecutive ``_BLOCK``-query slices of range(b) and
+    return ``meanwhile()``, which the caller runs while the workers start.
+
+    Workers take the blocks in turn, and so does the caller once
+    ``meanwhile`` has returned, so the load balances itself. An exception,
+    ``meanwhile``'s included, is raised only after every block has finished.
+    """
+    blocks = range(0, b, _BLOCK)
+    taken, lock = iter(blocks), threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                lo = next(taken, None)
+            if lo is None:
+                return
+            fn(lo, min(lo + _BLOCK, b))
+
+    futures = [_submit(take) for _ in range(min(_WORKERS - 1, len(blocks)))]
+    try:
+        out = meanwhile()
+        take()
+    finally:
+        _finish(futures)
+    return out
 
 
 def _direct_factor(s: np.ndarray, lam: float):
-    """Pool side of the direct step: G = S S^T, M^-1 = (G + lam I)^-1 and S^T, all C-ordered."""
-    g = gram(s, "outer")
-    return g, spd_inverse(add_ridge(g, lam)), np.ascontiguousarray(s.T)
+    """Pool side of the direct step: M^-1 = (S S^T + lam I)^-1, C-ordered, and lam."""
+    return spd_inverse(add_ridge(gram(s, "outer"), lam)), lam
 
 
-def _direct_step(q: np.ndarray, sq_norms, factor, rho: float, a, w, wg, err):
-    """Query side of the direct step for the (b, r, d) stack ``q`` and its ||Q_i||^2.
+def _query_products(q: np.ndarray, st: np.ndarray, a: np.ndarray):
+    """A = Q S^T for the (b, r, d) stack ``q`` and the C-ordered S^T, into ``a``."""
+    np.matmul(q, st, out=a)
 
-    Fills the (b, r, kr) buffers with A = Q S^T, W = A M^-1 and W G (``wg``
-    may be ``a``: W G then overwrites A), and the (b,) ``err`` with the
-    unclamped (||Q||^2 - 2 rho <A, W> + rho^2 <W G, W>) / r, row dots in
-    float64: <W G, W> = ||W S||^2 for any W, so it is the residual of the W
+
+def _direct_step(a: np.ndarray, sq_norms, factor, rho: float, w, err):
+    """Query side of the direct step, from A = Q S^T in the (b, r, kr) ``a``
+    and the queries' ||Q_i||^2.
+
+    Fills ``w`` with W = A M^-1, overwrites ``a`` with W G = A - lam W (since
+    M^-1 G = I - lam M^-1) and fills the (b,) ``err`` with the unclamped
+    (||Q||^2 - 2 rho <A, W> + rho^2 <W G, W>) / r, row dots in float64:
+    <W G, W> = ||W S||^2 for any W, so it is the residual of the W
     actually computed.
     """
-    g, m_inv, st = factor
-    np.matmul(q, st, out=a)
+    m_inv, lam = factor
     np.matmul(a, m_inv, out=w)
     aw = _row_dots(a, w)
-    np.matmul(w, g, out=wg)
-    err[...] = (sq_norms - 2 * rho * aw + rho * rho * _row_dots(wg, w)) / q.shape[1]
+    a -= lam * w
+    err[...] = (sq_norms - 2 * rho * aw + rho * rho * _row_dots(a, w)) / a.shape[1]
 
 
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Score each query via the kr x kr system without forming Q_bar.
 
-    The direct step runs in query chunks across the CPUs. Rounding can take
-    a near-zero error below zero, so it is clamped at 0.
+    Phase 1 forms A = Q S^T in blocks across the CPUs while the caller
+    factors the pool; phase 2 runs the rest of the step in query chunks
+    across the CPUs. Rounding can take a near-zero error below zero, so it
+    is clamped at 0.
     """
     queries = _query_stack(q_batch, pool.r, pool.d)
-    sq_norms = queries.sq_norms  # before the chunks run: none of them reaches the cache
     q, s, rho = queries.maps, pool.values, params.rho
-    factor = _direct_factor(s, effective_lambda(params, pool.k, pool.r, pool.d))
+    st = np.ascontiguousarray(s.T)
     a = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
     w, err = np.empty_like(a), np.empty(len(q))
 
+    def pool_side():
+        # ||Q||^2 is cached on the stack, so only the first pool squares it;
+        # no worker reaches the cache
+        lam = effective_lambda(params, pool.k, pool.r, pool.d)
+        return queries.sq_norms, _direct_factor(s, lam)
+
+    def block(lo, hi):
+        _query_products(q[lo:hi], st, a[lo:hi])
+
+    sq_norms, factor = _over_blocks(block, len(q), pool_side)
+
     def chunk(lo, hi):
-        ac = a[lo:hi]  # W G in A's place
-        _direct_step(q[lo:hi], sq_norms[lo:hi], factor, rho, ac, w[lo:hi], ac, err[lo:hi])
+        _direct_step(a[lo:hi], sq_norms[lo:hi], factor, rho, w[lo:hi], err[lo:hi])
 
     _over_chunks(chunk, len(q))
     return Reconstructions(

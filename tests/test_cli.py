@@ -355,6 +355,23 @@ class TestTrainAndCheckpoints:
         ])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("downscale", [False, True])
+    def test_pretrain_json_gives_the_base_set_accuracy(self, dataset, tmp_path, downscale):
+        from frn.data import ingest
+        from frn.training import PretrainConfig, pretrain, pretrain_accuracy
+
+        out = tmp_path / "pre"
+        flag = ["--downscale-features"] if downscale else []
+        assert run(["pretrain", "--data", str(dataset), "--steps", "40", "--batch-size", "16",
+                    "--lr", "0.5", "--embed-dim", "6", "--seed", "0", "--out", str(out),
+                    *flag]) == EXIT_OK
+        accuracy = json.loads((out / "pretrain.json").read_text())["pretrain_accuracy"]
+        assert 0.0 <= accuracy <= 1.0
+        ds = ingest(dataset, np.float64)
+        cfg = PretrainConfig(steps=40, batch_size=16, lr=0.5, embed_dim=6, seed=0,
+                             downscale_features=True if downscale else None)
+        assert accuracy == pretrain_accuracy(pretrain(ds, cfg), ds, downscale)
+
     @pytest.mark.parametrize("embed_dim", [[], ["--embed-dim", "5"]])
     def test_ctx_finetunes_from_an_embedding_of_another_width(self, dataset, tmp_path, embed_dim):
         # the ctx projections act on the trained features: the checkpoint's

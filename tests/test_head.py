@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from frn.head import (
     reconstruct_woodbury,
     reconstruction_weights,
 )
-from frn.linalg import ShapeError, add_ridge, gram, spd_inverse, spd_solve
+from frn.linalg import NumericalError, ShapeError, add_ridge, gram, spd_inverse, spd_solve
 
 
 def random_pool(rng, k, r, d, class_id=0, scale=None):
@@ -344,6 +345,101 @@ class TestThreadedDirectKernel:
                     assert np.array_equal(rec.q_bar, q_bar)
         # with more than one worker, chunks after the first ran on other threads
         assert (len(threads) > 1) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("block", [1, 3, 8])  # 8 is more than any case's b
+    def test_any_block_size_gives_the_serial_bits(self, block, workers, monkeypatch):
+        cases = list(self._cases(np.float32))
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        serial = [head.frn_distances(q, pools, p, "direct") for q, pools, p in cases]
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_BLOCK", block)
+        for (q, pools, p), dist in zip(cases, serial):
+            assert np.array_equal(head.frn_distances(q, pools, p, "direct"), dist)
+            for pool in pools:
+                recs = reconstruct_direct(q, pool, p)
+                for rec, (q_bar, _) in zip(recs, per_block_direct(q, pool, p), strict=True):
+                    assert np.array_equal(rec.q_bar, q_bar)
+
+    def test_each_block_is_taken_once_under_contention(self, monkeypatch):
+        # more workers than cores take one-query blocks with a short switch
+        # interval: a block taken twice or skipped breaks the count or the bits
+        cases = list(self._cases(np.float64))
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        serial = [head.frn_distances(q, pools, p, "direct") for q, pools, p in cases]
+        monkeypatch.setattr(head, "_WORKERS", 3)
+        monkeypatch.setattr(head, "_BLOCK", 1)
+        taken, lock = [], threading.Lock()
+        products = head._query_products
+
+        def counted(q, st, a):
+            with lock:
+                taken.append(len(q))
+            products(q, st, a)
+
+        monkeypatch.setattr(head, "_query_products", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for (q, pools, p), want in zip(cases, serial):
+                for _ in range(5):
+                    taken.clear()
+                    assert np.array_equal(head.frn_distances(q, pools, p, "direct"), want)
+                    assert taken == [1] * (len(q) // pools[0].r * len(pools))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_factor_error_is_raised_after_every_block(self, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        monkeypatch.setattr(head, "_BLOCK", 1)
+        rng = np.random.default_rng(23)
+        pool, b = random_pool(rng, 2, 3, 16), 6
+        q = rng.standard_normal((b * 3, 16))
+        finished = []
+        products = head._query_products
+
+        def slow_products(*args):
+            time.sleep(0.01)  # the caller's factor fails long before the workers end
+            products(*args)
+            finished.append(1)
+
+        def failing_factor(*args):
+            raise NumericalError("Cholesky factorization failed at pivot 0", pivot=0)
+
+        monkeypatch.setattr(head, "_query_products", slow_products)
+        monkeypatch.setattr(head, "_direct_factor", failing_factor)
+        with pytest.raises(NumericalError) as info:
+            reconstruct_direct(q, pool, HeadParams())
+        assert info.value.pivot == 0
+        assert len(finished) == b
+
+    def test_the_factor_overlaps_the_query_products(self, monkeypatch):
+        # the factor waits, bounded, for a worker's first block: a kernel that
+        # factored the pool before phase 1 started would time out here
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        caller = threading.get_ident()
+        started, overlapped = threading.Event(), []
+        products, factor = head._query_products, head._direct_factor
+
+        def worker_products(*args):
+            if threading.get_ident() != caller:
+                started.set()
+            products(*args)
+
+        def waiting_factor(*args):
+            overlapped.append(started.wait(timeout=10))
+            return factor(*args)
+
+        monkeypatch.setattr(head, "_query_products", worker_products)
+        monkeypatch.setattr(head, "_direct_factor", waiting_factor)
+        rng = np.random.default_rng(24)
+        pool = random_pool(rng, 2, 3, 16)
+        q = rng.standard_normal((4 * 3, 16))
+        errs = reconstruct_direct(q, pool, HeadParams()).sq_errors
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        monkeypatch.setattr(head, "_direct_factor", factor)
+        assert overlapped == [True]
+        assert np.array_equal(errs, reconstruct_direct(q, pool, HeadParams()).sq_errors)
 
     def test_concurrent_callers_share_the_executor(self, monkeypatch):
         # more workers than cores and callers racing for the executor's first

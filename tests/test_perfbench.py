@@ -149,6 +149,10 @@ def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch)
     # each pool's factor is made once, on the calling thread, and no chunk adds a span
     assert names.count("head.direct") == names.count("linalg.gram") == 3 * 3  # trials x pools
     assert names.count("linalg.spd_inverse") == names.count("head.direct")
+    # the factor is made while the workers form the query products, yet stays in its pool's span
+    for name, _, _, parent, _ in recorder.spans:
+        if name in ("linalg.gram", "linalg.spd_inverse"):
+            assert parent >= 0 and names[parent] == "head.direct", name
     assert min(recorder.self_times()) >= 0
     for name, start, end, parent, _ in recorder.spans:
         if parent >= 0:
