@@ -17,7 +17,8 @@ the b queries come as one (b*r, d) stack (or a single FeatureMap) and
 every ``*_distances``/``*_scores`` function returns a (b, n) array over
 the n class pools. Baseline logits are normalized by the channel count d
 before temperature scaling, which keeps their scale comparable across
-feature widths.
+feature widths. ``dsn_scores`` projects at the default
+``ProjectionConfig``; ``dsn_distances`` takes any.
 
 The array-level forwards ``proto_sqdist`` and ``ctx_errors`` are shared
 with training, whose ``autodiff`` nodes call them. ``ctx_distances``
@@ -25,12 +26,11 @@ projects the queries once per episode, not once per pool.
 
 ``ctx_errors`` scores every pool through one weight buffer and one
 residual buffer, allocated once per call and reused across pools; fresh
-arrays per pool made an episode about an eighth slower. ``ctx_errors``,
-``ctx_reconstruct`` and ``ctx_attention`` share one attention pass,
-``_ctx_exp``: logits, max-subtract, ``exp`` and row sums, once per pool,
-with 1/sqrt(d_k) folded into the key copy. The errors normalise the rows
-after the product by the values, so batched and per-query results stay
-bit-identical. All three heads run serially (see ``head`` for why).
+arrays per pool made an episode about an eighth slower. Each pool takes
+one attention pass, ``_ctx_exp``: logits, max-subtract, ``exp`` and row
+sums, with 1/sqrt(d_k) folded into the key copy. The errors normalise the
+rows after the product by the values, so batched and per-query results
+stay bit-identical. All three heads run serially (see ``head`` for why).
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ def proto_prototypes(supports, r: int) -> np.ndarray:
     return np.stack([s.reshape(-1, r, s.shape[-1]).mean(axis=1).mean(axis=0) for s in supports])
 
 
-def proto_prototype(pool: SupportPool) -> np.ndarray:
-    """Class prototype of one pool (see ``proto_prototypes``)."""
-    return proto_prototypes([pool.values], pool.r)[0]
-
-
 def proto_sqdist(maps: np.ndarray, supports) -> np.ndarray:
     """(b, n) squared Euclidean distances from the pooled (b, r, d) query maps to each prototype."""
     qp = maps.mean(axis=1).astype(np.float64)
@@ -165,13 +160,8 @@ def dsn_distances(
     ])
 
 
-def dsn_scores(
-    q,
-    pools: Sequence[SupportPool],
-    cfg: ProjectionConfig = ProjectionConfig(),
-    gamma: float = 1.0,
-) -> np.ndarray:
-    return -gamma * dsn_distances(q, pools, cfg) / pools[0].d
+def dsn_scores(q, pools: Sequence[SupportPool], gamma: float = 1.0) -> np.ndarray:
+    return -gamma * dsn_distances(q, pools) / pools[0].d
 
 
 # ---------------------------------------------------------------------------
@@ -197,35 +187,11 @@ def _ctx_exp(q1: np.ndarray, s1: np.ndarray, out: np.ndarray | None = None):
     return out, _shifted_exp(out)
 
 
-def ctx_attention(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k)), in float64.
-
-    The ``_ctx_exp`` pass the errors take, divided here by its row sums.
-    """
-    e, sums = _ctx_exp(q1, s1)
-    e /= sums
-    return e
-
-
 def _ctx_project(x: np.ndarray, params: CtxParams):
     """Rows of ``x`` (the last axis) as keys and values: (x W_k, x W_v)."""
     if params.identity_mode:
         return x, x
     return x @ params.key_proj, x @ params.value_proj
-
-
-def ctx_reconstruct(q_vals: np.ndarray, pool_vals: np.ndarray, params: CtxParams):
-    """Attention reconstruction; returns (projected query, reconstruction).
-
-    ``q_vals`` is one (r, d) map or a (b, r, d) stack; each map attends
-    over the pool on its own.
-    """
-    q1, q2 = _ctx_project(q_vals, params)
-    s1, s2 = _ctx_project(pool_vals, params)
-    e, sums = _ctx_exp(q1, s1)
-    recon = e @ s2
-    recon /= sums
-    return q2, recon
 
 
 def ctx_errors(q1: np.ndarray, q2: np.ndarray, keys, values, keep: list | None = None) -> np.ndarray:

@@ -87,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--query", type=int, default=16)
     ev.add_argument("--trials", type=int, default=1000)
     ev.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    ev.add_argument("--formulation", choices=("auto", "direct", "woodbury"), default="auto")
     add_common(ev)
 
     bench = sub.add_parser("bench", help="latency benchmark of both formulations")
@@ -120,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--val-every", type=int, default=50)
         p.add_argument("--val-trials", type=int, default=100)
         p.add_argument("--val-query", type=int, default=16)
-        p.add_argument("--formulation", choices=("auto", "direct", "woodbury"), default="auto")
         add_common(p)
 
     train = sub.add_parser("train", help="episodic meta-training")
@@ -180,7 +178,6 @@ def _eval_config(args) -> dict:
         "query": args.query,
         "trials": args.trials,
         "precision": args.precision,
-        "formulation": args.formulation,
         "seed": args.seed,
     }
 
@@ -194,11 +191,7 @@ def cmd_eval(args) -> int:
         params, meta = load_checkpoint(args.from_ckpt)
         train_cfg_dict = meta.get("train_config") or {}
         head_kind = args.head or train_cfg_dict.get("head", "frn")
-        tc = TrainConfig(
-            head=head_kind,
-            formulation=args.formulation,
-            downscale_features=train_cfg_dict.get("downscale_features"),
-        )
+        tc = TrainConfig(head=head_kind, downscale_features=train_cfg_dict.get("downscale_features"))
         required = ("embed_weight", "embed_bias") + (("ctx_key", "ctx_value") if head_kind == "ctx" else ())
         _check_tensors(args.from_ckpt, params, ds.d, required)
         head_fn = make_eval_head_fn(params, tc)
@@ -206,7 +199,7 @@ def cmd_eval(args) -> int:
         head_kind = args.head or "frn"
         gamma = 1.0 / ds.d
         base_fn_params = HeadParams(gamma=gamma)
-        head_fn = make_head_fn(head_kind, base_fn_params, formulation=args.formulation)
+        head_fn = make_head_fn(head_kind, base_fn_params)
 
     report = evaluate(ds, head_fn, n=args.way, k=args.shot, q=args.query,
                       trials=args.trials, seed=args.seed)
@@ -311,7 +304,6 @@ def _train_config(args) -> TrainConfig:
         learn_alpha=not args.fix_alpha,
         learn_beta=not args.fix_beta,
         learn_gamma=not args.fix_gamma,
-        formulation=args.formulation,
         use_aux=not args.no_aux,
         seed=args.seed,
     )

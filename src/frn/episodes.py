@@ -200,8 +200,6 @@ def make_head_fn(
     kind: str,
     params: HeadParams | None = None,
     *,
-    formulation: str = "auto",
-    proj_cfg=None,
     ctx_params=None,
     transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Callable[[Episode], np.ndarray]:
@@ -210,17 +208,18 @@ def make_head_fn(
     The head function stacks the episode's query maps into one array and
     makes one scoring call for the whole episode. ``transform`` is applied
     to that (b, r, d) stack and to every support pool's values before
-    scoring; pass an embedding or a feature rescale here.
+    scoring; pass an embedding or a feature rescale here. The frn head
+    reconstructs on the side the shapes pick (``head.choose_formulation``)
+    and dsn projects with the default ``ProjectionConfig``.
     """
     params = params or HeadParams()
-    cfg = proj_cfg or baselines.ProjectionConfig()
     cparams = ctx_params or baselines.CtxParams.identity()
     # scorers are looked up at call time, so a function swapped into
     # its module after this returns is the one that runs
     scorers = {
-        "frn": lambda q, pools: episode_logits(q, pools, params, formulation),
+        "frn": lambda q, pools: episode_logits(q, pools, params),
         "proto": lambda q, pools: baselines.proto_scores(q, pools, params.gamma),
-        "dsn": lambda q, pools: baselines.dsn_scores(q, pools, cfg, params.gamma),
+        "dsn": lambda q, pools: baselines.dsn_scores(q, pools, params.gamma),
         "ctx": lambda q, pools: baselines.ctx_scores(q, pools, cparams, params.gamma),
     }
     if kind not in scorers:

@@ -15,8 +15,11 @@ Two algebraically equivalent evaluations are provided:
 * direct:   Q_bar = rho * Q S^T (S S^T + lam I)^-1 S      (kr x kr solve)
 * woodbury: Q_bar = rho * Q (S^T S + lam I)^-1 S^T S      (d x d solve)
 
-The direct form is cheaper when d > kr, the woodbury form otherwise;
-``choose_formulation`` picks automatically (ties go to woodbury).
+The direct form is cheaper when d > kr, the woodbury form otherwise.
+The shapes alone decide: ``reconstruct``, and every scoring function
+above it, takes the side ``choose_formulation`` picks (ties go to
+woodbury). ``reconstruct_direct`` and ``reconstruct_woodbury`` each run
+one side, for callers that compare or time the two.
 
 Batching: every head, this one and those in ``baselines``, scores a whole
 episode per call: its b queries come stacked into one (b*r x d) matrix
@@ -412,24 +415,13 @@ def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reco
     return Reconstructions(_sq_rows(resid) / pool.r, pool.class_id, q, hat, rho)
 
 
-def reconstruct(
-    q_batch, pool: SupportPool, params: HeadParams, formulation: str = "auto"
-) -> Reconstructions:
-    """Reconstruct queries from a pool, picking the formulation if 'auto'."""
-    if formulation == "auto":
-        formulation = choose_formulation(pool.k, pool.r, pool.d)
-    if formulation == "direct":
+def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
+    """Reconstruct queries from a pool on the side ``choose_formulation`` picks."""
+    # the kernels are looked up at call time, so a function swapped into
+    # this module is the one that runs
+    if choose_formulation(pool.k, pool.r, pool.d) == "direct":
         return reconstruct_direct(q_batch, pool, params)
-    if formulation == "woodbury":
-        return reconstruct_woodbury(q_batch, pool, params)
-    raise ValueError(f"unknown formulation {formulation!r}")
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax (max-subtracted)."""
-    e = np.array(logits, dtype=np.float64)
-    e /= _shifted_exp(e)
-    return e
+    return reconstruct_woodbury(q_batch, pool, params)
 
 
 def _shifted_exp(e: np.ndarray) -> np.ndarray:
@@ -460,21 +452,17 @@ def _check_pools(pools: Sequence[SupportPool]) -> tuple[int, int]:
     return r, d
 
 
-def frn_distances(
-    q_batch, pools: Sequence[SupportPool], params: HeadParams, formulation: str = "auto"
-) -> np.ndarray:
+def frn_distances(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:
     """(b, n) matrix of per-query, per-class reconstruction errors."""
     queries = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
     return np.column_stack(
-        [reconstruct(queries, pool, params, formulation).sq_errors for pool in pools]
+        [reconstruct(queries, pool, params).sq_errors for pool in pools]
     )
 
 
-def episode_logits(
-    q_batch, pools: Sequence[SupportPool], params: HeadParams, formulation: str = "auto"
-) -> np.ndarray:
+def episode_logits(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:
     """(b, n) logits of a (b*r, d) query stack (or one FeatureMap) against all pools."""
-    return -params.gamma * frn_distances(q_batch, pools, params, formulation)
+    return -params.gamma * frn_distances(q_batch, pools, params)
 
 
 def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> list[np.ndarray]:

@@ -5,11 +5,17 @@ from raw (r, d_in) inputs to (r, d) feature maps. Training differentiates
 the full episode loss (cross-entropy plus optional orthogonality term)
 through the closed-form reconstruction using the reverse-mode engine in
 ``autodiff``; no iterative inner solver is involved. Every head's graph
-has one node per loss term, which scores every query against every class
-pool: ``autodiff.ridge_recon_errors`` for frn (also against the dummy
-maps in pretraining) and for dsn (pooled maps, r = 1, rho = 1),
-``autodiff.proto_distances`` for proto and ``autodiff.ctx_errors`` for
-ctx, whose forwards are the eval heads' own; and
+has one node per loss term. The ones that score every query against every
+class pool are:
+
+* frn: ``autodiff.ridge_recon_errors``, on the side
+  ``head.choose_formulation`` picks from the episode's shapes, as eval
+  does. Pretraining runs it against the dummy maps on the woodbury side,
+  where lambda is a constant.
+* dsn: the same node on pooled maps (r = 1, rho = 1), on the direct side.
+* proto and ctx: ``autodiff.proto_distances`` and ``autodiff.ctx_errors``,
+  whose forwards are the eval heads' own.
+
 ``autodiff.cross_class_orthogonality`` is the orthogonality term of all
 class pairs.
 
@@ -50,7 +56,6 @@ from .linalg import NumericalError
 
 GAMMA_FLOOR = 1e-6
 MOMENTUM = 0.9
-NESTEROV = True
 WEIGHT_DECAY = 5e-4
 META_LR_DECAY_AT = (0.5, 0.75)
 PRETRAIN_LR_DECAY_AT = (0.6, 0.85)
@@ -159,9 +164,6 @@ class TrainConfig:
     learn_alpha: bool = True
     learn_beta: bool = True
     learn_gamma: bool = True
-    # "woodbury" forced at kr < d with a learned alpha gives dlam good to only
-    # about 1e-4 relative at alpha = -10; "auto" (choose_formulation) never does that
-    formulation: str = "auto"
     use_aux: bool = True
     seed: int = 0
 
@@ -214,10 +216,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
         beta = _scalar(variables, "beta", 0.0)
         lam = ad.mul(ad.exp(alpha), k * r / d)
         rho = ad.exp(beta)
-        formulation = cfg.formulation
-        if formulation == "auto":
-            formulation = choose_formulation(k, r, d)
-        dists = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, formulation)
+        dists = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, choose_formulation(k, r, d))
     elif cfg.head == "proto":
         dists = ad.proto_distances(q_emb, s_stack, r, k)
     elif cfg.head == "dsn":
@@ -253,19 +252,19 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     velocity: dict[str, np.ndarray],
     lr: float,
-    momentum: float = MOMENTUM,
-    nesterov: bool = NESTEROV,
-    weight_decay: float = WEIGHT_DECAY,
 ):
-    """One in-place SGD update. Weight decay touches ``embed_weight`` only."""
+    """One in-place Nesterov SGD update with momentum ``MOMENTUM``.
+
+    Weight decay ``WEIGHT_DECAY`` touches ``embed_weight`` only.
+    """
     for name, p in params.items():
         g = grads[name].astype(p.dtype, copy=True)
-        if weight_decay and name == "embed_weight":
-            g += weight_decay * p
+        if name == "embed_weight":
+            g += WEIGHT_DECAY * p
         v = velocity.setdefault(name, np.zeros_like(p))
-        v *= momentum
+        v *= MOMENTUM
         v += g
-        step = g + momentum * v if nesterov else v
+        step = g + MOMENTUM * v
         params[name] = p - lr * step
 
 
@@ -363,8 +362,6 @@ def make_eval_head_fn(params: dict[str, np.ndarray], cfg: TrainConfig):
     return make_head_fn(
         cfg.head,
         head_params_from(params),
-        formulation=cfg.formulation,
-        proj_cfg=ProjectionConfig(),
         ctx_params=ctx,
         transform=feature_transform(emb, resolve_downscale(cfg.downscale_features, emb.d)),
     )
@@ -554,7 +551,9 @@ def pretrain_accuracy(result: PretrainResult, ds: Dataset, downscale: bool = Fal
     """Top-1 accuracy of the dummy-map classifier over a dataset.
 
     Each dummy map is a one-shot support pool scored with the pretraining
-    head: alpha = beta = 0 and the woodbury formulation.
+    head's alpha = beta = 0, on the side ``frn_distances`` picks from the
+    shapes. Pretraining itself runs the woodbury node; the two sides differ
+    only by rounding.
     """
     transform = feature_transform(result.embedding, downscale)
     idx_of = {cid: i for i, cid in enumerate(result.class_ids)}
@@ -563,7 +562,7 @@ def pretrain_accuracy(result: PretrainResult, ds: Dataset, downscale: bool = Fal
         queries.extend(transform(m.values) for m in maps)
         labels.extend([idx_of[cid]] * len(maps))
     pools = [SupportPool(class_id=i, k=1, values=mc) for i, mc in enumerate(result.dummy_maps)]
-    dists = frn_distances(np.vstack(queries), pools, HeadParams(), "woodbury")
+    dists = frn_distances(np.vstack(queries), pools, HeadParams())
     return float(np.mean(np.argmin(dists, axis=1) == np.array(labels)))
 
 

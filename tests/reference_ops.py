@@ -1,19 +1,24 @@
-"""Small autodiff ops that only tests build graphs from.
+"""Small ops that only tests use.
 
-Training scores every class in one fused node; these ops spell the same
-losses out step by step, as the per-class and per-pool references that the
-fused nodes are compared against, and as the scalar reductions that turn a
-node's output into a loss for gradient checks.
+Training scores every class in one fused node; the autodiff ops here
+spell the same losses out step by step, as the per-class and per-pool
+references that the fused nodes are compared against, and as the scalar
+reductions that turn a node's output into a loss for gradient checks.
 
 The solve node uses the closed-form sensitivity of X = A^-1 B:
 grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
 d(A^-1) = -A^-1 dA A^-1.
+
+The numpy helpers at the end score one pool or one query at a time, as
+the references that the batched heads are compared against.
 """
 
 import numpy as np
 
 from frn import linalg
 from frn.autodiff import Var, _accumulate, _binary, value_of
+from frn.baselines import _ctx_exp, _ctx_project, proto_prototypes
+from frn.head import _shifted_exp
 
 
 def sub(a, b):
@@ -101,3 +106,39 @@ def block_sqnorm(x, rows_per_block: int):
 
     out._vjp = vjp
     return out
+
+
+def proto_prototype(pool):
+    """Class prototype of one pool (see ``baselines.proto_prototypes``)."""
+    return proto_prototypes([pool.values], pool.r)[0]
+
+
+def ctx_attention(q1, s1):
+    """Row-wise softmax attention weights softmax(Q1 S1^T / sqrt(d_k)), in float64.
+
+    The ``_ctx_exp`` pass the errors take, divided here by its row sums.
+    """
+    e, sums = _ctx_exp(q1, s1)
+    e /= sums
+    return e
+
+
+def ctx_reconstruct(q_vals, pool_vals, params):
+    """Attention reconstruction; returns (projected query, reconstruction).
+
+    ``q_vals`` is one (r, d) map or a (b, r, d) stack; each map attends
+    over the pool on its own.
+    """
+    q1, q2 = _ctx_project(q_vals, params)
+    s1, s2 = _ctx_project(pool_vals, params)
+    e, sums = _ctx_exp(q1, s1)
+    recon = e @ s2
+    recon /= sums
+    return q2, recon
+
+
+def softmax(logits):
+    """Numerically stable softmax (max-subtracted)."""
+    e = np.array(logits, dtype=np.float64)
+    e /= _shifted_exp(e)
+    return e

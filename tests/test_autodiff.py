@@ -2,6 +2,7 @@
 ``reference_ops``, against central finite differences."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -375,22 +376,63 @@ class TestGraph:
         np.testing.assert_allclose(v.grad, fd, rtol=1e-6, atol=1e-9)
 
 
+def _callers(tree, module: str | None, modules: set) -> set:
+    """(module, name) pairs that the code of ``tree`` loads by name or as a
+    module attribute. ``module`` is the tree's own module, or None.
+
+    A load of a name that an enclosing function binds (an argument or an
+    assignment) is a local variable, not a caller.
+    """
+    refs = {}  # local name -> the (module, name) it stands for, or the module
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and module:
+            refs[node.name] = (module, node.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "frn") and node.level <= 1:
+            for a in node.names:  # from . import head / from frn import autodiff as ad
+                refs[a.asname or a.name] = a.name
+        elif isinstance(node, ast.ImportFrom):
+            owner = node.module.removeprefix("frn.") if node.level == 0 else node.module
+            for a in node.names:  # from .head import reconstruct / from frn.head import ...
+                refs[a.asname or a.name] = (owner, a.name)
+    used = set()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            bound = bound | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            bound |= {a.arg for a in (args.vararg, args.kwarg) if a}
+            bound |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            if isinstance(refs.get(node.id), tuple):
+                used.add(refs[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and refs.get(node.value.id) in modules and node.value.id not in bound):
+            used.add((refs[node.value.id], node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return used
+
+
 def test_every_public_function_has_a_caller_in_src():
-    # ops that only tests build graphs from belong in reference_ops
+    # helpers that only tests call belong in reference_ops. Callers are the
+    # package's own code, the acceptance suite and the console script.
     package = Path(ad.__file__).parent
-    tree = ast.parse(Path(ad.__file__).read_text())
-    public = {node.name for node in tree.body
+    root = package.parent.parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    public = {(module, node.name) for module, tree in trees.items() for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     used = set()
-    for path in package.glob("*.py"):
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        if path.name == "autodiff.py":  # calls only: a local variable may share an op's name
-            used |= {n.func.id for n in nodes if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-            continue
-        aliases = {a.asname or a.name for n in nodes if isinstance(n, ast.ImportFrom)
-                   and n.level == 1 and not n.module for a in n.names if a.name == "autodiff"}
-        used |= {a.name for n in nodes if isinstance(n, ast.ImportFrom)
-                 and n.level == 1 and n.module == "autodiff" for a in n.names}
-        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)
-                 and isinstance(n.value, ast.Name) and n.value.id in aliases}
-    assert not public - used, sorted(public - used)
+    for module, tree in trees.items():
+        used |= _callers(tree, module, set(trees))
+    acceptance = ast.parse((root / "tests" / "test_acceptance.py").read_text())
+    used |= _callers(acceptance, None, set(trees))
+    used |= {(node.module.removeprefix("frn."), a.name) for node in ast.walk(acceptance)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("frn.")
+             for a in node.names}
+    scripts = re.findall(r'^\w+\s*=\s*"frn\.(\w+):(\w+)"', (root / "pyproject.toml").read_text(), re.M)
+    used |= set(scripts)
+    assert scripts and not public - used, sorted(public - used)

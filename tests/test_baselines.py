@@ -11,20 +11,26 @@ from frn import baselines, training
 from frn.baselines import (
     CtxParams,
     ProjectionConfig,
-    ctx_attention,
     ctx_distances,
     ctx_scores,
     dsn_distances,
     dsn_residual,
     dsn_scores,
     proto_distances,
-    proto_prototype,
     proto_scores,
 )
-from frn.head import FeatureMap, HeadParams, SupportPool, frn_distances, softmax
+from frn.head import (
+    FeatureMap,
+    HeadParams,
+    SupportPool,
+    frn_distances,
+    reconstruct_direct,
+    reconstruct_woodbury,
+)
 from frn.linalg import add_ridge, gram, spd_solve
 
 import reference_ops as refops
+from reference_ops import ctx_attention, proto_prototype, softmax
 
 
 # Per-query loops: the reference the batched heads are checked against.
@@ -60,7 +66,7 @@ def per_query_ctx(maps, pools, params, gamma):
     for q in maps:
         dists = []
         for pool in pools:
-            q2, q2_bar = baselines.ctx_reconstruct(q, pool.values, params)
+            q2, q2_bar = refops.ctx_reconstruct(q, pool.values, params)
             diff = (q2 - q2_bar).astype(np.float64)
             dists.append(float(np.sum(diff * diff) / q.shape[0]))
         rows.append(-gamma * np.array(dists) / pools[0].d)
@@ -111,10 +117,16 @@ class TestBatchedAgainstPerQuery:
         cfg = ProjectionConfig()
         for _ in range(40):
             maps, pools = random_episode(rng, np.float64)
-            got = dsn_scores(maps.reshape(-1, maps.shape[2]), pools, cfg, gamma=0.7)
+            got = dsn_scores(maps.reshape(-1, maps.shape[2]), pools, gamma=0.7)
             ref = per_query_dsn(maps, pools, cfg.lambda_fixed, 0.7)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def kernel_distances(kernel):
+    """(b, n) errors of one frn kernel, whichever side the shapes pick."""
+    return lambda q, pools: np.column_stack(
+        [kernel(q, pool, HeadParams(0.3, 0.2)).sq_errors for pool in pools])
 
 
 class TestReadOnlyInputs:
@@ -127,9 +139,11 @@ class TestReadOnlyInputs:
             maps, pools = random_episode(rng, dtype)
             d = maps.shape[2]
             random_proj = CtxParams.random(d, rng=rng)
+            # frn on the side the shapes pick, and each kernel called directly
             heads = {
-                "frn direct": lambda q, p: frn_distances(q, p, HeadParams(0.3, 0.2), "direct"),
-                "frn woodbury": lambda q, p: frn_distances(q, p, HeadParams(0.3, 0.2), "woodbury"),
+                "frn": lambda q, p: frn_distances(q, p, HeadParams(0.3, 0.2)),
+                "frn direct": kernel_distances(reconstruct_direct),
+                "frn woodbury": kernel_distances(reconstruct_woodbury),
                 "proto": lambda q, p: proto_scores(q, p, 0.7),
                 "dsn": lambda q, p: dsn_scores(q, p, gamma=0.7),
                 # with identity projections the head's q2 is the caller's stack itself
@@ -268,7 +282,7 @@ class TestCtx:
         s = rng.standard_normal((1, 4))
         pool = SupportPool(class_id=0, k=1, values=s)
         q = FeatureMap(values=rng.standard_normal((3, 4)))
-        q2, q2_bar = baselines.ctx_reconstruct(q.values, pool.values, CtxParams.identity())
+        q2, q2_bar = refops.ctx_reconstruct(q.values, pool.values, CtxParams.identity())
         np.testing.assert_allclose(q2_bar, np.tile(s, (3, 1)), atol=1e-12)
 
     def test_attention_concentrates_on_matching_row(self):

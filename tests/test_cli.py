@@ -179,17 +179,19 @@ class TestToF32:
 
         from frn.cli import _to_f32
         from frn.episodes import evaluate, make_head_fn
-        from frn.head import HeadParams
+        from frn.head import HeadParams, choose_formulation
 
         ds = self._dataset(np.float32)
         maps = [m for cid in sorted(ds.classes) for m in ds.classes[cid]]
         before = [m.values.copy() for m in maps]
         for m in maps:
             m.values.flags.writeable = False  # a head writing into them raises
-        heads = [make_head_fn(kind, HeadParams()) for kind in ("frn", "proto", "dsn", "ctx")]
-        heads += [make_head_fn("frn", HeadParams(), formulation=f) for f in ("direct", "woodbury")]
-        for inner in heads:
-            evaluate(ds, lambda ep, _inner=inner: _inner(_to_f32(ep)), n=3, k=2, q=2,
+        heads = [(make_head_fn(kind, HeadParams()), 2) for kind in ("frn", "proto", "dsn", "ctx")]
+        # r = 2, d = 6: frn scores 2-shot pools on the direct side, 3-shot ones on woodbury
+        assert choose_formulation(2, 2, 6) == "direct" and choose_formulation(3, 2, 6) == "woodbury"
+        heads.append((make_head_fn("frn", HeadParams()), 3))
+        for inner, shot in heads:
+            evaluate(ds, lambda ep, _inner=inner: _inner(_to_f32(ep)), n=3, k=shot, q=2,
                      trials=3, seed=0)
         for m, old in zip(maps, before):
             np.testing.assert_array_equal(m.values, old)
@@ -389,6 +391,55 @@ class TestTrainAndCheckpoints:
         assert code == EXIT_OK
         params, _ = load_checkpoint(out / "checkpoint.bin")
         assert params["ctx_key"].shape == params["ctx_value"].shape == (4, 4)
+
+    def test_a_checkpoint_naming_a_formulation_scores_as_one_without(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # checkpoints written while training took a formulation setting keep
+        # it in their train_config; eval takes the side from the shapes anyway
+        import dataclasses
+
+        import frn.head
+        from frn.training import TrainConfig
+
+        rng = np.random.default_rng(1)
+        tensors = {
+            "embed_weight": rng.standard_normal((6, 4)), "embed_bias": np.zeros(4),
+            "alpha": np.float64(-0.5), "beta": np.float64(0.1), "gamma": np.float64(0.5),
+        }
+        train_config = dataclasses.asdict(TrainConfig(embed_dim=4))
+        sides = []
+
+        def counted(side):
+            kernel = getattr(frn.head, f"reconstruct_{side}")
+
+            def run_kernel(*args):
+                sides.append(side)
+                return kernel(*args)
+
+            return run_kernel
+
+        for side in ("direct", "woodbury"):
+            monkeypatch.setattr(frn.head, f"reconstruct_{side}", counted(side))
+        reports = []
+        for tag, extra in (("old", {"formulation": "woodbury"}), ("new", {})):
+            ckpt = tmp_path / f"{tag}.bin"
+            save_checkpoint(ckpt, tensors, {"train_config": {**train_config, **extra}})
+            sides.clear()
+            assert run(["eval", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
+                        "--shot", "1", "--query", "2", "--trials", "6", "--seed", "0",
+                        "--out", str(tmp_path / tag)]) == EXIT_OK
+            # 1-shot pools of r = 2 rows in d = 4 channels: kr < d, the direct side
+            assert sides and set(sides) == {"direct"}, tag
+            reports.append(json.loads((tmp_path / tag / "eval.json").read_text())["report"])
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_the_formulation_flag_is_gone(self, dataset, tmp_path, command):
+        with pytest.raises(SystemExit) as info:
+            run([command, "--data", str(dataset), "--formulation", "direct",
+                 "--out", str(tmp_path / command)])
+        assert info.value.code == EXIT_CONFIG
 
     def test_ctx_training_runs(self, dataset, tmp_path):
         out = tmp_path / "ctx"

@@ -27,6 +27,8 @@ from frn.head import (
 )
 from frn.linalg import NumericalError, ShapeError, add_ridge, gram, spd_inverse, spd_solve
 
+from reference_ops import softmax
+
 
 def random_pool(rng, k, r, d, class_id=0, scale=None):
     scale = scale if scale is not None else 1.0 / math.sqrt(d)
@@ -136,6 +138,32 @@ class TestChooseFormulation:
 
     def test_tie_goes_to_woodbury(self):
         assert choose_formulation(k=1, r=25, d=25) == "woodbury"
+
+
+class TestScoringTakesTheChosenSide:
+    # (k, r, d, side): d > kr, kr > d, and the tie kr = d
+    @pytest.mark.parametrize("k,r,d,side", [
+        (2, 3, 9, "direct"), (3, 3, 5, "woodbury"), (2, 3, 6, "woodbury"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_errors_are_the_kernels_bit_for_bit(self, k, r, d, side, dtype):
+        assert choose_formulation(k, r, d) == side
+        chosen, other = reconstruct_direct, reconstruct_woodbury
+        if side == "woodbury":
+            chosen, other = other, chosen
+        rng = np.random.default_rng(k * 100 + d)
+        pools = [SupportPool(c, k, rng.standard_normal((k * r, d)).astype(dtype)) for c in range(3)]
+        q = rng.standard_normal((4 * r, d)).astype(dtype)
+        params = HeadParams(alpha=0.4, beta=-0.3)
+        want = np.column_stack([chosen(q, pool, params).sq_errors for pool in pools])
+        # the two sides round differently, so bit equality tells them apart
+        assert not np.array_equal(
+            want, np.column_stack([other(q, pool, params).sq_errors for pool in pools]))
+        assert np.array_equal(head.frn_distances(q, pools, params), want)
+        for c, pool in enumerate(pools):
+            recs, ref = reconstruct(q, pool, params), chosen(q, pool, params)
+            assert np.array_equal(recs.sq_errors, want[:, c])
+            assert all(np.array_equal(a.q_bar, b.q_bar) for a, b in zip(recs, ref, strict=True))
 
 
 class TestFormulationEquivalence:
@@ -261,8 +289,9 @@ class TestAgainstPerBlockLoops:
 
     def test_result_is_a_sequence_of_reconstructions(self):
         rng = np.random.default_rng(18)
+        assert choose_formulation(2, 3, 9) == "direct"  # the side whose Q_bar is formed on indexing
         pool = random_pool(rng, 2, 3, 9, class_id=4)
-        recs = reconstruct(rng.standard_normal((12, 9)), pool, HeadParams(), "direct")
+        recs = reconstruct(rng.standard_normal((12, 9)), pool, HeadParams())
         assert recs.sq_errors.shape == (4,) and recs.sq_errors.dtype == np.float64
         assert [rec.class_id for rec in recs] == [4] * 4
         assert np.array_equal(recs[-1].q_bar, recs[3].q_bar)
@@ -274,11 +303,14 @@ class TestAgainstPerBlockLoops:
 class TestQueryStackOncePerEpisode:
     @pytest.mark.parametrize("formulation", ["direct", "woodbury"])
     def test_validated_and_squared_once_for_all_pools(self, formulation, monkeypatch):
+        # kr = 6 < d = 8 scores on the direct side, kr = 6 > d = 5 on woodbury
+        d = {"direct": 8, "woodbury": 5}[formulation]
+        assert choose_formulation(2, 3, d) == formulation
         rng = np.random.default_rng(19)
-        pools = [random_pool(rng, 2, 3, 8, class_id=c) for c in range(4)]
-        q = rng.standard_normal((5 * 3, 8))
+        pools = [random_pool(rng, 2, 3, d, class_id=c) for c in range(4)]
+        q = rng.standard_normal((5 * 3, d))
         params = HeadParams(alpha=0.3, beta=0.2)
-        expected = head.frn_distances(q, pools, params, formulation)
+        expected = head.frn_distances(q, pools, params)
         calls = {"validate": 0, "square": 0}
         as_matrix, row_dots = head.as_matrix, head._row_dots
 
@@ -292,7 +324,7 @@ class TestQueryStackOncePerEpisode:
 
         monkeypatch.setattr(head, "as_matrix", counted_as_matrix)
         monkeypatch.setattr(head, "_row_dots", counted_row_dots)
-        assert np.array_equal(head.frn_distances(q, pools, params, formulation), expected)
+        assert np.array_equal(head.frn_distances(q, pools, params), expected)
         # woodbury reduces each pool's residual and never needs ||Q||^2
         assert calls == {"validate": 1, "square": 1 if formulation == "direct" else 0}
 
@@ -310,6 +342,7 @@ class TestThreadedDirectKernel:
         for b in range(1, 8):  # 2 and 3 workers get uneven and empty chunks
             k, r = int(rng.integers(1, 4)), int(rng.integers(1, 6))
             d = k * r + int(rng.integers(1, 30))
+            assert choose_formulation(k, r, d) == "direct"  # frn_distances runs the threaded kernel
             pools = [
                 SupportPool(c, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
                 for c in range(3)
@@ -323,7 +356,7 @@ class TestThreadedDirectKernel:
     def test_bit_identical_for_any_worker_count(self, workers, dtype, monkeypatch):
         monkeypatch.setattr(head, "_WORKERS", 1)
         serial = [
-            (head.frn_distances(q, pools, p, "direct"), episode_logits(q, pools, p, "direct"))
+            (head.frn_distances(q, pools, p), episode_logits(q, pools, p))
             for q, pools, p in self._cases(dtype)
         ]
         threads = set()
@@ -336,8 +369,8 @@ class TestThreadedDirectKernel:
         monkeypatch.setattr(head, "_WORKERS", workers)
         monkeypatch.setattr(head, "_row_dots", spy)
         for (q, pools, p), (dist, logits) in zip(self._cases(dtype), serial):
-            assert np.array_equal(head.frn_distances(q, pools, p, "direct"), dist)
-            assert np.array_equal(episode_logits(q, pools, p, "direct"), logits)
+            assert np.array_equal(head.frn_distances(q, pools, p), dist)
+            assert np.array_equal(episode_logits(q, pools, p), logits)
             for pool in pools:
                 recs = reconstruct_direct(q, pool, p)
                 assert recs[0].q_bar.dtype == dtype
@@ -351,11 +384,11 @@ class TestThreadedDirectKernel:
     def test_any_block_size_gives_the_serial_bits(self, block, workers, monkeypatch):
         cases = list(self._cases(np.float32))
         monkeypatch.setattr(head, "_WORKERS", 1)
-        serial = [head.frn_distances(q, pools, p, "direct") for q, pools, p in cases]
+        serial = [head.frn_distances(q, pools, p) for q, pools, p in cases]
         monkeypatch.setattr(head, "_WORKERS", workers)
         monkeypatch.setattr(head, "_BLOCK", block)
         for (q, pools, p), dist in zip(cases, serial):
-            assert np.array_equal(head.frn_distances(q, pools, p, "direct"), dist)
+            assert np.array_equal(head.frn_distances(q, pools, p), dist)
             for pool in pools:
                 recs = reconstruct_direct(q, pool, p)
                 for rec, (q_bar, _) in zip(recs, per_block_direct(q, pool, p), strict=True):
@@ -366,7 +399,7 @@ class TestThreadedDirectKernel:
         # interval: a block taken twice or skipped breaks the count or the bits
         cases = list(self._cases(np.float64))
         monkeypatch.setattr(head, "_WORKERS", 1)
-        serial = [head.frn_distances(q, pools, p, "direct") for q, pools, p in cases]
+        serial = [head.frn_distances(q, pools, p) for q, pools, p in cases]
         monkeypatch.setattr(head, "_WORKERS", 3)
         monkeypatch.setattr(head, "_BLOCK", 1)
         taken, lock = [], threading.Lock()
@@ -384,7 +417,7 @@ class TestThreadedDirectKernel:
             for (q, pools, p), want in zip(cases, serial):
                 for _ in range(5):
                     taken.clear()
-                    assert np.array_equal(head.frn_distances(q, pools, p, "direct"), want)
+                    assert np.array_equal(head.frn_distances(q, pools, p), want)
                     assert taken == [1] * (len(q) // pools[0].r * len(pools))
         finally:
             sys.setswitchinterval(interval)
@@ -446,7 +479,7 @@ class TestThreadedDirectKernel:
         # build: every caller still gets the serial bits for its own queries
         cases = list(self._cases(np.float64))
         monkeypatch.setattr(head, "_WORKERS", 1)
-        serial = [head.frn_distances(q, pools, p, "direct") for q, pools, p in cases]
+        serial = [head.frn_distances(q, pools, p) for q, pools, p in cases]
         monkeypatch.setattr(head, "_WORKERS", 3)
         monkeypatch.setattr(head, "_executor", None)
         results = [[] for _ in cases]
@@ -454,7 +487,7 @@ class TestThreadedDirectKernel:
         def caller(i):
             q, pools, p = cases[i]
             for _ in range(5):
-                results[i].append(head.frn_distances(q, pools, p, "direct"))
+                results[i].append(head.frn_distances(q, pools, p))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -599,7 +632,7 @@ class TestNormDamping:
 class TestClassScores:
     def test_two_class_softmax_arithmetic(self):
         # softmax(-0.1, -0.3) = (0.549834..., 0.450166...)
-        probs = head.softmax(np.array([-0.1, -0.3]))
+        probs = softmax(np.array([-0.1, -0.3]))
         np.testing.assert_allclose(probs, [0.5498339973124778, 0.4501660026875221], atol=1e-12)
 
     def test_softmax_leaves_its_argument_unchanged(self):
@@ -607,7 +640,7 @@ class TestClassScores:
         for dtype in (np.float64, np.float32):
             logits = rng.standard_normal((3, 4, 5)).astype(dtype)
             before = logits.copy()
-            probs = head.softmax(logits)
+            probs = softmax(logits)
             np.testing.assert_array_equal(logits, before)
             assert probs.dtype == np.float64 and not np.shares_memory(probs, logits)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)

@@ -64,20 +64,25 @@ def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
     assert not np.array_equal(heads["frn"](episode), before)
 
 
-@pytest.mark.parametrize("formulation, solve", [("direct", "linalg.spd_inverse"),
-                                                 ("woodbury", "linalg.spd_solve")])
-def test_frn_scores_through_the_wrapped_linalg_names(spans, formulation, solve):
+# r = 2, d = 4: 1-shot pools (kr = 2 < d) score on the direct side, and
+# 2-shot pools (kr = d = 4, a tie) on woodbury
+@pytest.mark.parametrize("shot, formulation, solve", [
+    pytest.param(1, "direct", "linalg.spd_inverse", id="direct-linalg.spd_inverse"),
+    pytest.param(2, "woodbury", "linalg.spd_solve", id="woodbury-linalg.spd_solve"),
+])
+def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, solve):
     # the benchmark's layer table reads these spans; scoring that goes
     # around the wrapped names would leave its head and linalg rows empty
     import frn.episodes
     from frn.data import GenSpec, generate
-    from frn.head import HeadParams
+    from frn.head import HeadParams, choose_formulation
 
+    assert choose_formulation(shot, 2, 4) == formulation
     ds = generate(GenSpec(6, 6, 2, 4, 0.05, "gaussian-prototype", 0))
-    head_fn = frn.episodes.make_head_fn("frn", HeadParams(), formulation=formulation)
+    head_fn = frn.episodes.make_head_fn("frn", HeadParams())
     recorder = spans.Recorder()
     with recorder.instrument(True):
-        frn.episodes.evaluate(ds, head_fn, n=3, k=1, q=2, trials=2, seed=0)
+        frn.episodes.evaluate(ds, head_fn, n=3, k=shot, q=2, trials=2, seed=0)
     names = {s[0] for s in recorder.spans}
     for name in ("head.reconstruct", f"head.{formulation}", "linalg.gram", solve):
         assert name in names, name
@@ -137,11 +142,12 @@ def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch)
     import frn.episodes
     import frn.head
     from frn.data import GenSpec, generate
-    from frn.head import HeadParams
+    from frn.head import HeadParams, choose_formulation
 
     monkeypatch.setattr(frn.head, "_WORKERS", 2)  # dispatch even on a one-CPU box
     ds = generate(GenSpec(6, 8, 3, 24, 0.05, "gaussian-prototype", 0))
-    head_fn = frn.episodes.make_head_fn("frn", HeadParams(), formulation="direct")
+    assert choose_formulation(2, 3, 24) == "direct"  # 2-shot pools, kr = 6 < d = 24
+    head_fn = frn.episodes.make_head_fn("frn", HeadParams())
     recorder = spans.Recorder()
     with recorder.instrument(True):
         frn.episodes.evaluate(ds, head_fn, n=3, k=2, q=4, trials=3, seed=0)

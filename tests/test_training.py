@@ -154,7 +154,7 @@ class TestEpisodeGradients:
         episode_fd_check("frn", ["alpha", "beta", "gamma", "embed_weight", "embed_bias"], seed=1)
 
     def test_frn_direct_formulation(self):
-        # kr = 1 * 2 < d = 6: 'auto' takes the kr x kr side, which the case
+        # kr = 1 * 2 < d = 6: training takes the kr x kr side, which the case
         # above (kr = d = 4, a tie that goes to woodbury) never reaches
         assert choose_formulation(1, 2, 6) == "direct"
         episode_fd_check(
@@ -238,7 +238,7 @@ def per_class_episode_loss(variables, episode, cfg, d):
     s_embs = [training._embed(s, variables, 1.0) for s in support]
     lam = ad.mul(ad.exp(variables["alpha"]), k * r / d)
     rho = ad.exp(variables["beta"])
-    errs = [per_class_error(q_emb, s, lam, rho, r, cfg.formulation) for s in s_embs]
+    errs = [per_class_error(q_emb, s, lam, rho, r, choose_formulation(k, r, d)) for s in s_embs]
     logits = ad.mul(ad.mul(refops.column_stack(errs), variables["gamma"]), -1.0)
     loss = ad.cross_entropy_logits(logits, labels)
     return ad.add(loss, pairwise_aux_term(s_embs, training.AUX_SCALE))
@@ -276,7 +276,7 @@ class TestFusedNodesMatchPerClassGraph:
     and gradients of the per-class graph to 1e-12 relative."""
 
     # (formulation, way, shot, embed_dim): each formulation on the side of
-    # the kr vs d divide that 'auto' picks it for, with n*kr <= d and > d
+    # the kr vs d divide that choose_formulation picks it for, with n*kr <= d and > d
     @pytest.mark.parametrize("formulation,way,shot,embed_dim", [
         ("direct", 3, 1, 6), ("direct", 4, 2, 6), ("woodbury", 3, 2, 4), ("woodbury", 3, 3, 5),
     ])
@@ -286,7 +286,7 @@ class TestFusedNodesMatchPerClassGraph:
         assert choose_formulation(shot, r, embed_dim) == formulation
         ds = gaussian_dataset(n_classes=5, items=8, r=r, d_in=5, sigma=0.4, seed=30 + seed)
         cfg = TrainConfig(head="frn", way=way, shot=shot, query=3, embed_dim=embed_dim,
-                          formulation=formulation, use_aux=True, seed=seed)
+                          use_aux=True, seed=seed)
         rng = np.random.default_rng(seed)
         params = init_params(cfg, ds.d, rng)
         params["alpha"] = np.array(rng.uniform(-0.5, 0.5))
@@ -490,7 +490,7 @@ class TestDirectNodeIsTheEvalStep:
         lam = effective_lambda(params, k, r, d)
         pools = [SupportPool(c, k, s[c]) for c in range(n)]
 
-        evaluated = head.frn_distances(q, pools, params, "direct")
+        evaluated = head.frn_distances(q, pools, params)
         trained = ad.ridge_recon_errors(q, s, lam, params.rho, r, "direct").value
         positive = evaluated > 0
         assert positive.sum() >= b * n - 1
@@ -589,7 +589,7 @@ class TestSgd:
         params = {"w": rng.standard_normal((3, 3)), "gamma": np.array(0.5)}
         before = {n: v.copy() for n, v in params.items()}
         grads = {n: rng.standard_normal(v.shape) for n, v in params.items()}
-        sgd_step(params, grads, {}, lr=0.0, weight_decay=5e-4)
+        sgd_step(params, grads, {}, lr=0.0)
         for n in params:
             assert np.array_equal(params[n], before[n])
 
@@ -602,18 +602,24 @@ class TestSgd:
             "gamma": np.array(1.0),
         }
         zero_grads = {n: np.zeros_like(v) for n, v in params.items()}
-        sgd_step(params, zero_grads, {}, lr=0.1, momentum=0.0, nesterov=False, weight_decay=0.5)
+        sgd_step(params, zero_grads, {}, lr=0.1)
+        # g = WEIGHT_DECAY * 1, and the Nesterov step is g + MOMENTUM * g
+        decayed = 1.0 - 0.1 * (1.0 + training.MOMENTUM) * training.WEIGHT_DECAY
         assert np.all(params["embed_weight"] < 1.0)
+        np.testing.assert_allclose(params["embed_weight"], decayed, rtol=1e-15)
         for name in ("embed_bias", "alpha", "beta", "gamma"):
             np.testing.assert_array_equal(params[name], np.ones_like(params[name]))
 
     def test_momentum_accumulates(self):
+        assert training.MOMENTUM == 0.9
         params = {"w": np.array(0.0)}
         velocity = {}
         for _ in range(2):
-            sgd_step(params, {"w": np.array(1.0)}, velocity, lr=1.0, momentum=0.9, nesterov=False)
-        # v1 = 1, p1 = -1; v2 = 1.9, p2 = -2.9
-        assert float(params["w"]) == pytest.approx(-2.9)
+            sgd_step(params, {"w": np.array(1.0)}, velocity, lr=1.0)
+        # Nesterov, g = 1: v1 = 1, p1 = -(1 + 0.9 v1) = -1.9;
+        # v2 = 1.9, p2 = -1.9 - (1 + 0.9 v2) = -4.61
+        assert float(velocity["w"]) == pytest.approx(1.9)
+        assert float(params["w"]) == pytest.approx(-4.61)
 
 
 class TestMetaTrain:
