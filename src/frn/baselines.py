@@ -64,39 +64,25 @@ class ProjectionConfig:
 class CtxParams:
     """Key/value projections for the attention head.
 
-    With ``identity_mode`` both projections are the identity and
-    d_k = d_v = d; otherwise ``key_proj`` (d x d_k) and ``value_proj``
-    (d x d_v) are applied row-wise.
+    ``CtxParams()``, with neither projection, is the identity: d_k = d_v = d.
+    Otherwise ``key_proj`` (d x d_k) and ``value_proj`` (d x d_v) are both
+    given and applied row-wise.
     """
 
     key_proj: np.ndarray | None = None
     value_proj: np.ndarray | None = None
-    identity_mode: bool = False
 
     def __post_init__(self):
-        if self.identity_mode:
-            if self.key_proj is not None or self.value_proj is not None:
-                raise ValueError("identity_mode takes no projection matrices")
+        if self.key_proj is None and self.value_proj is None:
             return
         if self.key_proj is None or self.value_proj is None:
-            raise ValueError("key_proj and value_proj are required unless identity_mode")
+            raise ValueError("key_proj and value_proj are given together or not at all")
         object.__setattr__(self, "key_proj", as_matrix(self.key_proj, name="key projection"))
         object.__setattr__(self, "value_proj", as_matrix(self.value_proj, name="value projection"))
 
     @classmethod
     def identity(cls) -> "CtxParams":
-        return cls(identity_mode=True)
-
-    @classmethod
-    def random(cls, d: int, d_k: int | None = None, d_v: int | None = None, rng=None) -> "CtxParams":
-        """Small random linear projections, default square (d_k = d_v = d)."""
-        rng = np.random.default_rng(rng)
-        d_k = d if d_k is None else d_k
-        d_v = d if d_v is None else d_v
-        return cls(
-            key_proj=rng.standard_normal((d, d_k)) / math.sqrt(d),
-            value_proj=rng.standard_normal((d, d_v)) / math.sqrt(d),
-        )
+        return cls()
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +175,7 @@ def _ctx_exp(q1: np.ndarray, s1: np.ndarray, out: np.ndarray | None = None):
 
 def _ctx_project(x: np.ndarray, params: CtxParams):
     """Rows of ``x`` (the last axis) as keys and values: (x W_k, x W_v)."""
-    if params.identity_mode:
+    if params.key_proj is None:  # the identity
         return x, x
     return x @ params.key_proj, x @ params.value_proj
 

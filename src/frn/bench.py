@@ -20,11 +20,10 @@ computations that disagree.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,13 +56,6 @@ class PathTiming:
     p95_ns: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "median_ns": self.median_ns,
-            "p95_ns": self.p95_ns,
-            "iterations": self.iterations,
-        }
-
 
 @dataclass(frozen=True)
 class BenchReport:
@@ -75,25 +67,7 @@ class BenchReport:
     threads: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "b": self.config.b,
-                "k": self.config.k,
-                "r": self.config.r,
-                "d": self.config.d,
-                "iterations": self.config.iterations,
-                "warmup": self.config.warmup,
-                "precision": self.config.precision,
-                "seed": self.config.seed,
-            },
-            "direct": self.direct.to_dict(),
-            "woodbury": self.woodbury.to_dict(),
-            "equivalence_max_delta": self.equivalence_max_delta,
-            "threads": dict(self.threads),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return asdict(self)
 
     def to_text(self) -> str:
         c = self.config

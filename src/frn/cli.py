@@ -5,6 +5,16 @@ Every artifact embeds the config hash and seed, and a rerun with the
 same config and seed reproduces identical metric values (latency numbers
 are the one exemption). Exit codes: 0 success, 2 config error, 3 IO
 error, 4 numerical error, 5 sampling error.
+
+Each flag of gen, bench, train and pretrain parses into the field its
+``dest`` names, and ``_config`` builds the command's config from those:
+``--classes`` sets ``GenSpec.n_classes``, ``--items`` ``items_per_class``,
+``--sigma`` ``noise_sigma``, bench's ``--shot`` and ``--iters``
+``BenchConfig.k`` and ``iterations``, and ``--fix-alpha|beta|gamma`` and
+``--no-aux`` clear ``TrainConfig.learn_*`` and ``use_aux``. Every other
+flag sets the field of its own name. ``pretrain.json``'s
+``pretrain_accuracy`` scores the base set at the feature scale
+pretraining used.
 """
 
 from __future__ import annotations
@@ -33,7 +43,6 @@ from .training import (
     meta_train,
     pretrain,
     pretrain_accuracy,
-    resolve_downscale,
     save_checkpoint,
 )
 
@@ -69,11 +78,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset container")
     gen.add_argument("--kind", choices=GEN_KINDS, default="gaussian-prototype")
-    gen.add_argument("--classes", type=int, default=8)
-    gen.add_argument("--items", type=int, default=20)
+    gen.add_argument("--classes", dest="n_classes", type=int, default=8)
+    gen.add_argument("--items", dest="items_per_class", type=int, default=20)
     gen.add_argument("--r", type=int, default=4)
     gen.add_argument("--d", type=int, default=16)
-    gen.add_argument("--sigma", type=float, default=0.05)
+    gen.add_argument("--sigma", dest="noise_sigma", type=float, default=0.05)
     gen.add_argument("--precision", choices=("f32", "f64"), default="f64")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", type=str, required=True, help="container file path")
@@ -91,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="latency benchmark of both formulations")
     bench.add_argument("--b", type=int, default=16)
-    bench.add_argument("--shot", type=int, default=1, help="k")
+    bench.add_argument("--shot", dest="k", type=int, default=1)
     bench.add_argument("--r", type=int, default=25)
     bench.add_argument("--d", type=int, default=640)
-    bench.add_argument("--iters", type=int, default=200)
+    bench.add_argument("--iters", dest="iterations", type=int, default=200)
     bench.add_argument("--warmup", type=int, default=20)
     bench.add_argument("--precision", choices=("f32", "f64"), default="f32")
     add_common(bench)
@@ -112,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lr", type=float, default=0.05)
         p.add_argument("--embed-dim", type=int, default=None)
         p.add_argument("--downscale-features", action="store_true", default=None)
-        p.add_argument("--fix-alpha", action="store_true")
-        p.add_argument("--fix-beta", action="store_true")
-        p.add_argument("--fix-gamma", action="store_true")
-        p.add_argument("--no-aux", action="store_true")
+        p.add_argument("--fix-alpha", dest="learn_alpha", action="store_false")
+        p.add_argument("--fix-beta", dest="learn_beta", action="store_false")
+        p.add_argument("--fix-gamma", dest="learn_gamma", action="store_false")
+        p.add_argument("--no-aux", dest="use_aux", action="store_false")
         p.add_argument("--val-every", type=int, default=50)
         p.add_argument("--val-trials", type=int, default=100)
         p.add_argument("--val-query", type=int, default=16)
@@ -144,16 +153,14 @@ def _load_dataset(path: str, dtype):
     return ingest(p, dtype)
 
 
+def _config(cls, args):
+    """A ``cls`` config from the parsed flags whose names are its fields."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in fields})
+
+
 def cmd_gen(args) -> int:
-    spec = GenSpec(
-        n_classes=args.classes,
-        items_per_class=args.items,
-        r=args.r,
-        d=args.d,
-        noise_sigma=args.sigma,
-        kind=args.kind,
-        seed=args.seed,
-    )
+    spec = _config(GenSpec, args)
     ds = generate(spec)
     dtype = np.float32 if args.precision == "f32" else np.float64
     save_dataset(args.out, ds, dtype=dtype)
@@ -265,16 +272,7 @@ def _to_f32(episode):
 
 
 def cmd_bench(args) -> int:
-    cfg = BenchConfig(
-        b=args.b,
-        k=args.shot,
-        r=args.r,
-        d=args.d,
-        iterations=args.iters,
-        warmup=args.warmup,
-        precision=args.precision,
-        seed=args.seed,
-    )
+    cfg = _config(BenchConfig, args)
     report = run_benchmark(cfg)
     payload = report.to_dict()
     payload["command"] = "bench"
@@ -286,27 +284,6 @@ def cmd_bench(args) -> int:
            f"config_hash       {payload['config_hash']}\n" + report.to_text() + "\n")
     print(report.to_text())
     return EXIT_OK
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        head=args.head,
-        way=args.way,
-        shot=args.shot,
-        query=args.query,
-        episodes=args.episodes,
-        lr=args.lr,
-        val_every=args.val_every,
-        val_trials=args.val_trials,
-        val_query=args.val_query,
-        embed_dim=args.embed_dim,
-        downscale_features=args.downscale_features,
-        learn_alpha=not args.fix_alpha,
-        learn_beta=not args.fix_beta,
-        learn_gamma=not args.fix_gamma,
-        use_aux=not args.no_aux,
-        seed=args.seed,
-    )
 
 
 def _write_run(out_dir: Path, command: str, cfg_dict: dict, params: dict, train_config: dict,
@@ -332,7 +309,7 @@ def _write_run(out_dir: Path, command: str, cfg_dict: dict, params: dict, train_
 def cmd_train(args) -> int:
     ds_base = _load_dataset(args.data, np.float64)
     ds_val = _load_dataset(args.val_data, np.float64) if args.val_data else ds_base
-    cfg = _train_config(args)
+    cfg = _config(TrainConfig, args)
     cfg_dict = dataclasses.asdict(cfg)
 
     init = None
@@ -351,19 +328,10 @@ def cmd_train(args) -> int:
 
 def cmd_pretrain(args) -> int:
     ds = _load_dataset(args.data, np.float64)
-    cfg = PretrainConfig(
-        steps=args.steps,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        embed_dim=args.embed_dim,
-        downscale_features=args.downscale_features,
-        seed=args.seed,
-    )
+    cfg = _config(PretrainConfig, args)
     cfg_dict = dataclasses.asdict(cfg)
     result = pretrain(ds, cfg)
-    # on the base set, with the feature scaling pretraining used
-    accuracy = pretrain_accuracy(result, ds, resolve_downscale(cfg.downscale_features,
-                                                               result.embedding.d))
+    accuracy = pretrain_accuracy(result, ds)  # on the base set
     _write_run(Path(args.out), "pretrain", cfg_dict, result.as_init(),
                {"head": "frn", "downscale_features": cfg.downscale_features},
                result, final_gamma=result.gamma, pretrain_accuracy=accuracy)

@@ -13,7 +13,6 @@ identical no matter how trials are scheduled.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,10 +64,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    @property
-    def counts(self) -> dict[int, int]:
-        return {cid: len(maps) for cid, maps in self.classes.items()}
 
     @classmethod
     def from_arrays(cls, items: np.ndarray, labels: Sequence[int]) -> "Dataset":
@@ -144,9 +139,6 @@ class EvalReport:
             "rng_seed": self.rng_seed,
             "per_trial": [float(a) for a in self.per_trial],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_text(self) -> str:
         lines = [

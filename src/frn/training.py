@@ -17,7 +17,14 @@ class pool are:
   whose forwards are the eval heads' own.
 
 ``autodiff.cross_class_orthogonality`` is the orthogonality term of all
-class pairs.
+class pairs. ctx trains its key and value projections; only an untrained
+eval head scores with ``CtxParams()``, the identity.
+
+``feature_scale`` alone decides how features are scaled, for training,
+pretraining, the heads that evaluate them and ``pretrain_accuracy``:
+by 1/sqrt(d) when ``downscale_features`` is True, or is None and
+d >= 256, else not at all. ``PretrainResult`` keeps the flag pretraining
+ran with, so ``pretrain_accuracy`` scores at the same scale.
 
 Two regimes are provided:
 
@@ -125,14 +132,19 @@ class EmbeddingModel:
 DOWNSCALE_DIM_THRESHOLD = 256
 
 
-def resolve_downscale(flag: bool | None, d: int) -> bool:
-    """Feature downscaling policy: explicit flag wins, else on iff d >= 256."""
-    return (d >= DOWNSCALE_DIM_THRESHOLD) if flag is None else bool(flag)
+def feature_scale(downscale: bool | None, d: int) -> float:
+    """The factor d-channel features are scaled by: 1/sqrt(d) when downscaled, else 1.
+
+    An explicit ``downscale`` wins; None downscales iff d >= 256.
+    """
+    if downscale is None:
+        downscale = d >= DOWNSCALE_DIM_THRESHOLD
+    return 1.0 / math.sqrt(d) if downscale else 1.0
 
 
-def feature_transform(embedding: EmbeddingModel, downscale: bool) -> Callable[[np.ndarray], np.ndarray]:
-    """Embedding application, optionally rescaled by 1/sqrt(d), in the input's dtype."""
-    scale = 1.0 / math.sqrt(embedding.d) if downscale else 1.0
+def feature_transform(embedding: EmbeddingModel, downscale: bool | None) -> Callable[[np.ndarray], np.ndarray]:
+    """Embedding application scaled by ``feature_scale(downscale, d)``, in the input's dtype."""
+    scale = feature_scale(downscale, embedding.d)
 
     def transform(values: np.ndarray) -> np.ndarray:
         out = embedding.apply(values)
@@ -206,7 +218,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     the orthogonality term is off).
     """
     support, queries, labels, k, r = _episode_arrays(episode)
-    scale = 1.0 / math.sqrt(d) if resolve_downscale(cfg.downscale_features, d) else 1.0
+    scale = feature_scale(cfg.downscale_features, d)
     q_emb = _embed(queries, variables, scale)
     s_stack = _embed(np.stack(support), variables, scale)  # (n, kr, d)
     gamma = _scalar(variables, "gamma", 1.0)
@@ -363,7 +375,7 @@ def make_eval_head_fn(params: dict[str, np.ndarray], cfg: TrainConfig):
         cfg.head,
         head_params_from(params),
         ctx_params=ctx,
-        transform=feature_transform(emb, resolve_downscale(cfg.downscale_features, emb.d)),
+        transform=feature_transform(emb, cfg.downscale_features),
     )
 
 
@@ -471,6 +483,7 @@ class PretrainResult:
     dummy_maps: np.ndarray  # (n_classes, r, d); discarded by downstream training
     class_ids: tuple[int, ...]
     history: list[dict]
+    downscale_features: bool | None  # as in PretrainConfig
     aborted: bool = False
 
     def as_init(self) -> dict[str, np.ndarray]:
@@ -510,7 +523,7 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
     d_in = ds_base.d
     d = cfg.embed_dim or d_in
     r = ds_base.r
-    scale = 1.0 / math.sqrt(d) if resolve_downscale(cfg.downscale_features, d) else 1.0
+    scale = feature_scale(cfg.downscale_features, d)
 
     emb = EmbeddingModel.random(d_in, d, rng)
     state: dict[str, np.ndarray] = {
@@ -543,19 +556,21 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
         dummy_maps=dummy,
         class_ids=class_ids,
         history=history,
+        downscale_features=cfg.downscale_features,
         aborted=aborted,
     )
 
 
-def pretrain_accuracy(result: PretrainResult, ds: Dataset, downscale: bool = False) -> float:
+def pretrain_accuracy(result: PretrainResult, ds: Dataset) -> float:
     """Top-1 accuracy of the dummy-map classifier over a dataset.
 
-    Each dummy map is a one-shot support pool scored with the pretraining
-    head's alpha = beta = 0, on the side ``frn_distances`` picks from the
-    shapes. Pretraining itself runs the woodbury node; the two sides differ
-    only by rounding.
+    The features are scaled as pretraining scaled them (``feature_scale``
+    of the result's ``downscale_features``). Each dummy map is a one-shot
+    support pool scored with the pretraining head's alpha = beta = 0, on
+    the side ``frn_distances`` picks from the shapes. Pretraining itself
+    runs the woodbury node; the two sides differ only by rounding.
     """
-    transform = feature_transform(result.embedding, downscale)
+    transform = feature_transform(result.embedding, result.downscale_features)
     idx_of = {cid: i for i, cid in enumerate(result.class_ids)}
     queries, labels = [], []
     for cid, maps in ds.classes.items():
@@ -633,10 +648,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         offset += nbytes
     if offset != len(body):
         raise CheckpointError(f"{path}: {len(body) - offset} bytes follow the last tensor")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: header 'extra' is not a JSON object")
+    if not isinstance(extra.get("train_config") or {}, dict):
+        raise CheckpointError(f"{path}: header 'train_config' is not a JSON object")
     meta = {
         "precision": header.get("precision", "f64"),
         "config_hash": header.get("config_hash", ""),
         "rng_state": header.get("rng_state"),
-        **header.get("extra", {}),
+        **extra,
     }
     return params, meta

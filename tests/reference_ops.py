@@ -10,14 +10,17 @@ grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
 d(A^-1) = -A^-1 dA A^-1.
 
 The numpy helpers at the end score one pool or one query at a time, as
-the references that the batched heads are compared against.
+the references that the batched heads are compared against, and build
+the random ctx projections and per-class item counts the tests check.
 """
+
+import math
 
 import numpy as np
 
 from frn import linalg
 from frn.autodiff import Var, _accumulate, _binary, value_of
-from frn.baselines import _ctx_exp, _ctx_project, proto_prototypes
+from frn.baselines import CtxParams, _ctx_exp, _ctx_project, proto_prototypes
 from frn.head import _shifted_exp
 
 
@@ -142,3 +145,19 @@ def softmax(logits):
     e = np.array(logits, dtype=np.float64)
     e /= _shifted_exp(e)
     return e
+
+
+def random_ctx_params(d, d_k=None, d_v=None, rng=None):
+    """Small random ctx projections, square (d_k = d_v = d) by default."""
+    rng = np.random.default_rng(rng)
+    d_k = d if d_k is None else d_k
+    d_v = d if d_v is None else d_v
+    return CtxParams(
+        key_proj=rng.standard_normal((d, d_k)) / math.sqrt(d),
+        value_proj=rng.standard_normal((d, d_v)) / math.sqrt(d),
+    )
+
+
+def class_counts(ds):
+    """Items per class of a ``Dataset``, keyed by class id."""
+    return {cid: len(maps) for cid, maps in ds.classes.items()}

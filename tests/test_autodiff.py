@@ -304,13 +304,13 @@ class TestClosedFormTrainingNodes:
     def test_ctx_errors_forward_is_the_heads(self, mode):
         rng = np.random.default_rng(21)
         n, k, r, d, b = 3, 2, 3, 5, 4
-        params = {"identity": CtxParams.identity(), "square": CtxParams.random(d, rng=rng),
-                  "d_k != d_v": CtxParams.random(d, d_k=3, d_v=6, rng=rng)}[mode]
+        params = {"identity": CtxParams.identity(), "square": refops.random_ctx_params(d, rng=rng),
+                  "d_k != d_v": refops.random_ctx_params(d, d_k=3, d_v=6, rng=rng)}[mode]
         maps = rng.standard_normal((b, r, d))
         pools = [SupportPool(class_id=c, k=k, values=rng.standard_normal((k * r, d))) for c in range(n)]
 
-        def project(x):  # as the head projects: identity mode attends with x itself
-            return (x, x) if params.identity_mode else (x @ params.key_proj, x @ params.value_proj)
+        def project(x):  # as the head projects: the identity attends with x itself
+            return (x, x) if params.key_proj is None else (x @ params.key_proj, x @ params.value_proj)
 
         q1, q2 = project(maps)
         keys, values = (np.stack(t) for t in zip(*(project(p.values) for p in pools)))
@@ -417,14 +417,40 @@ def _callers(tree, module: str | None, modules: set) -> set:
     return used
 
 
+def _attribute_loads(tree, classes):
+    """(owner, attribute) for each attribute load in ``tree``. The owner is
+    the name of one of ``classes`` when the attribute is read from it by
+    name, else None. Reads from an imported name, such as a module, are
+    left out."""
+    imported = {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    loads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            value = node.value
+            owner = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", None)
+            if owner in classes:
+                loads.add((owner, node.attr))
+            elif not (isinstance(value, ast.Name) and owner in imported):
+                loads.add((None, node.attr))
+    return loads
+
+
 def test_every_public_function_has_a_caller_in_src():
     # helpers that only tests call belong in reference_ops. Callers are the
-    # package's own code, the acceptance suite and the console script.
+    # package's own code, the acceptance suite and the console script. A
+    # public method or property of a class is called by a load of its name
+    # in the package, the acceptance suite or perfbench, read from the class
+    # itself or from a value of unknown type.
     package = Path(ad.__file__).parent
     root = package.parent.parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
     public = {(module, node.name) for module, tree in trees.items() for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    members = {(module, node.name, item.name) for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
     used = set()
     for module, tree in trees.items():
         used |= _callers(tree, module, set(trees))
@@ -435,4 +461,10 @@ def test_every_public_function_has_a_caller_in_src():
              for a in node.names}
     scripts = re.findall(r'^\w+\s*=\s*"frn\.(\w+):(\w+)"', (root / "pyproject.toml").read_text(), re.M)
     used |= set(scripts)
-    assert scripts and not public - used, sorted(public - used)
+    callers = [*trees.values(), acceptance,
+               *(ast.parse(path.read_text()) for path in (root / "perfbench").glob("*.py"))]
+    classes = {c for _, c, _ in members}
+    loaded = set().union(*(_attribute_loads(tree, classes) for tree in callers))
+    uncalled = sorted(public - used) + sorted(f"{m}.{c}.{n}" for m, c, n in members
+                                              if not {(c, n), (None, n)} & loaded)
+    assert scripts and not uncalled, uncalled

@@ -99,7 +99,7 @@ class TestBatchedAgainstPerQuery:
         for i in range(40):
             maps, pools = random_episode(rng, dtype)
             d = maps.shape[2]
-            params = CtxParams.identity() if i % 2 else CtxParams.random(d, rng=rng)
+            params = CtxParams.identity() if i % 2 else refops.random_ctx_params(d, rng=rng)
             got = ctx_scores(maps.reshape(-1, d), pools, params, gamma=0.7)
             assert np.array_equal(got, per_query_ctx(maps, pools, params, 0.7))
 
@@ -107,7 +107,7 @@ class TestBatchedAgainstPerQuery:
         rng = np.random.default_rng(36)
         pools = [SupportPool(c, k, rng.standard_normal((k * 4, 6))) for c, k in enumerate((3, 1, 2))]
         maps = rng.standard_normal((5, 4, 6))
-        for params in (CtxParams.identity(), CtxParams.random(6, 3, 5, rng=rng)):
+        for params in (CtxParams.identity(), refops.random_ctx_params(6, 3, 5, rng=rng)):
             got = ctx_scores(maps.reshape(-1, 6), pools, params, gamma=0.7)
             assert np.array_equal(got, per_query_ctx(maps, pools, params, 0.7))
 
@@ -138,7 +138,7 @@ class TestReadOnlyInputs:
         for _ in range(10):
             maps, pools = random_episode(rng, dtype)
             d = maps.shape[2]
-            random_proj = CtxParams.random(d, rng=rng)
+            random_proj = refops.random_ctx_params(d, rng=rng)
             # frn on the side the shapes pick, and each kernel called directly
             heads = {
                 "frn": lambda q, p: frn_distances(q, p, HeadParams(0.3, 0.2)),
@@ -299,15 +299,17 @@ class TestCtx:
         assert np.all(attn >= 0)
         np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
 
-    def test_identity_mode_rejects_projections(self):
+    def test_projections_are_given_together(self):
+        assert CtxParams.identity() == CtxParams()
+        assert CtxParams().key_proj is None and CtxParams().value_proj is None
         with pytest.raises(ValueError):
-            CtxParams(identity_mode=True, key_proj=np.eye(2), value_proj=np.eye(2))
+            CtxParams(key_proj=np.eye(2))
         with pytest.raises(ValueError):
-            CtxParams()
+            CtxParams(value_proj=np.eye(2))
 
     def test_projected_scores_run(self):
         rng = np.random.default_rng(9)
-        params = CtxParams.random(d=5, rng=rng)
+        params = refops.random_ctx_params(d=5, rng=rng)
         pools = [SupportPool(class_id=c, k=2, values=rng.standard_normal((4, 5))) for c in range(3)]
         q = FeatureMap(values=rng.standard_normal((2, 5)))
         logits = ctx_scores(q, pools, params, gamma=1.0)

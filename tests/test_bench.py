@@ -35,7 +35,7 @@ class TestRunBenchmark:
     def test_report_serialization(self):
         cfg = BenchConfig(b=1, k=1, r=2, d=4, iterations=3, warmup=0, seed=2)
         report = run_benchmark(cfg)
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["config"]["d"] == 4
         assert "median_ns" in data["direct"]
         text = report.to_text()
@@ -56,6 +56,6 @@ class TestRunBenchmark:
         else:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
         report = run_benchmark(BenchConfig(b=2, k=1, r=2, d=4, iterations=2, warmup=0))
-        data = json.loads(report.to_json())
+        data = json.loads(json.dumps(report.to_dict()))
         assert data["threads"] == {"direct_workers": 2, "OPENBLAS_NUM_THREADS": blas_threads}
         assert "direct workers    2" in report.to_text()

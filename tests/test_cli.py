@@ -2,6 +2,7 @@
 the exit-code contract."""
 
 import binascii
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -9,12 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, main
-from frn.data import MAGIC, manifest_path
+from frn.bench import BenchConfig
+from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, _config, build_parser, main
+from frn.data import MAGIC, GenSpec, manifest_path
 from frn.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     CheckpointError,
+    PretrainConfig,
+    TrainConfig,
     load_checkpoint,
     save_checkpoint,
 )
@@ -40,6 +44,81 @@ class TestGen:
     def test_writes_container_and_manifest(self, dataset):
         assert dataset.exists()
         assert Path(str(dataset) + ".labels.csv").exists()
+
+
+#: per command: the config it builds, its required flags, and for each config
+#: field the flag tokens that set it and the value they must reach it with
+CONFIG_FLAGS = {
+    "gen": (GenSpec, ["--out", "x"], {
+        "n_classes": (["--classes", "3"], 3),
+        "items_per_class": (["--items", "5"], 5),
+        "r": (["--r", "2"], 2),
+        "d": (["--d", "7"], 7),
+        "noise_sigma": (["--sigma", "0.5"], 0.5),
+        "kind": (["--kind", "pose-permutation"], "pose-permutation"),
+        "seed": (["--seed", "9"], 9),
+    }),
+    "bench": (BenchConfig, ["--out", "x"], {
+        "b": (["--b", "3"], 3),
+        "k": (["--shot", "2"], 2),
+        "r": (["--r", "5"], 5),
+        "d": (["--d", "9"], 9),
+        "iterations": (["--iters", "7"], 7),
+        "warmup": (["--warmup", "4"], 4),
+        "precision": (["--precision", "f64"], "f64"),
+        "seed": (["--seed", "9"], 9),
+    }),
+    "train": (TrainConfig, ["--data", "d", "--out", "x"], {
+        "head": (["--head", "ctx"], "ctx"),
+        "way": (["--way", "4"], 4),
+        "shot": (["--shot", "2"], 2),
+        "query": (["--query", "6"], 6),
+        "episodes": (["--episodes", "11"], 11),
+        "lr": (["--lr", "0.3"], 0.3),
+        "val_every": (["--val-every", "7"], 7),
+        "val_trials": (["--val-trials", "13"], 13),
+        "val_query": (["--val-query", "5"], 5),
+        "embed_dim": (["--embed-dim", "8"], 8),
+        "downscale_features": (["--downscale-features"], True),
+        "learn_alpha": (["--fix-alpha"], False),
+        "learn_beta": (["--fix-beta"], False),
+        "learn_gamma": (["--fix-gamma"], False),
+        "use_aux": (["--no-aux"], False),
+        "seed": (["--seed", "9"], 9),
+    }),
+    "pretrain": (PretrainConfig, ["--data", "d", "--out", "x"], {
+        "steps": (["--steps", "17"], 17),
+        "batch_size": (["--batch-size", "4"], 4),
+        "lr": (["--lr", "0.3"], 0.3),
+        "embed_dim": (["--embed-dim", "8"], 8),
+        "downscale_features": (["--downscale-features"], True),
+        "seed": (["--seed", "9"], 9),
+    }),
+}
+
+#: config fields no flag sets
+FIELDS_WITHOUT_FLAG = {TrainConfig: {"val_way"}}
+
+
+class TestFlagsReachTheirFields:
+    @pytest.mark.parametrize("command", sorted(CONFIG_FLAGS))
+    def test_every_flag_reaches_its_field(self, command):
+        cls, required, flags = CONFIG_FLAGS[command]
+        parser = build_parser()
+        defaults = vars(parser.parse_args([command, *required]))
+        args = parser.parse_args([command, *required,
+                                  *(token for tokens, _ in flags.values() for token in tokens)])
+        cfg = _config(cls, args)
+        for name, (tokens, value) in flags.items():
+            assert value != defaults[name], name  # else a flag that never arrives would pass
+            assert getattr(cfg, name) == value, tokens
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_FLAGS))
+    def test_every_field_has_a_flag(self, command):
+        # the test above parses every flag of the table
+        cls, _, flags = CONFIG_FLAGS[command]
+        fields = {f.name for f in dataclasses.fields(cls)} - FIELDS_WITHOUT_FLAG.get(cls, set())
+        assert set(flags) == fields, sorted(fields ^ set(flags))
 
 
 class TestEval:
@@ -360,7 +439,7 @@ class TestTrainAndCheckpoints:
     @pytest.mark.parametrize("downscale", [False, True])
     def test_pretrain_json_gives_the_base_set_accuracy(self, dataset, tmp_path, downscale):
         from frn.data import ingest
-        from frn.training import PretrainConfig, pretrain, pretrain_accuracy
+        from frn.training import pretrain, pretrain_accuracy
 
         out = tmp_path / "pre"
         flag = ["--downscale-features"] if downscale else []
@@ -372,7 +451,7 @@ class TestTrainAndCheckpoints:
         ds = ingest(dataset, np.float64)
         cfg = PretrainConfig(steps=40, batch_size=16, lr=0.5, embed_dim=6, seed=0,
                              downscale_features=True if downscale else None)
-        assert accuracy == pretrain_accuracy(pretrain(ds, cfg), ds, downscale)
+        assert accuracy == pretrain_accuracy(pretrain(ds, cfg), ds)
 
     @pytest.mark.parametrize("embed_dim", [[], ["--embed-dim", "5"]])
     def test_ctx_finetunes_from_an_embedding_of_another_width(self, dataset, tmp_path, embed_dim):
@@ -397,10 +476,7 @@ class TestTrainAndCheckpoints:
     ):
         # checkpoints written while training took a formulation setting keep
         # it in their train_config; eval takes the side from the shapes anyway
-        import dataclasses
-
         import frn.head
-        from frn.training import TrainConfig
 
         rng = np.random.default_rng(1)
         tensors = {
@@ -466,6 +542,8 @@ BAD_CHECKPOINTS = {
     # four f32 values fill exactly the 16 bytes an f64 tensor of shape [2] would
     "f32_tensor": ({"tensors": [{"name": "w", "dtype": "f32", "shape": [2]}]},
                    np.array([1.5, 2.5, 3.5, 4.5], dtype=np.float32).tobytes(), None),
+    "extra_not_object": ({"tensors": [], "extra": [1, 2]}, b"", None),
+    "train_config_not_object": ({"tensors": [], "extra": {"train_config": [1, 2]}}, b"", None),
 }
 
 

@@ -24,6 +24,8 @@ from frn.data import (
 from frn.episodes import evaluate, make_head_fn
 from frn.head import HeadParams
 
+import reference_ops as refops
+
 
 def spec(kind, **kw):
     base = dict(n_classes=4, items_per_class=6, r=4, d=12, noise_sigma=0.05, kind=kind, seed=3)
@@ -189,7 +191,7 @@ class TestContainer:
         path = tmp_path / "data.frnt"
         save_dataset(path, ds)
         loaded = ingest(path)
-        assert loaded.counts == ds.counts
+        assert refops.class_counts(loaded) == refops.class_counts(ds)
         for cid in ds.classes:
             for a, b in zip(ds.classes[cid], loaded.classes[cid]):
                 np.testing.assert_array_equal(a.values, b.values)
@@ -199,7 +201,7 @@ class TestContainer:
         path = tmp_path / "data32.frnt"
         save_dataset(path, ds, dtype=np.float32)
         loaded = ingest(path)
-        assert loaded.counts == ds.counts
+        assert refops.class_counts(loaded) == refops.class_counts(ds)
         for cid in ds.classes:
             for a, b in zip(ds.classes[cid], loaded.classes[cid]):
                 assert b.values.dtype == np.float32  # the container's dtype, not upcast

@@ -733,6 +733,20 @@ class TestPretrain:
         result = pretrain(ds, cfg)
         assert pretrain_accuracy(result, ds) == reference_pretrain_accuracy(result, ds)
 
+    def test_wide_embedding_scores_at_the_scale_pretraining_used(self, monkeypatch):
+        # at d >= 256 pretraining scales features by 1/sqrt(d) unless told otherwise
+        ds = gaussian_dataset(n_classes=6, items=8, r=3, d_in=6, sigma=0.6, seed=26)
+        result = pretrain(ds, PretrainConfig(steps=20, batch_size=16, lr=0.1, embed_dim=300, seed=0))
+        assert result.downscale_features is None
+        scored = []
+        original = training.frn_distances
+        monkeypatch.setattr(training, "frn_distances",
+                            lambda q, *rest: scored.append(q) or original(q, *rest))
+        assert pretrain_accuracy(result, ds) == reference_pretrain_accuracy(result, ds, downscale=True)
+        scaled = training.feature_transform(result.embedding, True)
+        np.testing.assert_array_equal(
+            scored[0], np.vstack([scaled(m.values) for maps in ds.classes.values() for m in maps]))
+
     def test_loss_decreases_over_first_ten_steps(self):
         ds = gaussian_dataset(n_classes=6, items=10, r=2, d_in=6, sigma=0.05, seed=13)
         cfg = PretrainConfig(steps=12, batch_size=48, lr=0.05, embed_dim=4, seed=1)
