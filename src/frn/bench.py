@@ -8,9 +8,10 @@ forms the reconstruction Q_bar. Warm-up iterations are discarded and the
 monotonic clock is used. The timed loop calls each path from one thread,
 but the direct path splits its query-side products across the CPUs
 available to the process, and either path's BLAS calls may start
-threads of their own; the report records the direct path's worker count
-and ``OPENBLAS_NUM_THREADS``, so timings taken under different settings
-can be told apart.
+threads of their own; the report records the direct path's worker count,
+``OPENBLAS_NUM_THREADS`` and the thread count numpy's and scipy's
+OpenBLAS report back, so timings taken under different settings can be
+told apart.
 
 The report carries data only; it asserts nothing about which path wins.
 The two paths are cross-checked on their squared-error outputs once
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import head
 from .head import HeadParams, SupportPool, reconstruct_direct, reconstruct_woodbury
-from .linalg import NumericalError, resolve_dtype
+from .linalg import NumericalError, blas_threads, resolve_dtype
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ class BenchReport:
     direct: PathTiming
     woodbury: PathTiming
     equivalence_max_delta: float
-    #: the direct path's worker count at this b, and OPENBLAS_NUM_THREADS (None if unset)
+    #: the direct path's worker count at this b, OPENBLAS_NUM_THREADS (None if
+    #: unset) and each OpenBLAS library's read-back thread count
     threads: dict
 
     def to_dict(self) -> dict:
@@ -71,6 +73,7 @@ class BenchReport:
 
     def to_text(self) -> str:
         c = self.config
+        blas = " ".join(f"{label} {n}" for label, n in self.threads["openblas"].items())
         lines = [
             f"shapes            b={c.b} k={c.k} r={c.r} d={c.d} ({c.precision})",
             f"iterations        {c.iterations} (+{c.warmup} warmup)",
@@ -80,7 +83,8 @@ class BenchReport:
             f"p95 {self.woodbury.p95_ns / 1e6:.3f} ms",
             f"equivalence delta {self.equivalence_max_delta:.3e}",
             f"direct workers    {self.threads['direct_workers']}  "
-            f"OPENBLAS_NUM_THREADS {self.threads['OPENBLAS_NUM_THREADS']}",
+            f"OPENBLAS_NUM_THREADS {self.threads['OPENBLAS_NUM_THREADS']}  "
+            f"OpenBLAS threads {blas}",
         ]
         return "\n".join(lines)
 
@@ -129,6 +133,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         # with the factor and then take one chunk of phase 2 each
         "direct_workers": min(head._WORKERS, cfg.b),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "openblas": blas_threads(),
     }
     return BenchReport(config=cfg, direct=direct, woodbury=wood, equivalence_max_delta=delta,
                        threads=threads)

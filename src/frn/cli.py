@@ -15,14 +15,28 @@ Each flag of gen, bench, train and pretrain parses into the field its
 flag sets the field of its own name. ``pretrain.json``'s
 ``pretrain_accuracy`` scores the base set at the feature scale
 pretraining used.
+
+eval, bench and train, which score episodes through the direct head,
+run with the OpenBLAS bundled in numpy's and scipy's wheels at one
+thread, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
+the counts it had are restored when the command returns. The direct head
+threads its own small products, and OpenBLAS's threads only stall them:
+on a shared 2-CPU host a 5-way 5-shot f32 ``frn eval`` episode at r 25,
+d 640 took 154-171 ms with OpenBLAS at its default 2 threads, and 19-23
+ms at 1. At d 640, 20 ``frn train`` episodes validated every 10 took
+64-65 s at 2 threads and 23 s at 1, and 30 unvalidated ones 9.2-10.0 s
+against 7.9-8.1 s. pretrain keeps the default: 20 steps of its d x d
+woodbury node took 14.6-15.2 s at 2 threads and 17.9-18.1 s at 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +46,7 @@ from .bench import BenchConfig, run_benchmark
 from .data import GEN_KINDS, GenSpec, GenerationError, IngestError, generate, ingest, save_dataset
 from .episodes import EvaluationError, SamplingError, evaluate, make_head_fn
 from .head import HeadParams
-from .linalg import NumericalError, ShapeError, resolve_dtype
+from .linalg import NumericalError, ShapeError, blas_threads_at, resolve_dtype
 from .training import (
     CheckpointError,
     GradientError,
@@ -349,6 +363,9 @@ _COMMANDS = {
     "pretrain": cmd_pretrain,
 }
 
+#: the commands that run at one OpenBLAS thread (see the module docstring)
+_ONE_BLAS_THREAD = frozenset({"eval", "bench", "train"})
+
 
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, (SamplingError,)):
@@ -368,8 +385,11 @@ def _exit_code_for(exc: Exception) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    pin = args.command in _ONE_BLAS_THREAD and not any(
+        os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     try:
-        return _COMMANDS[args.command](args)
+        with blas_threads_at(1) if pin else contextlib.nullcontext():
+            return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - map everything to exit codes
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)

@@ -39,17 +39,25 @@ query stack, which takes each error from a kr-space identity within
 256 eps ||Q||^2 / r of a float64 solve. Each query costs two products,
 A and W = A M^-1: since M = G + lam I with G = S S^T, M^-1 G = I - lam M^-1,
 so W G = A - lam W is formed elementwise in A's buffer.
-Only ``reconstruct_direct`` threads the step, in two phases. In phase 1
-worker threads take consecutive blocks of ``_BLOCK`` queries in turn and
-form A, which needs only S^T, while the calling thread squares the query
-stack and factors the pool; it then takes blocks too. Phase 2 splits the
-stack into one contiguous chunk of queries per CPU available to the
-process for W and the errors. Since each query's products depend only on
-that query, the results are bit-identical to a serial run. Training, the
-woodbury form and the ctx head in ``baselines`` run serially: on a
+Only the direct pass threads the step, and ``frn_distances`` runs one
+pass over all of an episode's direct-side pools (``reconstruct_direct``
+is that pass over one pool), in two phases. In phase 1 worker threads
+take (pool, block of ``_BLOCK`` queries) tasks from one shared queue in
+turn and form that block's A, which needs only S^T, while the calling
+thread squares the query stack and factors every pool; it then takes
+tasks too. Phase 2 splits the stack into one contiguous chunk of queries
+per CPU available to the process, and each runs W and the errors for
+every pool on its chunk, W into a buffer dropped with the pass unless
+the caller keeps it. An episode thus dispatches to the workers twice,
+whatever its pool count, as long as its A over every pool fits in
+``_PASS_BYTES``; past that the pass takes the stack in slices, so its
+memory does not grow with the pool count. Since each query's products
+depend only on that query and its pool, the results are bit-identical to
+a serial run, for any worker count, block size and slicing. Training,
+the woodbury form and the ctx head in ``baselines`` run serially: on a
 shared 2-vCPU host a second thread sped their small products up only
-while the other vCPU was idle. All functions are pure; per-class calls
-may run concurrently.
+while the other vCPU was idle.
+All functions are pure; per-class calls may run concurrently.
 """
 
 from __future__ import annotations
@@ -253,14 +261,23 @@ def _available_cpus() -> int:
 #: threads the direct kernel runs on: one per CPU available to the
 #: process, the caller among them
 _WORKERS = _available_cpus()
-#: queries per phase-1 block of ``reconstruct_direct``. Measured at the
+#: queries per phase-1 block of the direct pass. Measured at the
 #: paper's 5-shot shape (5 pools, 75 queries, r 25, d 640, f32, 2 workers,
 #: 1 BLAS thread): blocks of 8 to 24 queries scored an episode in
 #: 24-25 ms, blocks of 2 and 4 in 25-26 ms (per-block overhead), and one
-#: 38-query block per thread in 26-27 ms. A block's product is about
-#: 80 us per query there, so 8 keeps the tail the last block can leave
-#: one thread waiting at about 0.7 ms.
+#: 38-query block per thread in 26-27 ms, each pool in a pass of its own.
+#: With one pass per episode, blocks of 4, 8, 16 and 38 all scored it in
+#: 16-20 ms, within the spread between runs. A block's product is about
+#: 50-80 us per query there, so 8 keeps the tail the last block can leave
+#: one thread waiting under 0.7 ms.
 _BLOCK = 8
+#: bytes of A = Q S^T (and as many again of W) the direct pass holds at
+#: once over all its pools, unless one pool's A over the whole query stack
+#: is larger: past that the pass takes the stack in slices, so its memory
+#: does not grow with the pool count. A 5-way 5-shot episode at r 25,
+#: d 640 with 75 queries needs 4.7 MB of A in f32 and 9.4 MB in f64, and
+#: takes one slice.
+_PASS_BYTES = 16 << 20
 _executor: ThreadPoolExecutor | None = None
 _executor_lock = threading.Lock()
 
@@ -313,26 +330,25 @@ def _over_chunks(fn, b: int):
         _finish(futures)
 
 
-def _over_blocks(fn, b: int, meanwhile):
-    """Run ``fn(lo, hi)`` on consecutive ``_BLOCK``-query slices of range(b) and
-    return ``meanwhile()``, which the caller runs while the workers start.
+def _over_tasks(fn, tasks: Sequence[tuple], meanwhile):
+    """Run ``fn(*task)`` for each of ``tasks`` and return ``meanwhile()``,
+    which the caller runs while the workers start.
 
-    Workers take the blocks in turn, and so does the caller once
+    Workers take the tasks in turn, and so does the caller once
     ``meanwhile`` has returned, so the load balances itself. An exception,
-    ``meanwhile``'s included, is raised only after every block has finished.
+    ``meanwhile``'s included, is raised only after every task has finished.
     """
-    blocks = range(0, b, _BLOCK)
-    taken, lock = iter(blocks), threading.Lock()
+    taken, lock = iter(tasks), threading.Lock()
 
     def take():
         while True:
             with lock:
-                lo = next(taken, None)
-            if lo is None:
+                task = next(taken, None)
+            if task is None:
                 return
-            fn(lo, min(lo + _BLOCK, b))
+            fn(*task)
 
-    futures = [_submit(take) for _ in range(min(_WORKERS - 1, len(blocks)))]
+    futures = [_submit(take) for _ in range(min(_WORKERS - 1, len(tasks)))]
     try:
         out = meanwhile()
         take()
@@ -368,38 +384,68 @@ def _direct_step(a: np.ndarray, sq_norms, factor, rho: float, w, err):
     err[...] = (sq_norms - 2 * rho * aw + rho * rho * _row_dots(a, w)) / a.shape[1]
 
 
-def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
-    """Score each query via the kr x kr system without forming Q_bar.
+def _direct_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadParams,
+                 coef: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """Score a query stack against every pool via its kr x kr system, without
+    forming Q_bar: the (n, b) errors. Rounding can take a near-zero error
+    below zero, so they are clamped at 0.
 
-    Phase 1 forms A = Q S^T in blocks across the CPUs while the caller
-    factors the pool; phase 2 runs the rest of the step in query chunks
-    across the CPUs. Rounding can take a near-zero error below zero, so it
-    is clamped at 0.
+    Pool c's W = A M^-1 goes into ``coef[c]``, (b, r, kr), where given, and
+    into a buffer of the slice's size otherwise. The stack is taken in
+    slices whose A, over every pool, fits in ``_PASS_BYTES`` or in one
+    pool's A over the whole stack, whichever is larger. In each slice,
+    phase 1 forms A for every pool in blocks of queries across the CPUs,
+    while the caller squares the stack and factors the pools (on the first
+    slice); phase 2 runs the rest of the step for every pool, in one query
+    chunk per CPU.
     """
-    queries = _query_stack(q_batch, pool.r, pool.d)
-    q, s, rho = queries.maps, pool.values, params.rho
-    st = np.ascontiguousarray(s.T)
-    a = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
-    w, err = np.empty_like(a), np.empty(len(q))
+    q, rho, b = queries.maps, params.rho, len(queries.maps)
+    sts = [np.ascontiguousarray(p.values.T) for p in pools]
+    dtypes = [np.result_type(q, st) for st in sts]
+    per_query = [q.shape[1] * st.shape[1] * dt.itemsize for st, dt in zip(sts, dtypes)]
+    step = max(max(_PASS_BYTES, b * max(per_query)) // sum(per_query), 1)
+    a = [np.empty((min(step, b), q.shape[1], st.shape[1]), dtype=dt) for st, dt in zip(sts, dtypes)]
+    err, factors = np.empty((len(pools), b)), []
 
     def pool_side():
-        # ||Q||^2 is cached on the stack, so only the first pool squares it;
-        # no worker reaches the cache
-        lam = effective_lambda(params, pool.k, pool.r, pool.d)
-        return queries.sq_norms, _direct_factor(s, lam)
+        # ||Q||^2 is cached on the stack; no worker reaches the cache
+        if not factors:
+            lams = (effective_lambda(params, p.k, p.r, p.d) for p in pools)
+            factors.extend(_direct_factor(p.values, lam) for p, lam in zip(pools, lams))
+        return queries.sq_norms
 
-    def block(lo, hi):
-        _query_products(q[lo:hi], st, a[lo:hi])
+    def one_slice(rows: slice):
+        q_s, err_s = q[rows], err[:, rows]
+        n = len(q_s)
+        a_s = [x[:n] for x in a]
+        # allocated here, not in the workers, whose own heaps would keep it
+        w_s = [w[rows] for w in coef] if coef is not None else [np.empty_like(x) for x in a_s]
 
-    sq_norms, factor = _over_blocks(block, len(q), pool_side)
+        def block(c, lo, hi):
+            _query_products(q_s[lo:hi], sts[c], a_s[c][lo:hi])
 
-    def chunk(lo, hi):
-        _direct_step(a[lo:hi], sq_norms[lo:hi], factor, rho, w[lo:hi], err[lo:hi])
+        blocks = [(c, lo, min(lo + _BLOCK, n)) for c in range(len(pools)) for lo in range(0, n, _BLOCK)]
+        sq_norms = _over_tasks(block, blocks, pool_side)[rows]
 
-    _over_chunks(chunk, len(q))
-    return Reconstructions(
-        np.maximum(err, 0.0), pool.class_id, w, s, np.asarray(rho, dtype=s.dtype)
-    )
+        def chunk(lo, hi):
+            for c, factor in enumerate(factors):
+                _direct_step(a_s[c][lo:hi], sq_norms[lo:hi], factor, rho, w_s[c][lo:hi],
+                             err_s[c, lo:hi])
+
+        _over_chunks(chunk, n)
+
+    for start in range(0, b, step):
+        one_slice(slice(start, start + step))
+    return np.maximum(err, 0.0, out=err)
+
+
+def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
+    """Score each query via the kr x kr system without forming Q_bar."""
+    queries = _query_stack(q_batch, pool.r, pool.d)
+    s = pool.values
+    w = np.empty(queries.maps.shape[:2] + (len(s),), dtype=np.result_type(queries.maps, s))
+    err = _direct_pass(queries, [pool], params, coef=[w])[0]
+    return Reconstructions(err, pool.class_id, w, s, np.asarray(params.rho, dtype=s.dtype))
 
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -453,11 +499,19 @@ def _check_pools(pools: Sequence[SupportPool]) -> tuple[int, int]:
 
 
 def frn_distances(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:
-    """(b, n) matrix of per-query, per-class reconstruction errors."""
+    """(b, n) matrix of per-query, per-class reconstruction errors.
+
+    Every pool on the direct side is scored in one ``_direct_pass``, the
+    others one at a time through ``reconstruct``; columns stay in pool order.
+    """
     queries = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
-    return np.column_stack(
-        [reconstruct(queries, pool, params).sq_errors for pool in pools]
-    )
+    direct = [choose_formulation(p.k, p.r, p.d) == "direct" for p in pools]
+    scored = iter(_direct_pass(queries, [p for p, on in zip(pools, direct) if on], params)
+                  if any(direct) else ())
+    return np.column_stack([
+        next(scored) if on else reconstruct(queries, pool, params).sq_errors
+        for pool, on in zip(pools, direct)
+    ])
 
 
 def episode_logits(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:

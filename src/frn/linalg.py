@@ -5,10 +5,20 @@ Validation happens at the boundaries via :func:`as_matrix`; the
 operations below assume validated inputs but still check shapes cheaply.
 
 All functions are pure and never mutate their arguments, so they are safe
-to call from multiple threads.
+to call from multiple threads. ``blas_threads`` and ``blas_threads_at``
+read and set, for the process as a whole, the thread count of the
+OpenBLAS builds bundled in numpy's and scipy's wheels; under any other
+BLAS they find no library and change nothing.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -134,3 +144,55 @@ def add_ridge(a: np.ndarray, lam: float) -> np.ndarray:
     idx = np.arange(a.shape[-1])
     out[..., idx, idx] += np.asarray(lam, dtype=out.dtype)
     return out
+
+
+#: (package, shared-library glob in its wheel's ``<package>.libs``, symbol
+#: suffix). numpy does its GEMMs in the first, scipy's LAPACK potrf/potrs
+#: run in the second. Only these bundled builds are found: under another
+#: BLAS (conda's, MKL, a system OpenBLAS) the thread counts are left alone.
+_OPENBLAS = (
+    ("numpy", "libscipy_openblas64_*.so", "64_"),
+    ("scipy", "libscipy_openblas*.so", ""),
+)
+
+
+@functools.cache
+def _openblas() -> dict:
+    """The (get, set) thread-count functions of each bundled OpenBLAS the
+    process has loaded, by package."""
+    found = {}
+    for package, pattern, suffix in _OPENBLAS:
+        libs = Path(sys.modules[package].__file__).resolve().parent.parent / f"{package}.libs"
+        for path in sorted(libs.glob(pattern)):
+            try:
+                # RTLD_NOLOAD opens only a library already loaded, so the
+                # copy the package uses, not another version beside it
+                lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+                get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}")
+                            for op in ("get", "set"))
+            except (OSError, AttributeError):  # not loaded, or another build
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found[package] = get, put
+            break
+    return found
+
+
+def blas_threads() -> dict[str, int]:
+    """The read-back thread count of each bundled OpenBLAS found, by package."""
+    return {label: int(get()) for label, (get, _) in _openblas().items()}
+
+
+@contextmanager
+def blas_threads_at(n: int):
+    """Run the block with each bundled OpenBLAS found at ``n`` threads, then
+    restore the counts they had."""
+    before = blas_threads()
+    for _, put in _openblas().values():
+        put(n)
+    try:
+        yield
+    finally:
+        for package, (_, put) in _openblas().items():
+            put(before[package])

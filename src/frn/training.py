@@ -410,8 +410,11 @@ def meta_train(
 
     On a non-finite loss or gradient the run aborts and returns the last
     finite parameters. Fixed head scalars (per the learn_* mask) are held
-    as constants, so they keep their initial values exactly.
+    as constants, so they keep their initial values exactly. Validation
+    data must have the base data's width.
     """
+    if ds_val.d != ds_base.d:
+        raise ValueError(f"validation data has {ds_val.d} channels, training data has {ds_base.d}")
     rng = np.random.default_rng(cfg.seed)
     width = init["embed_weight"].shape[-1] if init and "embed_weight" in init else None
     params = init_params(cfg, ds_base.d, rng, width)

@@ -6,6 +6,7 @@ import pytest
 
 from frn import head
 from frn.bench import BenchConfig, run_benchmark
+from frn.linalg import blas_threads as blas_threads_now
 
 
 class TestBenchConfig:
@@ -57,5 +58,7 @@ class TestRunBenchmark:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
         report = run_benchmark(BenchConfig(b=2, k=1, r=2, d=4, iterations=2, warmup=0))
         data = json.loads(json.dumps(report.to_dict()))
-        assert data["threads"] == {"direct_workers": 2, "OPENBLAS_NUM_THREADS": blas_threads}
+        assert data["threads"] == {"direct_workers": 2, "OPENBLAS_NUM_THREADS": blas_threads,
+                                   "openblas": blas_threads_now()}
+        assert all(n >= 1 for n in data["threads"]["openblas"].values())
         assert "direct workers    2" in report.to_text()

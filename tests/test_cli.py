@@ -4,7 +4,10 @@ the exit-code contract."""
 import binascii
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +345,68 @@ class TestBench:
         ])
         assert code == EXIT_CONFIG
 
+    BENCH_ARGS = ("bench", "--b", "2", "--r", "2", "--d", "4", "--iters", "2", "--warmup", "0")
+
+    def test_a_command_runs_at_one_blas_thread_and_restores_the_count(self, tmp_path, monkeypatch):
+        from frn.linalg import blas_threads, blas_threads_at
+
+        if set(blas_threads()) != {"numpy", "scipy"}:
+            pytest.skip("numpy or scipy does not run its wheel's bundled OpenBLAS")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        with blas_threads_at(2):
+            before = blas_threads()
+            assert run([*self.BENCH_ARGS, "--out", str(tmp_path / "b")]) == EXIT_OK
+            assert blas_threads() == before
+        threads = json.loads((tmp_path / "b" / "bench.json").read_text())["threads"]
+        assert before == {"numpy": 2, "scipy": 2}
+        assert threads["openblas"] == {"numpy": 1, "scipy": 1}
+
+    def test_train_runs_at_one_blas_thread_and_pretrain_at_the_callers(
+            self, dataset, tmp_path, monkeypatch):
+        # pretrain's d x d woodbury node ran faster at OpenBLAS's own count
+        import frn.cli
+        from frn.linalg import blas_threads, blas_threads_at
+
+        if set(blas_threads()) != {"numpy", "scipy"}:
+            pytest.skip("numpy or scipy does not run its wheel's bundled OpenBLAS")
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        seen = {}
+        for command, name in (("train", "meta_train"), ("pretrain", "pretrain")):
+            def spy(*args, _command=command, _fn=getattr(frn.cli, name), **kwargs):
+                seen[_command] = blas_threads()
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(frn.cli, name, spy)
+        with blas_threads_at(2):
+            assert run(["train", "--data", str(dataset), "--way", "3", "--shot", "1",
+                        "--query", "2", "--episodes", "2", "--embed-dim", "4",
+                        "--val-every", "0", "--out", str(tmp_path / "train")]) == EXIT_OK
+            assert run(["pretrain", "--data", str(dataset), "--steps", "2", "--batch-size", "4",
+                        "--embed-dim", "4", "--out", str(tmp_path / "pretrain")]) == EXIT_OK
+        assert seen == {"train": {"numpy": 1, "scipy": 1}, "pretrain": {"numpy": 2, "scipy": 2}}
+
+    @pytest.mark.parametrize("blas_threads", [None, "2"])
+    def test_bench_records_the_blas_threads_it_ran_with(self, tmp_path, blas_threads):
+        # a fresh process: the variable, when set, is read as OpenBLAS loads
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = subprocess.run([sys.executable, "-m", "frn.cli", *self.BENCH_ARGS,
+                               "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        threads = json.loads((tmp_path / "bench.json").read_text())["threads"]
+        assert threads["OPENBLAS_NUM_THREADS"] == blas_threads
+        if set(threads["openblas"]) != {"numpy", "scipy"}:
+            pytest.skip("numpy or scipy does not run its wheel's bundled OpenBLAS")
+        # OpenBLAS caps a requested count at the CPUs it finds
+        want = 1 if blas_threads is None else min(2, os.cpu_count())
+        assert threads["openblas"] == {"numpy": want, "scipy": want}
+
 
 class TestTrainAndCheckpoints:
     def test_train_then_eval_from_checkpoint(self, dataset, tmp_path):
@@ -385,13 +450,14 @@ class TestTrainAndCheckpoints:
             "alpha": np.float64(0.0), "beta": np.float64(0.0), "gamma": np.float64(0.25),
         }, {"train_config": {"head": "frn"}})
         seen = []
-        original = frn.head.reconstruct
+        original = frn.head._direct_pass
 
-        def spy(q_batch, pool, *args, **kwargs):
-            seen.append((np.asarray(q_batch).dtype, pool.values.dtype))
-            return original(q_batch, pool, *args, **kwargs)
+        # 1-shot pools of r = 2 rows in d = 4 channels score in the direct pass
+        def spy(queries, pools, *args, **kwargs):
+            seen.extend((np.asarray(queries).dtype, pool.values.dtype) for pool in pools)
+            return original(queries, pools, *args, **kwargs)
 
-        monkeypatch.setattr(frn.head, "reconstruct", spy)
+        monkeypatch.setattr(frn.head, "_direct_pass", spy)
         code = run([
             "eval", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
             "--shot", "1", "--query", "2", "--trials", "4", "--seed", "0",
@@ -486,8 +552,8 @@ class TestTrainAndCheckpoints:
         train_config = dataclasses.asdict(TrainConfig(embed_dim=4))
         sides = []
 
-        def counted(side):
-            kernel = getattr(frn.head, f"reconstruct_{side}")
+        def counted(side, name):
+            kernel = getattr(frn.head, name)
 
             def run_kernel(*args):
                 sides.append(side)
@@ -495,8 +561,8 @@ class TestTrainAndCheckpoints:
 
             return run_kernel
 
-        for side in ("direct", "woodbury"):
-            monkeypatch.setattr(frn.head, f"reconstruct_{side}", counted(side))
+        for side, name in (("direct", "_direct_pass"), ("woodbury", "reconstruct_woodbury")):
+            monkeypatch.setattr(frn.head, name, counted(side, name))
         reports = []
         for tag, extra in (("old", {"formulation": "woodbury"}), ("new", {})):
             ckpt = tmp_path / f"{tag}.bin"
@@ -516,6 +582,21 @@ class TestTrainAndCheckpoints:
             run([command, "--data", str(dataset), "--formulation", "direct",
                  "--out", str(tmp_path / command)])
         assert info.value.code == EXIT_CONFIG
+
+    def test_validation_data_of_another_width_is_config_error(self, tmp_path, capsys):
+        paths = {}
+        for d in (16, 12):
+            paths[d] = tmp_path / f"d{d}.frnt"
+            assert run(["gen", "--classes", "5", "--items", "6", "--r", "2", "--d", str(d),
+                        "--out", str(paths[d])]) == EXIT_OK
+        capsys.readouterr()
+        code = run(["train", "--data", str(paths[16]), "--val-data", str(paths[12]),
+                    "--way", "3", "--shot", "1", "--query", "2", "--episodes", "4",
+                    "--embed-dim", "4", "--val-every", "2", "--val-trials", "2",
+                    "--out", str(tmp_path / "train")])
+        assert code == EXIT_CONFIG
+        assert "validation data has 12 channels, training data has 16" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
 
     def test_ctx_training_runs(self, dataset, tmp_path):
         out = tmp_path / "ctx"

@@ -6,6 +6,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,27 @@ class TestScoringTakesTheChosenSide:
             recs, ref = reconstruct(q, pool, params), chosen(q, pool, params)
             assert np.array_equal(recs.sq_errors, want[:, c])
             assert all(np.array_equal(a.q_bar, b.q_bar) for a, b in zip(recs, ref, strict=True))
+
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pools_of_mixed_shot_score_on_their_own_sides(self, workers, dtype, monkeypatch):
+        # r = 3, d = 10: 1-, 2- and 3-shot pools score on the direct side
+        # (in one pass), 4- and 5-shot pools on woodbury; columns keep pool order
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        r, d, shots = 3, 10, (4, 1, 5, 3, 2, 1)
+        rng = np.random.default_rng(31)
+        pools = [SupportPool(c, k, rng.standard_normal((k * r, d)).astype(dtype))
+                 for c, k in enumerate(shots)]
+        assert {choose_formulation(k, r, d) for k in shots[1::2]} == {"direct"}
+        assert {choose_formulation(k, r, d) for k in shots[:4:2]} == {"woodbury"}
+        q = rng.standard_normal((6 * r, d)).astype(dtype)
+        params = HeadParams(alpha=-0.2, beta=0.3)
+        got = head.frn_distances(q, pools, params)
+        kernels = {"direct": reconstruct_direct, "woodbury": reconstruct_woodbury}
+        for c, pool in enumerate(pools):
+            kernel = kernels[choose_formulation(pool.k, r, d)]
+            assert np.array_equal(got[:, c], kernel(q, pool, params).sq_errors), c
 
 
 class TestFormulationEquivalence:
@@ -337,15 +359,17 @@ def _score_in_child(q, pool, expected):
 
 class TestThreadedDirectKernel:
     @staticmethod
-    def _cases(dtype):
-        rng = np.random.default_rng(21)
+    def _cases(dtype, mixed=False):
+        rng = np.random.default_rng(22 if mixed else 21)
         for b in range(1, 8):  # 2 and 3 workers get uneven and empty chunks
             k, r = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-            d = k * r + int(rng.integers(1, 30))
-            assert choose_formulation(k, r, d) == "direct"  # frn_distances runs the threaded kernel
+            # mixed: pools of 1 to 4 shots at one (r, d), all on the direct side
+            shots = (4, 1, 3, 2) if mixed else (k,) * 3
+            d = max(shots) * r + int(rng.integers(1, 30))
+            assert choose_formulation(max(shots), r, d) == "direct"  # frn_distances runs the pass
             pools = [
                 SupportPool(c, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
-                for c in range(3)
+                for c, k in enumerate(shots)
             ]
             q = (rng.standard_normal((b * r, d)) / math.sqrt(d)).astype(dtype)
             params = HeadParams(alpha=rng.uniform(-1, 1), beta=rng.uniform(-1, 1), gamma=0.5)
@@ -382,17 +406,71 @@ class TestThreadedDirectKernel:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("block", [1, 3, 8])  # 8 is more than any case's b
     def test_any_block_size_gives_the_serial_bits(self, block, workers, monkeypatch):
-        cases = list(self._cases(np.float32))
+        # several pools, of one shot or of several, score in one pass
+        cases = [*self._cases(np.float32), *self._cases(np.float32, mixed=True)]
         monkeypatch.setattr(head, "_WORKERS", 1)
         serial = [head.frn_distances(q, pools, p) for q, pools, p in cases]
         monkeypatch.setattr(head, "_WORKERS", workers)
         monkeypatch.setattr(head, "_BLOCK", block)
         for (q, pools, p), dist in zip(cases, serial):
             assert np.array_equal(head.frn_distances(q, pools, p), dist)
-            for pool in pools:
+            for c, pool in enumerate(pools):
                 recs = reconstruct_direct(q, pool, p)
+                assert np.array_equal(recs.sq_errors, dist[:, c])
                 for rec, (q_bar, _) in zip(recs, per_block_direct(q, pool, p), strict=True):
                     assert np.array_equal(rec.q_bar, q_bar)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_slices_of_the_query_stack_give_the_unsliced_bits(self, workers, monkeypatch):
+        # with no byte allowance the pass holds only one pool's A at once, so
+        # it takes the stack in slices of b / n queries
+        cases = [*self._cases(np.float32), *self._cases(np.float64, mixed=True)]
+        whole = [head.frn_distances(q, pools, p) for q, pools, p in cases]
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_PASS_BYTES", 0)
+        for (q, pools, p), dist in zip(cases, whole):
+            assert np.array_equal(head.frn_distances(q, pools, p), dist)
+
+    def test_memory_does_not_grow_with_the_pool_count(self, monkeypatch):
+        # many one-pool-sized A's at once would scale with the class count,
+        # as when the whole base set is scored against every base class
+        monkeypatch.setattr(head, "_PASS_BYTES", 0)
+        rng = np.random.default_rng(26)
+        k, r, d, b, n_pools = 8, 5, 64, 200, 16
+        pools = [random_pool(rng, k, r, d, class_id=c) for c in range(n_pools)]
+        q = rng.standard_normal((b * r, d))
+        # the parent held one pool's A = Q S^T and W over the whole stack at once
+        one_a = b * r * k * r * q.itemsize
+        # the pass also copies each S^T and keeps each pool's kr x kr
+        # factor, which is smaller, since kr < d on the direct side
+        supports = sum(p.values.nbytes for p in pools)
+        head.frn_distances(q, pools, HeadParams())  # start the executor's threads
+        tracemalloc.start()
+        try:
+            head.frn_distances(q, pools, HeadParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # holding A and W for every pool at once would peak near 11 MB here
+        assert peak < 2 * (one_a + supports)
+
+    @pytest.mark.parametrize("n_pools", [1, 2, 5])
+    def test_an_episode_dispatches_twice_whatever_its_pool_count(self, n_pools, monkeypatch):
+        # one pass over every direct pool: one phase-1 and one phase-2 dispatch
+        # per worker thread, not two per pool
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(25)
+        pools = [random_pool(rng, 2, 3, 16, class_id=c) for c in range(n_pools)]
+        q = rng.standard_normal((12 * 3, 16))
+        submitted, submit = [], head._submit
+
+        def counted(fn, *args):
+            submitted.append(fn)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(head, "_submit", counted)
+        head.frn_distances(q, pools, HeadParams())
+        assert len(submitted) == 2
 
     def test_each_block_is_taken_once_under_contention(self, monkeypatch):
         # more workers than cores take one-query blocks with a short switch

@@ -64,13 +64,15 @@ def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
     assert not np.array_equal(heads["frn"](episode), before)
 
 
-# r = 2, d = 4: 1-shot pools (kr = 2 < d) score on the direct side, and
-# 2-shot pools (kr = d = 4, a tie) on woodbury
-@pytest.mark.parametrize("shot, formulation, solve", [
-    pytest.param(1, "direct", "linalg.spd_inverse", id="direct-linalg.spd_inverse"),
-    pytest.param(2, "woodbury", "linalg.spd_solve", id="woodbury-linalg.spd_solve"),
+# r = 2, d = 4: 1-shot pools (kr = 2 < d) score on the direct side, all of an
+# episode's in one pass inside head.score, and 2-shot pools (kr = d = 4, a
+# tie) on woodbury, one reconstruct call each
+@pytest.mark.parametrize("shot, formulation, solve, head_spans", [
+    pytest.param(1, "direct", "linalg.spd_inverse", (), id="direct-linalg.spd_inverse"),
+    pytest.param(2, "woodbury", "linalg.spd_solve", ("head.reconstruct", "head.woodbury"),
+                 id="woodbury-linalg.spd_solve"),
 ])
-def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, solve):
+def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, solve, head_spans):
     # the benchmark's layer table reads these spans; scoring that goes
     # around the wrapped names would leave its head and linalg rows empty
     import frn.episodes
@@ -84,7 +86,7 @@ def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, s
     with recorder.instrument(True):
         frn.episodes.evaluate(ds, head_fn, n=3, k=shot, q=2, trials=2, seed=0)
     names = {s[0] for s in recorder.spans}
-    for name in ("head.reconstruct", f"head.{formulation}", "linalg.gram", solve):
+    for name in ("head.score", *head_spans, "linalg.gram", solve):
         assert name in names, name
 
 
@@ -136,9 +138,12 @@ def test_benchmark_selftest_passes():
 
 
 def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch):
-    # the direct kernel runs chunks of queries on worker threads; they must
-    # call no wrapped name, or spans from two threads would interleave on the
-    # recorder's one stack and the layer table's self times would go wrong
+    # the direct pass runs blocks and chunks of queries on worker threads;
+    # they must call no wrapped name, or spans from two threads would
+    # interleave on the recorder's one stack and the layer table's self
+    # times would go wrong
+    import threading
+
     import frn.episodes
     import frn.head
     from frn.data import GenSpec, generate
@@ -149,16 +154,29 @@ def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch)
     assert choose_formulation(2, 3, 24) == "direct"  # 2-shot pools, kr = 6 < d = 24
     head_fn = frn.episodes.make_head_fn("frn", HeadParams())
     recorder = spans.Recorder()
+    caller, threads, record = threading.get_ident(), set(), recorder.span
+
+    def span(name, fn):
+        traced = record(name, fn)
+
+        def on_thread(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return traced(*args, **kwargs)
+
+        return on_thread
+
+    monkeypatch.setattr(recorder, "span", span)
     with recorder.instrument(True):
         frn.episodes.evaluate(ds, head_fn, n=3, k=2, q=4, trials=3, seed=0)
+    assert threads == {caller}  # no worker recorded a span
     names = [s[0] for s in recorder.spans]
-    # each pool's factor is made once, on the calling thread, and no chunk adds a span
-    assert names.count("head.direct") == names.count("linalg.gram") == 3 * 3  # trials x pools
-    assert names.count("linalg.spd_inverse") == names.count("head.direct")
-    # the factor is made while the workers form the query products, yet stays in its pool's span
+    # each pool's factor is made once, on the calling thread
+    assert names.count("linalg.gram") == names.count("linalg.spd_inverse") == 3 * 3  # trials x pools
+    # the factors are made while the workers form the query products, yet
+    # stay in the span of the call that made them
     for name, _, _, parent, _ in recorder.spans:
         if name in ("linalg.gram", "linalg.spd_inverse"):
-            assert parent >= 0 and names[parent] == "head.direct", name
+            assert parent >= 0 and names[parent] == "head.score", name
     assert min(recorder.self_times()) >= 0
     for name, start, end, parent, _ in recorder.spans:
         if parent >= 0:

@@ -688,6 +688,17 @@ class TestMetaTrain:
         lrs = [h["lr"] for h in meta_train(ds, ds, cfg).history]
         assert lrs == [0.05] * 5 + [0.05 / 10] * 2 + [0.05 / 10 / 10] * 3  # drops at 5, 7
 
+    def test_validation_data_of_another_width_is_rejected_before_step_0(self, monkeypatch):
+        ds_base = gaussian_dataset(n_classes=5, items=8, d_in=6, seed=12)
+        ds_val = gaussian_dataset(n_classes=5, items=8, d_in=4, seed=13)
+        cfg = TrainConfig(head="frn", way=3, shot=1, query=2, episodes=4,
+                          val_every=2, val_trials=2, embed_dim=4, seed=0)
+        sampled = []
+        monkeypatch.setattr(training, "sample_episode", lambda *a: sampled.append(a))
+        with pytest.raises(ValueError, match="validation data has 4 channels, training data has 6"):
+            meta_train(ds_base, ds_val, cfg)
+        assert sampled == []
+
     def test_history_records_losses(self):
         ds = gaussian_dataset(n_classes=5, items=8, seed=11)
         cfg = TrainConfig(head="proto", way=3, shot=1, query=3, episodes=5,
