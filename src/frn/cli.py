@@ -12,9 +12,11 @@ Each flag of gen, bench, train and pretrain parses into the field its
 ``--sigma`` ``noise_sigma``, bench's ``--shot`` and ``--iters``
 ``BenchConfig.k`` and ``iterations``, and ``--fix-alpha|beta|gamma`` and
 ``--no-aux`` clear ``TrainConfig.learn_*`` and ``use_aux``. Every other
-flag sets the field of its own name. ``pretrain.json``'s
-``pretrain_accuracy`` scores the base set at the feature scale
-pretraining used.
+flag sets the field of its own name. The embedding's width alone sets
+the feature scale (``training.feature_scale``), so ``pretrain.json``'s
+``pretrain_accuracy`` and ``frn eval --from`` score at the scale the
+embedding was trained at; eval rejects a checkpoint that records another.
+``train.json``'s ``best_val_accuracy`` is null when no validation ran.
 
 eval, bench and train, which score episodes through the direct head,
 run with the OpenBLAS bundled in numpy's and scipy's wheels at one
@@ -36,6 +38,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -48,6 +51,7 @@ from .episodes import EvaluationError, SamplingError, evaluate, make_head_fn
 from .head import HeadParams
 from .linalg import NumericalError, ShapeError, blas_threads_at, resolve_dtype
 from .training import (
+    DOWNSCALE_DIM_THRESHOLD,
     CheckpointError,
     GradientError,
     PretrainConfig,
@@ -134,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--episodes", type=int, default=200)
         p.add_argument("--lr", type=float, default=0.05)
         p.add_argument("--embed-dim", type=int, default=None)
-        p.add_argument("--downscale-features", action="store_true", default=None)
         p.add_argument("--fix-alpha", dest="learn_alpha", action="store_false")
         p.add_argument("--fix-beta", dest="learn_beta", action="store_false")
         p.add_argument("--fix-gamma", dest="learn_gamma", action="store_false")
@@ -153,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--batch-size", type=int, default=32)
     pre.add_argument("--lr", type=float, default=0.05)
     pre.add_argument("--embed-dim", type=int, default=None)
-    pre.add_argument("--downscale-features", action="store_true", default=None)
     add_common(pre)
 
     return parser
@@ -210,17 +212,22 @@ def cmd_eval(args) -> int:
 
     if args.from_ckpt:
         params, meta = load_checkpoint(args.from_ckpt)
-        train_cfg_dict = meta.get("train_config") or {}
-        head_kind = args.head or train_cfg_dict.get("head", "frn")
-        tc = TrainConfig(head=head_kind, downscale_features=train_cfg_dict.get("downscale_features"))
+        train_cfg = meta.get("train_config") or {}
+        head_kind = args.head or train_cfg.get("head", "frn")
         required = ("embed_weight", "embed_bias") + (("ctx_key", "ctx_value") if head_kind == "ctx" else ())
         _check_tensors(args.from_ckpt, params, ds.d, required)
-        head_fn = make_eval_head_fn(params, tc)
+        # older checkpoints may record a feature scale chosen apart from the
+        # width; scoring one at the width's scale would silently change its results
+        d, recorded = params["embed_weight"].shape[-1], train_cfg.get("downscale_features")
+        if recorded is not None and recorded != (d >= DOWNSCALE_DIM_THRESHOLD):
+            raise CheckpointError(
+                f"{args.from_ckpt}: train_config 'downscale_features' is {recorded!r}, but features "
+                f"of width {d} are scaled iff the width is >= {DOWNSCALE_DIM_THRESHOLD}")
+        head_fn = make_eval_head_fn(params, head_kind)
     else:
-        head_kind = args.head or "frn"
-        gamma = 1.0 / ds.d
-        base_fn_params = HeadParams(gamma=gamma)
-        head_fn = make_head_fn(head_kind, base_fn_params)
+        # an untrained head at HeadParams(): evaluate reads only the argmax,
+        # which a positive gamma cannot move
+        head_fn = make_head_fn(args.head or "frn", HeadParams())
 
     report = evaluate(ds, head_fn, n=args.way, k=args.shot, q=args.query,
                       trials=args.trials, seed=args.seed)
@@ -333,9 +340,10 @@ def cmd_train(args) -> int:
         _check_tensors(args.from_ckpt, init, ds_base.d)
 
     result = meta_train(ds_base, ds_val, cfg, init=init)
+    best = result.best_val_accuracy
     _write_run(Path(args.out), "train", cfg_dict, result.best_params, cfg_dict, result,
-               best_val_accuracy=result.best_val_accuracy)
-    print(f"best validation accuracy {result.best_val_accuracy:.4f} "
+               best_val_accuracy=None if math.isnan(best) else best)  # NaN is not JSON
+    print(f"best validation accuracy {best:.4f} "
           f"({'aborted' if result.aborted else 'completed'})")
     return EXIT_OK
 
@@ -347,7 +355,7 @@ def cmd_pretrain(args) -> int:
     result = pretrain(ds, cfg)
     accuracy = pretrain_accuracy(result, ds)  # on the base set
     _write_run(Path(args.out), "pretrain", cfg_dict, result.as_init(),
-               {"head": "frn", "downscale_features": cfg.downscale_features},
+               {"head": "frn"},
                result, final_gamma=result.gamma, pretrain_accuracy=accuracy)
     print(f"pretrain finished in {len(result.history)} steps "
           f"({'aborted' if result.aborted else 'completed'}), "

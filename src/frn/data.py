@@ -77,8 +77,8 @@ class GenSpec:
             raise ValueError(f"kind must be one of {GEN_KINDS}, got {self.kind!r}")
         if min(self.n_classes, self.items_per_class, self.r, self.d) < 1:
             raise ValueError("all counts must be >= 1")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def _assemble(latents: list[np.ndarray], spec: GenSpec, rng, permute: bool) -> Dataset:

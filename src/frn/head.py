@@ -41,22 +41,22 @@ A and W = A M^-1: since M = G + lam I with G = S S^T, M^-1 G = I - lam M^-1,
 so W G = A - lam W is formed elementwise in A's buffer.
 Only the direct pass threads the step, and ``frn_distances`` runs one
 pass over all of an episode's direct-side pools (``reconstruct_direct``
-is that pass over one pool), in two phases. In phase 1 worker threads
-take (pool, block of ``_BLOCK`` queries) tasks from one shared queue in
-turn and form that block's A, which needs only S^T, while the calling
-thread squares the query stack and factors every pool; it then takes
-tasks too. Phase 2 splits the stack into one contiguous chunk of queries
-per CPU available to the process, and each runs W and the errors for
-every pool on its chunk, W into a buffer dropped with the pass unless
-the caller keeps it. An episode thus dispatches to the workers twice,
-whatever its pool count, as long as its A over every pool fits in
-``_PASS_BYTES``; past that the pass takes the stack in slices, so its
-memory does not grow with the pool count. Since each query's products
-depend only on that query and its pool, the results are bit-identical to
-a serial run, for any worker count, block size and slicing. Training,
-the woodbury form and the ctx head in ``baselines`` run serially: on a
-shared 2-vCPU host a second thread sped their small products up only
-while the other vCPU was idle.
+is that pass over one pool), in two phases, each through ``_over_tasks``.
+In phase 1 worker threads take (pool, block of ``_BLOCK`` queries) tasks
+from one shared queue in turn and form that block's A, which needs only
+S^T, while the calling thread squares the query stack and factors every
+pool; it then takes tasks too. Phase 2 splits the stack into one
+contiguous chunk of queries per CPU available to the process, and each
+runs W and the errors for every pool on its chunk, W into a buffer
+dropped with the pass unless the caller keeps it. An episode thus
+dispatches to the workers twice, whatever its pool count, as long as its
+A over every pool fits in ``_PASS_BYTES``; past that the pass takes the
+stack in slices, so its memory does not grow with the pool count. Since
+each query's products depend only on that query and its pool, the
+results are bit-identical to a serial run, for any worker count, block
+size and slicing. Training, the woodbury form and the ctx head in
+``baselines`` run serially: on a shared 2-vCPU host a second thread sped
+their small products up only while the other vCPU was idle.
 All functions are pure; per-class calls may run concurrently.
 """
 
@@ -312,33 +312,18 @@ def _finish(futures):
         future.result()
 
 
-def _over_chunks(fn, b: int):
-    """Run ``fn(lo, hi)`` on one contiguous slice of range(b) per worker, concurrently.
-
-    The caller runs the first slice itself, the executor the others. An
-    exception is raised only after every slice has finished.
-    """
-    n = max(min(_WORKERS, b), 1)
-    bounds = [b * i // n for i in range(n + 1)]
-    if n == 1:
-        fn(0, b)
-        return
-    futures = [_submit(fn, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        fn(bounds[0], bounds[1])
-    finally:
-        _finish(futures)
-
-
-def _over_tasks(fn, tasks: Sequence[tuple], meanwhile):
+def _over_tasks(fn, tasks: Sequence[tuple], meanwhile=lambda: None):
     """Run ``fn(*task)`` for each of ``tasks`` and return ``meanwhile()``,
     which the caller runs while the workers start.
 
-    Workers take the tasks in turn, and so does the caller once
-    ``meanwhile`` has returned, so the load balances itself. An exception,
-    ``meanwhile``'s included, is raised only after every task has finished.
+    Each worker is handed one task of its own, so it gets one however late
+    its thread wakes; then the workers take the rest in turn, and so does
+    the caller once ``meanwhile`` has returned, so the load balances
+    itself. An exception, ``meanwhile``'s included, is raised only after
+    every task has finished.
     """
-    taken, lock = iter(tasks), threading.Lock()
+    n = min(_WORKERS - 1, len(tasks))
+    taken, lock = iter(tasks[n:]), threading.Lock()
 
     def take():
         while True:
@@ -348,7 +333,11 @@ def _over_tasks(fn, tasks: Sequence[tuple], meanwhile):
                 return
             fn(*task)
 
-    futures = [_submit(take) for _ in range(min(_WORKERS - 1, len(tasks)))]
+    def start(task):
+        fn(*task)
+        take()
+
+    futures = [_submit(start, task) for task in tasks[:n]]
     try:
         out = meanwhile()
         take()
@@ -432,7 +421,9 @@ def _direct_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadPa
                 _direct_step(a_s[c][lo:hi], sq_norms[lo:hi], factor, rho, w_s[c][lo:hi],
                              err_s[c, lo:hi])
 
-        _over_chunks(chunk, n)
+        m = min(_WORKERS, n)  # one contiguous chunk per CPU
+        bounds = [n * i // m for i in range(m + 1)]
+        _over_tasks(chunk, list(zip(bounds, bounds[1:])))
 
     for start in range(0, b, step):
         one_slice(slice(start, start + step))

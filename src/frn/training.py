@@ -21,10 +21,10 @@ class pairs. ctx trains its key and value projections; only an untrained
 eval head scores with ``CtxParams()``, the identity.
 
 ``feature_scale`` alone decides how features are scaled, for training,
-pretraining, the heads that evaluate them and ``pretrain_accuracy``:
-by 1/sqrt(d) when ``downscale_features`` is True, or is None and
-d >= 256, else not at all. ``PretrainResult`` keeps the flag pretraining
-ran with, so ``pretrain_accuracy`` scores at the same scale.
+pretraining, the heads that evaluate them and ``pretrain_accuracy``, from
+the embedding's width d alone: by 1/sqrt(d) when d >= 256, else not at
+all. lambda = (kr/d) exp(alpha) does not scale with the features, so the
+scale is part of the model, fixed by its width.
 
 Two regimes are provided:
 
@@ -132,19 +132,18 @@ class EmbeddingModel:
 DOWNSCALE_DIM_THRESHOLD = 256
 
 
-def feature_scale(downscale: bool | None, d: int) -> float:
-    """The factor d-channel features are scaled by: 1/sqrt(d) when downscaled, else 1.
+def feature_scale(d: int) -> float:
+    """The factor d-channel features are scaled by: 1/sqrt(d) iff d >= 256, else 1.
 
-    An explicit ``downscale`` wins; None downscales iff d >= 256.
+    Wide embeddings (the paper's ResNet-12 at d 640) train unstably
+    without it; narrow ones (Conv-4 at d 64) need none.
     """
-    if downscale is None:
-        downscale = d >= DOWNSCALE_DIM_THRESHOLD
-    return 1.0 / math.sqrt(d) if downscale else 1.0
+    return 1.0 / math.sqrt(d) if d >= DOWNSCALE_DIM_THRESHOLD else 1.0
 
 
-def feature_transform(embedding: EmbeddingModel, downscale: bool | None) -> Callable[[np.ndarray], np.ndarray]:
-    """Embedding application scaled by ``feature_scale(downscale, d)``, in the input's dtype."""
-    scale = feature_scale(downscale, embedding.d)
+def feature_transform(embedding: EmbeddingModel) -> Callable[[np.ndarray], np.ndarray]:
+    """Embedding application scaled by ``feature_scale`` of its width, in the input's dtype."""
+    scale = feature_scale(embedding.d)
 
     def transform(values: np.ndarray) -> np.ndarray:
         out = embedding.apply(values)
@@ -169,10 +168,7 @@ class TrainConfig:
     val_trials: int = 100
     val_query: int = 16
     val_way: int | None = None  # defaults to the training way
-    embed_dim: int | None = None
-    # None = automatic: rescale features by 1/sqrt(d) only for wide
-    # embeddings (d >= 256), where training is unstable without it
-    downscale_features: bool | None = None
+    embed_dim: int | None = None  # the embedding's width, which alone sets feature_scale
     learn_alpha: bool = True
     learn_beta: bool = True
     learn_gamma: bool = True
@@ -218,7 +214,7 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
     the orthogonality term is off).
     """
     support, queries, labels, k, r = _episode_arrays(episode)
-    scale = feature_scale(cfg.downscale_features, d)
+    scale = feature_scale(d)
     q_emb = _embed(queries, variables, scale)
     s_stack = _embed(np.stack(support), variables, scale)  # (n, kr, d)
     gamma = _scalar(variables, "gamma", 1.0)
@@ -290,8 +286,11 @@ def _descend(state, constants, lr, steps, decay_at, step_loss, after_step=None):
     Vars, and fills ``terms`` for the history entry. After the ``sgd_step``
     and the ``GAMMA_FLOOR`` clamp, ``after_step(t, params, entry)`` may add
     to the entry. A non-finite loss or gradient ends the loop with an
-    ``aborted_non_finite`` entry and the last finite state.
+    ``aborted_non_finite`` entry and the last finite state; a non-finite
+    ``lr`` is a ValueError before any step.
     """
+    if not math.isfinite(lr):
+        raise ValueError(f"learning rate must be finite, got {lr!r}")
     decay_steps = {int(f * steps) for f in decay_at}
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
@@ -366,17 +365,15 @@ def head_params_from(params: dict[str, np.ndarray]) -> HeadParams:
     )
 
 
-def make_eval_head_fn(params: dict[str, np.ndarray], cfg: TrainConfig):
+def make_eval_head_fn(params: dict[str, np.ndarray], head: str | TrainConfig):
+    """The ``head`` kind's eval function on trained ``params``, at the
+    embedding's feature scale; a TrainConfig stands for its ``head``."""
+    kind = head.head if isinstance(head, TrainConfig) else head
     emb = EmbeddingModel(weight=params["embed_weight"], bias=params["embed_bias"])
     ctx = None
-    if cfg.head == "ctx":
+    if kind == "ctx":
         ctx = CtxParams(key_proj=params["ctx_key"], value_proj=params["ctx_value"])
-    return make_head_fn(
-        cfg.head,
-        head_params_from(params),
-        ctx_params=ctx,
-        transform=feature_transform(emb, cfg.downscale_features),
-    )
+    return make_head_fn(kind, head_params_from(params), ctx_params=ctx, transform=feature_transform(emb))
 
 
 @dataclass
@@ -386,11 +383,6 @@ class TrainResult:
     best_val_accuracy: float
     history: list[dict]
     aborted: bool = False
-
-    @property
-    def embedding(self) -> EmbeddingModel:
-        p = self.best_params
-        return EmbeddingModel(weight=p["embed_weight"], bias=p["embed_bias"])
 
 
 VAL_SEED_OFFSET = 1000003
@@ -438,7 +430,7 @@ def meta_train(
             return
         report = evaluate(
             ds_val,
-            make_eval_head_fn(current, cfg),
+            make_eval_head_fn(current, cfg.head),
             n=cfg.val_way or cfg.way,
             k=cfg.shot,
             q=cfg.val_query,
@@ -475,7 +467,6 @@ class PretrainConfig:
     batch_size: int = 32
     lr: float = 0.05
     embed_dim: int | None = None
-    downscale_features: bool | None = None
     seed: int = 0
 
 
@@ -486,7 +477,6 @@ class PretrainResult:
     dummy_maps: np.ndarray  # (n_classes, r, d); discarded by downstream training
     class_ids: tuple[int, ...]
     history: list[dict]
-    downscale_features: bool | None  # as in PretrainConfig
     aborted: bool = False
 
     def as_init(self) -> dict[str, np.ndarray]:
@@ -526,7 +516,7 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
     d_in = ds_base.d
     d = cfg.embed_dim or d_in
     r = ds_base.r
-    scale = feature_scale(cfg.downscale_features, d)
+    scale = feature_scale(d)
 
     emb = EmbeddingModel.random(d_in, d, rng)
     state: dict[str, np.ndarray] = {
@@ -559,7 +549,6 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
         dummy_maps=dummy,
         class_ids=class_ids,
         history=history,
-        downscale_features=cfg.downscale_features,
         aborted=aborted,
     )
 
@@ -567,13 +556,13 @@ def pretrain(ds_base: Dataset, cfg: PretrainConfig) -> PretrainResult:
 def pretrain_accuracy(result: PretrainResult, ds: Dataset) -> float:
     """Top-1 accuracy of the dummy-map classifier over a dataset.
 
-    The features are scaled as pretraining scaled them (``feature_scale``
-    of the result's ``downscale_features``). Each dummy map is a one-shot
-    support pool scored with the pretraining head's alpha = beta = 0, on
-    the side ``frn_distances`` picks from the shapes. Pretraining itself
+    The features are scaled as pretraining scaled them, by ``feature_scale``
+    of the embedding's width. Each dummy map is a one-shot support pool
+    scored with the pretraining head's alpha = beta = 0, on the side
+    ``frn_distances`` picks from the shapes. Pretraining itself
     runs the woodbury node; the two sides differ only by rounding.
     """
-    transform = feature_transform(result.embedding, result.downscale_features)
+    transform = feature_transform(result.embedding)
     idx_of = {cid: i for i, cid in enumerate(result.class_ids)}
     queries, labels = [], []
     for cid, maps in ds.classes.items():

@@ -48,6 +48,13 @@ class TestGen:
         assert dataset.exists()
         assert Path(str(dataset) + ".labels.csv").exists()
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "data.frnt"
+        assert run(["gen", "--sigma", sigma, "--out", str(out)]) == EXIT_CONFIG
+        assert "noise_sigma" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 #: per command: the config it builds, its required flags, and for each config
 #: field the flag tokens that set it and the value they must reach it with
@@ -82,7 +89,6 @@ CONFIG_FLAGS = {
         "val_trials": (["--val-trials", "13"], 13),
         "val_query": (["--val-query", "5"], 5),
         "embed_dim": (["--embed-dim", "8"], 8),
-        "downscale_features": (["--downscale-features"], True),
         "learn_alpha": (["--fix-alpha"], False),
         "learn_beta": (["--fix-beta"], False),
         "learn_gamma": (["--fix-gamma"], False),
@@ -94,7 +100,6 @@ CONFIG_FLAGS = {
         "batch_size": (["--batch-size", "4"], 4),
         "lr": (["--lr", "0.3"], 0.3),
         "embed_dim": (["--embed-dim", "8"], 8),
-        "downscale_features": (["--downscale-features"], True),
         "seed": (["--seed", "9"], 9),
     }),
 }
@@ -502,21 +507,17 @@ class TestTrainAndCheckpoints:
         ])
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("downscale", [False, True])
-    def test_pretrain_json_gives_the_base_set_accuracy(self, dataset, tmp_path, downscale):
+    def test_pretrain_json_gives_the_base_set_accuracy(self, dataset, tmp_path):
         from frn.data import ingest
         from frn.training import pretrain, pretrain_accuracy
 
         out = tmp_path / "pre"
-        flag = ["--downscale-features"] if downscale else []
         assert run(["pretrain", "--data", str(dataset), "--steps", "40", "--batch-size", "16",
-                    "--lr", "0.5", "--embed-dim", "6", "--seed", "0", "--out", str(out),
-                    *flag]) == EXIT_OK
+                    "--lr", "0.5", "--embed-dim", "6", "--seed", "0", "--out", str(out)]) == EXIT_OK
         accuracy = json.loads((out / "pretrain.json").read_text())["pretrain_accuracy"]
         assert 0.0 <= accuracy <= 1.0
         ds = ingest(dataset, np.float64)
-        cfg = PretrainConfig(steps=40, batch_size=16, lr=0.5, embed_dim=6, seed=0,
-                             downscale_features=True if downscale else None)
+        cfg = PretrainConfig(steps=40, batch_size=16, lr=0.5, embed_dim=6, seed=0)
         assert accuracy == pretrain_accuracy(pretrain(ds, cfg), ds)
 
     @pytest.mark.parametrize("embed_dim", [[], ["--embed-dim", "5"]])
@@ -582,6 +583,65 @@ class TestTrainAndCheckpoints:
             run([command, "--data", str(dataset), "--formulation", "direct",
                  "--out", str(tmp_path / command)])
         assert info.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_the_downscale_flag_is_gone(self, dataset, tmp_path, command):
+        with pytest.raises(SystemExit) as info:
+            run([command, "--data", str(dataset), "--downscale-features",
+                 "--out", str(tmp_path / command)])
+        assert info.value.code == EXIT_CONFIG
+
+    # (embedding width, the train_config's downscale_features, whether eval loads it)
+    @pytest.mark.parametrize("width, recorded, loads", [
+        (4, None, True), (4, False, True), (4, True, False), (256, True, True), (256, False, False),
+    ])
+    def test_a_checkpoint_recording_another_feature_scale_is_io_error(
+        self, dataset, tmp_path, capsys, width, recorded, loads
+    ):
+        # checkpoints written while a setting could override the width's
+        # feature scale keep it in their train_config; one that disagrees
+        # would score at a scale it was not trained at
+        rng = np.random.default_rng(2)
+        tensors = {"embed_weight": rng.standard_normal((6, width)), "embed_bias": np.zeros(width)}
+        codes, reports = [], []
+        for tag, train_config in (("new", {"head": "frn"}),
+                                  ("old", {"head": "frn", "downscale_features": recorded})):
+            ckpt = tmp_path / f"{tag}.bin"
+            save_checkpoint(ckpt, tensors, {"train_config": train_config})
+            capsys.readouterr()
+            codes.append(run(["eval", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
+                              "--query", "2", "--trials", "6", "--seed", "0",
+                              "--out", str(tmp_path / tag)]))
+            if codes[-1] == EXIT_OK:
+                reports.append(json.loads((tmp_path / tag / "eval.json").read_text())["report"])
+        if loads:
+            assert codes == [EXIT_OK, EXIT_OK] and reports[0] == reports[1]
+        else:
+            assert codes == [EXIT_OK, EXIT_IO]
+            assert "'downscale_features'" in capsys.readouterr().err
+            assert not (tmp_path / "old").exists()
+
+    def test_train_json_is_strict_json_when_no_validation_ran(self, dataset, tmp_path):
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        out = tmp_path / "train"
+        assert run(["train", "--data", str(dataset), "--way", "3", "--query", "2",
+                    "--episodes", "3", "--embed-dim", "4", "--val-every", "0",
+                    "--out", str(out)]) == EXIT_OK
+        summary = json.loads((out / "train.json").read_text(), parse_constant=reject)
+        assert summary["best_val_accuracy"] is None
+        for line in (out / "history.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=reject)
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_a_non_finite_learning_rate_is_config_error(self, dataset, tmp_path, capsys, command, lr):
+        code = run([command, "--data", str(dataset), "--lr", lr, "--embed-dim", "4",
+                    "--out", str(tmp_path / command)])
+        assert code == EXIT_CONFIG
+        assert "learning rate" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
     def test_validation_data_of_another_width_is_config_error(self, tmp_path, capsys):
         paths = {}

@@ -251,8 +251,9 @@ class TestHeadFactory:
         ds = toy_dataset()
         ep = sample_episode(ds, 3, 2, 3, trial_rng(0, 1))
         rng = np.random.default_rng(5)
-        transform = feature_transform(EmbeddingModel.random(ds.d, 6, rng), downscale=True)
-        ctx = refops.random_ctx_params(6, rng=rng)
+        # 256 channels: the features are scaled by 1/sqrt(256)
+        transform = feature_transform(EmbeddingModel.random(ds.d, 256, rng))
+        ctx = refops.random_ctx_params(256, rng=rng)
         pools = [
             SupportPool(class_id=p.class_id, k=p.k, values=transform(p.values))
             for p in ep.support

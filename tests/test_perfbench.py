@@ -46,7 +46,7 @@ def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
         kind: frn.episodes.make_head_fn(kind, HeadParams())
         for kind in ("frn", "proto", "dsn", "ctx")
     }
-    transform = feature_transform(EmbeddingModel.random(4, 4, np.random.default_rng(0)), False)
+    transform = feature_transform(EmbeddingModel.random(4, 4, np.random.default_rng(0)))
     heads["frn+transform"] = frn.episodes.make_head_fn("frn", HeadParams(), transform=transform)
     recorder = spans.Recorder()
     with recorder.instrument(True):

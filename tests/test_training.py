@@ -708,9 +708,9 @@ class TestMetaTrain:
         assert all(math.isfinite(h["loss"]) for h in result.history)
 
 
-def reference_pretrain_accuracy(result, ds, downscale=False):
-    """Per-item dummy-map classifier with its own woodbury solve per class."""
-    transform = training.feature_transform(result.embedding, downscale)
+def reference_pretrain_accuracy(result, ds, scale=1.0):
+    """Per-item dummy-map classifier with its own woodbury solve per class,
+    on embedded features times ``scale``."""
     idx_of = {cid: i for i, cid in enumerate(result.class_ids)}
     r = ds.r
     lam = r / result.embedding.d
@@ -722,7 +722,7 @@ def reference_pretrain_accuracy(result, ds, downscale=False):
     total = 0
     for cid, maps in ds.classes.items():
         for m in maps:
-            q = transform(m.values)
+            q = result.embedding.apply(m.values) * scale
             errs = [float(np.sum((q - q @ hat) ** 2) / r) for hat in hats]
             correct += int(np.argmin(errs) == idx_of[cid])
             total += 1
@@ -745,18 +745,17 @@ class TestPretrain:
         assert pretrain_accuracy(result, ds) == reference_pretrain_accuracy(result, ds)
 
     def test_wide_embedding_scores_at_the_scale_pretraining_used(self, monkeypatch):
-        # at d >= 256 pretraining scales features by 1/sqrt(d) unless told otherwise
+        # at d >= 256 pretraining scales features by 1/sqrt(d)
         ds = gaussian_dataset(n_classes=6, items=8, r=3, d_in=6, sigma=0.6, seed=26)
         result = pretrain(ds, PretrainConfig(steps=20, batch_size=16, lr=0.1, embed_dim=300, seed=0))
-        assert result.downscale_features is None
+        scale = 1.0 / math.sqrt(300)
         scored = []
         original = training.frn_distances
         monkeypatch.setattr(training, "frn_distances",
                             lambda q, *rest: scored.append(q) or original(q, *rest))
-        assert pretrain_accuracy(result, ds) == reference_pretrain_accuracy(result, ds, downscale=True)
-        scaled = training.feature_transform(result.embedding, True)
-        np.testing.assert_array_equal(
-            scored[0], np.vstack([scaled(m.values) for maps in ds.classes.values() for m in maps]))
+        assert pretrain_accuracy(result, ds) == reference_pretrain_accuracy(result, ds, scale)
+        np.testing.assert_array_equal(scored[0], np.vstack(
+            [result.embedding.apply(m.values) * scale for maps in ds.classes.values() for m in maps]))
 
     def test_loss_decreases_over_first_ten_steps(self):
         ds = gaussian_dataset(n_classes=6, items=10, r=2, d_in=6, sigma=0.05, seed=13)
