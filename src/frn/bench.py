@@ -6,12 +6,12 @@ paths at a fixed precision (float32 by default, matching the usual
 deep-feature setting). The direct time is its scoring cost: it never
 forms the reconstruction Q_bar. Warm-up iterations are discarded and the
 monotonic clock is used. The timed loop calls each path from one thread,
-but the direct path splits its query-side products across the CPUs
+but both paths split their query-side products across the CPUs
 available to the process, and either path's BLAS calls may start
-threads of their own; the report records the direct path's worker count,
-``OPENBLAS_NUM_THREADS`` and the thread count numpy's and scipy's
-OpenBLAS report back, so timings taken under different settings can be
-told apart.
+threads of their own; the report records the paths' worker count (under
+its old key ``direct_workers``), ``OPENBLAS_NUM_THREADS`` and the thread
+count numpy's and scipy's OpenBLAS report back, so timings taken under
+different settings can be told apart.
 
 The report carries data only; it asserts nothing about which path wins.
 The two paths are cross-checked on their squared-error outputs once
@@ -129,8 +129,8 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     direct = _time_path(reconstruct_direct, queries, pool, params, cfg.iterations, cfg.warmup)
     wood = _time_path(reconstruct_woodbury, queries, pool, params, cfg.iterations, cfg.warmup)
     threads = {
-        # threads, the caller's included, that share phase 1's query blocks
-        # with the factor and then take one chunk of phase 2 each
+        # threads, the caller's included, that each take one chunk of
+        # queries (the direct path's phase 1 shares out blocks among them)
         "direct_workers": min(head._WORKERS, cfg.b),
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "openblas": blas_threads(),

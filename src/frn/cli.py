@@ -15,7 +15,8 @@ Each flag of gen, bench, train and pretrain parses into the field its
 flag sets the field of its own name. The embedding's width alone sets
 the feature scale (``training.feature_scale``), so ``pretrain.json``'s
 ``pretrain_accuracy`` and ``frn eval --from`` score at the scale the
-embedding was trained at; eval rejects a checkpoint that records another.
+embedding was trained at; eval and train reject a checkpoint that records
+another.
 ``train.json``'s ``best_val_accuracy`` is null when no validation ran.
 
 eval, bench and train, which score episodes through the direct head,
@@ -216,13 +217,7 @@ def cmd_eval(args) -> int:
         head_kind = args.head or train_cfg.get("head", "frn")
         required = ("embed_weight", "embed_bias") + (("ctx_key", "ctx_value") if head_kind == "ctx" else ())
         _check_tensors(args.from_ckpt, params, ds.d, required)
-        # older checkpoints may record a feature scale chosen apart from the
-        # width; scoring one at the width's scale would silently change its results
-        d, recorded = params["embed_weight"].shape[-1], train_cfg.get("downscale_features")
-        if recorded is not None and recorded != (d >= DOWNSCALE_DIM_THRESHOLD):
-            raise CheckpointError(
-                f"{args.from_ckpt}: train_config 'downscale_features' is {recorded!r}, but features "
-                f"of width {d} are scaled iff the width is >= {DOWNSCALE_DIM_THRESHOLD}")
+        _check_feature_scale(args.from_ckpt, params, train_cfg)
         head_fn = make_eval_head_fn(params, head_kind)
     else:
         # an untrained head at HeadParams(): evaluate reads only the argmax,
@@ -265,6 +260,24 @@ def _check_tensors(path, params: dict, d_in: int, required=()):
         if len(shape) != len(want) or any(n != w for n, w in zip(shape, want) if w is not None):
             want_text = "(" + ", ".join("*" if w is None else str(w) for w in want) + ")"
             raise CheckpointError(f"{path}: tensor {name!r} has shape {shape}, expected {want_text}")
+
+
+def _check_feature_scale(path, params: dict, train_config: dict):
+    """Raise CheckpointError if ``train_config`` records a ``downscale_features``
+    that the width of the embedding in ``params`` does not give.
+
+    Older checkpoints may record a feature scale chosen apart from the
+    width; scoring or fine-tuning one at the width's scale would silently
+    change its results.
+    """
+    recorded, weight = train_config.get("downscale_features"), params.get("embed_weight")
+    if recorded is None or weight is None:
+        return
+    d = weight.shape[-1]
+    if recorded != (d >= DOWNSCALE_DIM_THRESHOLD):
+        raise CheckpointError(
+            f"{path}: train_config 'downscale_features' is {recorded!r}, but features "
+            f"of width {d} are scaled iff the width is >= {DOWNSCALE_DIM_THRESHOLD}")
 
 
 def _to_f32(episode):
@@ -335,9 +348,10 @@ def cmd_train(args) -> int:
 
     init = None
     if args.from_ckpt:
-        init, _ = load_checkpoint(args.from_ckpt)
+        init, meta = load_checkpoint(args.from_ckpt)
         init = {n: v for n, v in init.items() if not n.startswith("dummy_")}
         _check_tensors(args.from_ckpt, init, ds_base.d)
+        _check_feature_scale(args.from_ckpt, init, meta.get("train_config") or {})
 
     result = meta_train(ds_base, ds_val, cfg, init=init)
     best = result.best_val_accuracy

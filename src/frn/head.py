@@ -39,24 +39,41 @@ query stack, which takes each error from a kr-space identity within
 256 eps ||Q||^2 / r of a float64 solve. Each query costs two products,
 A and W = A M^-1: since M = G + lam I with G = S S^T, M^-1 G = I - lam M^-1,
 so W G = A - lam W is formed elementwise in A's buffer.
-Only the direct pass threads the step, and ``frn_distances`` runs one
-pass over all of an episode's direct-side pools (``reconstruct_direct``
-is that pass over one pool), in two phases, each through ``_over_tasks``.
-In phase 1 worker threads take (pool, block of ``_BLOCK`` queries) tasks
-from one shared queue in turn and form that block's A, which needs only
-S^T, while the calling thread squares the query stack and factors every
-pool; it then takes tasks too. Phase 2 splits the stack into one
-contiguous chunk of queries per CPU available to the process, and each
-runs W and the errors for every pool on its chunk, W into a buffer
-dropped with the pass unless the caller keeps it. An episode thus
-dispatches to the workers twice, whatever its pool count, as long as its
-A over every pool fits in ``_PASS_BYTES``; past that the pass takes the
-stack in slices, so its memory does not grow with the pool count. Since
-each query's products depend only on that query and its pool, the
-results are bit-identical to a serial run, for any worker count, block
-size and slicing. Training, the woodbury form and the ctx head in
-``baselines`` run serially: on a shared 2-vCPU host a second thread sped
-their small products up only while the other vCPU was idle.
+``frn_distances`` runs one pass over all of an episode's pools of each
+side, each pass through ``_over_tasks`` (``reconstruct_direct`` and
+``reconstruct_woodbury`` are those passes over one pool). The direct pass
+has two phases. In phase 1 worker threads take (pool, block of
+``_BLOCK`` queries) tasks from one shared queue in turn and form that
+block's A, which needs only S^T, while the calling thread squares the
+query stack and factors every pool; it then takes tasks too. Phase 2
+splits the stack into one contiguous chunk of queries per CPU available
+to the process (``_chunks``), and each runs W and the errors for every
+pool on its chunk, W into a buffer dropped with the pass unless the
+caller keeps it. An episode's direct side thus dispatches to the workers
+twice, whatever its pool count, as long as its A over every pool fits in
+``_PASS_BYTES``; past that the pass takes the stack in slices, so its
+memory does not grow with the pool count. The woodbury pass dispatches
+once: the calling thread factors every pool first, so a factor's error
+is raised before any worker starts, then each chunk forms rho Q hat - Q
+and its squared rows for every pool, in a residual buffer the caller
+allocated (one allocated in a worker would stay in that worker's own
+heap). The ctx head in ``baselines`` runs its
+pool loop over the same chunks. A pass with one chunk (one query, or
+one CPU) runs on the calling thread with no dispatch. Since each query's products depend only
+on that query and its pool, the results are bit-identical to a serial
+run, for any worker count, block size and slicing.
+At the paper's Conv-4 shape (five 5-shot pools, 75 queries, r 25, d 64,
+f64, 1 BLAS thread) on a shared 2-vCPU host, a woodbury episode took
+1.64-1.67 ms against 2.49-2.50 ms serially, and ctx 3.72-3.74 against
+7.04-7.15 ms (medians of 300 calls, two runs each). With the BLAS thread
+counts left unset neither is slower than serial, but woodbury loses its
+gain: it took 2.39 ms against 2.45, and ctx 3.67 against 7.09.
+An earlier threaded ctx on the same host gained nothing, or lost, while
+its steal time rose to 20-30%, so these gains need the second CPU to be
+free. The frn training nodes in ``autodiff`` run the direct step and
+their woodbury form on the calling thread: a training step also runs
+the backward, which reuses their per-class arrays, and no threading of
+it has been measured yet.
 All functions are pure; per-class calls may run concurrently.
 """
 
@@ -258,8 +275,8 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: threads the direct kernel runs on: one per CPU available to the
-#: process, the caller among them
+#: threads the query passes (direct, woodbury and ctx) run on: one per
+#: CPU available to the process, the caller among them
 _WORKERS = _available_cpus()
 #: queries per phase-1 block of the direct pass. Measured at the
 #: paper's 5-shot shape (5 pools, 75 queries, r 25, d 640, f32, 2 workers,
@@ -295,7 +312,7 @@ def _chunk_executor() -> ThreadPoolExecutor:
     global _executor
     with _executor_lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="frn-direct")
+            _executor = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="frn-query")
         return _executor
 
 
@@ -312,17 +329,18 @@ def _finish(futures):
         future.result()
 
 
-def _over_tasks(fn, tasks: Sequence[tuple], meanwhile=lambda: None):
+def _over_tasks(fn, tasks: Sequence[tuple], meanwhile=None):
     """Run ``fn(*task)`` for each of ``tasks`` and return ``meanwhile()``,
-    which the caller runs while the workers start.
+    which the caller runs, where given, while the workers start.
 
     Each worker is handed one task of its own, so it gets one however late
     its thread wakes; then the workers take the rest in turn, and so does
     the caller once ``meanwhile`` has returned, so the load balances
-    itself. An exception, ``meanwhile``'s included, is raised only after
-    every task has finished.
+    itself. Without ``meanwhile`` the caller keeps one task for itself, so
+    a lone task runs on the caller with no dispatch. An exception,
+    ``meanwhile``'s included, is raised only after every task has finished.
     """
-    n = min(_WORKERS - 1, len(tasks))
+    n = max(min(_WORKERS - 1, len(tasks) - (meanwhile is None)), 0)
     taken, lock = iter(tasks[n:]), threading.Lock()
 
     def take():
@@ -339,11 +357,18 @@ def _over_tasks(fn, tasks: Sequence[tuple], meanwhile=lambda: None):
 
     futures = [_submit(start, task) for task in tasks[:n]]
     try:
-        out = meanwhile()
+        out = meanwhile() if meanwhile is not None else None
         take()
     finally:
         _finish(futures)
     return out
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of one contiguous chunk of n queries per CPU, at most n chunks."""
+    m = min(_WORKERS, n)
+    bounds = [n * i // m for i in range(m + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _direct_factor(s: np.ndarray, lam: float):
@@ -421,13 +446,51 @@ def _direct_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadPa
                 _direct_step(a_s[c][lo:hi], sq_norms[lo:hi], factor, rho, w_s[c][lo:hi],
                              err_s[c, lo:hi])
 
-        m = min(_WORKERS, n)  # one contiguous chunk per CPU
-        bounds = [n * i // m for i in range(m + 1)]
-        _over_tasks(chunk, list(zip(bounds, bounds[1:])))
+        _over_tasks(chunk, _chunks(n))
 
     for start in range(0, b, step):
         one_slice(slice(start, start + step))
     return np.maximum(err, 0.0, out=err)
+
+
+def _woodbury_factor(pool: SupportPool, params: HeadParams) -> np.ndarray:
+    """Pool side of the woodbury form: hat = (S^T S + lam I)^-1 S^T S, d x d."""
+    g = gram(pool.values, "inner")
+    return spd_solve(add_ridge(g, effective_lambda(params, pool.k, pool.r, pool.d)), g)
+
+
+def _woodbury_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadParams,
+                   hats: list | None = None) -> np.ndarray:
+    """Score a query stack against every pool via its d x d system: the (n, b) errors.
+
+    The caller factors every pool first, appending each hat to ``hats``
+    where given, so a factor's error is raised before any dispatch. Then
+    one contiguous chunk of queries per CPU forms rho Q hat - Q for every
+    pool and reduces it, in a residual buffer allocated here and shared
+    by the pools of one dtype.
+    """
+    q = queries.maps
+    factors = [_woodbury_factor(p, params) for p in pools]
+    if hats is not None:
+        hats.extend(factors)
+    rhos = [np.asarray(params.rho, dtype=p.values.dtype) for p in pools]
+    dtypes = [np.result_type(q, hat) for hat in factors]
+    # allocated here, not in the workers, whose own heaps would keep it
+    resid = {dt: np.empty(q.shape, dt) for dt in set(dtypes)}
+    err = np.empty((len(pools), len(q)))
+
+    def chunk(lo, hi):
+        q_c = q[lo:hi]
+        for c, (hat, rho, dt) in enumerate(zip(factors, rhos, dtypes)):
+            res = resid[dt][lo:hi]
+            np.matmul(q_c, hat, out=res)
+            res *= rho
+            # rho Q hat - Q: the residual negated exactly, so its square is unchanged
+            res -= q_c
+            err[c, lo:hi] = _sq_rows(res) / q.shape[1]
+
+    _over_tasks(chunk, _chunks(len(q)))
+    return err
 
 
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -441,15 +504,10 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Recons
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Reconstruct every query via the d x d system, right to left."""
-    q = _query_stack(q_batch, pool.r, pool.d).maps
-    s = pool.values
-    rho = np.asarray(params.rho, dtype=s.dtype)
-    g = gram(s, "inner")
-    hat = spd_solve(add_ridge(g, effective_lambda(params, pool.k, pool.r, pool.d)), g)
-    resid = q @ hat
-    resid *= rho
-    resid -= q  # rho Q hat - Q: the residual negated exactly, so its square is unchanged
-    return Reconstructions(_sq_rows(resid) / pool.r, pool.class_id, q, hat, rho)
+    queries, hats = _query_stack(q_batch, pool.r, pool.d), []
+    err = _woodbury_pass(queries, [pool], params, hats)[0]
+    rho = np.asarray(params.rho, dtype=pool.values.dtype)
+    return Reconstructions(err, pool.class_id, queries.maps, hats[0], rho)
 
 
 def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -461,21 +519,24 @@ def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructio
     return reconstruct_woodbury(q_batch, pool, params)
 
 
-def _shifted_exp(e: np.ndarray) -> np.ndarray:
+def _shifted_exp(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp(e - rowmax) over the last axis of a float64 array the caller owns, in place.
 
-    Returns the (..., 1) row sums: each is at least 1, since a row's largest
-    entry becomes exp(0), so dividing by them is safe.
+    Returns the (..., 1) row sums, written to ``out`` where given: each is
+    at least 1, since a row's largest entry becomes exp(0), so dividing by
+    them is safe.
     """
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    return e.sum(axis=-1, keepdims=True)
+    return e.sum(axis=-1, keepdims=True, out=out)
 
 
-def _sq_rows(resid: np.ndarray) -> np.ndarray:
-    """Per-query float64 squared norms of a (b, ...) residual the caller owns, squared in place."""
+def _sq_rows(resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-query float64 squared norms of a (b, ...) residual, squared into
+    ``out`` (a buffer of its shape) where given, and in place otherwise."""
     resid = resid.astype(np.float64, copy=False).reshape(len(resid), -1)
-    return np.sum(np.square(resid, out=resid), axis=1)
+    out = resid if out is None else out.reshape(resid.shape)
+    return np.sum(np.square(resid, out=out), axis=1)
 
 
 def _check_pools(pools: Sequence[SupportPool]) -> tuple[int, int]:
@@ -492,17 +553,18 @@ def _check_pools(pools: Sequence[SupportPool]) -> tuple[int, int]:
 def frn_distances(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:
     """(b, n) matrix of per-query, per-class reconstruction errors.
 
-    Every pool on the direct side is scored in one ``_direct_pass``, the
-    others one at a time through ``reconstruct``; columns stay in pool order.
+    The pools on the woodbury side are scored in one ``_woodbury_pass``,
+    then those on the direct side in one ``_direct_pass``; columns stay in
+    pool order.
     """
     queries = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
     direct = [choose_formulation(p.k, p.r, p.d) == "direct" for p in pools]
-    scored = iter(_direct_pass(queries, [p for p, on in zip(pools, direct) if on], params)
-                  if any(direct) else ())
-    return np.column_stack([
-        next(scored) if on else reconstruct(queries, pool, params).sq_errors
-        for pool, on in zip(pools, direct)
-    ])
+    err = np.empty((len(queries.maps), len(pools)))
+    for side, run in ((False, _woodbury_pass), (True, _direct_pass)):
+        cols = [c for c, on in enumerate(direct) if on == side]
+        if cols:
+            err[:, cols] = run(queries, [pools[c] for c in cols], params).T
+    return err
 
 
 def episode_logits(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:

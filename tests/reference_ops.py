@@ -20,7 +20,7 @@ import numpy as np
 
 from frn import linalg
 from frn.autodiff import Var, _accumulate, _binary, value_of
-from frn.baselines import CtxParams, _ctx_exp, _ctx_project, proto_prototypes
+from frn.baselines import CtxParams, _ctx_exp, _ctx_keys, _ctx_project, proto_prototypes
 from frn.head import _shifted_exp
 
 
@@ -121,7 +121,7 @@ def ctx_attention(q1, s1):
 
     The ``_ctx_exp`` pass the errors take, divided here by its row sums.
     """
-    e, sums = _ctx_exp(q1, s1)
+    e, sums = _ctx_exp(q1, _ctx_keys(q1, s1))
     e /= sums
     return e
 
@@ -134,7 +134,7 @@ def ctx_reconstruct(q_vals, pool_vals, params):
     """
     q1, q2 = _ctx_project(q_vals, params)
     s1, s2 = _ctx_project(pool_vals, params)
-    e, sums = _ctx_exp(q1, s1)
+    e, sums = _ctx_exp(q1, _ctx_keys(q1, s1))
     recon = e @ s2
     recon /= sums
     return q2, recon

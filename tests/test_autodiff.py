@@ -461,6 +461,10 @@ def test_every_public_function_has_a_caller_in_src():
              for a in node.names}
     scripts = re.findall(r'^\w+\s*=\s*"frn\.(\w+):(\w+)"', (root / "pyproject.toml").read_text(), re.M)
     used |= set(scripts)
+    # head.reconstruct has no caller in the package, but the benchmark wraps
+    # it by name for its head.reconstruct span; it goes when that span does
+    # (ROADMAP item 2)
+    used |= {("head", "reconstruct")}
     callers = [*trees.values(), acceptance,
                *(ast.parse(path.read_text()) for path in (root / "perfbench").glob("*.py"))]
     classes = {c for _, c, _ in members}

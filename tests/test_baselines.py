@@ -1,13 +1,15 @@
 """Baseline head contracts and their consistency with the reconstruction head."""
 
+import collections
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from frn import autodiff as ad
-from frn import baselines, training
+from frn import baselines, head, training
 from frn.baselines import (
     CtxParams,
     ProjectionConfig,
@@ -364,13 +366,14 @@ class TestCtx:
             assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
 
     def test_grad_step_forms_each_class_logits_once(self, monkeypatch):
-        # the backward reuses the forward's weights instead of recomputing them
+        # the backward reuses the forward's weights instead of recomputing them:
+        # each class's logits are formed once for each query, in whatever chunks
         calls = []
         ctx_exp = baselines._ctx_exp
 
-        def spy(q1, s1, out=None):
-            calls.append(s1.shape)
-            return ctx_exp(q1, s1, out)
+        def spy(q1, keys_t, out=None, sums=None):
+            calls.append((id(keys_t), len(q1)))
+            return ctx_exp(q1, keys_t, out, sums)
 
         monkeypatch.setattr(baselines, "_ctx_exp", spy)
         rng = np.random.default_rng(11)
@@ -386,5 +389,82 @@ class TestCtx:
 
         params = {"key": rng.standard_normal((d, d)), "value": rng.standard_normal((d, d))}
         _, grads = training.grad(loss, params)
-        assert len(calls) == n
+        rows = collections.Counter()
+        for key, n_rows in calls:
+            rows[key] += n_rows
+        assert len(rows) == n and set(rows.values()) == {b}
         assert all(np.any(g != 0) for g in grads.values())
+
+
+class TestThreadedCtxPass:
+    @staticmethod
+    def _cases(dtype):
+        rng = np.random.default_rng(60)
+        for b in range(1, 8):  # b = 1, and b below 2 and 3 workers: uneven and empty chunks
+            r, d = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            # pools of different kr each take their own part of the shared weight buffer
+            pools = [SupportPool(c, k, rng.standard_normal((k * r, d)).astype(dtype))
+                     for c, k in enumerate((3, 1, 4))]
+            params = CtxParams() if b % 2 else refops.random_ctx_params(d, d_k=3, d_v=5, rng=rng)
+            yield rng.standard_normal((b * r, d)).astype(dtype), pools, params
+
+    @staticmethod
+    def _projected(q, pools, params):
+        maps = q.reshape(-1, pools[0].r, pools[0].d)
+        q1, q2 = baselines._ctx_project(maps, params)
+        keys, values = zip(*(baselines._ctx_project(p.values, params) for p in pools))
+        return q1, q2, keys, values
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_for_any_worker_count(self, workers, dtype, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        cases = list(self._cases(dtype))
+        serial = [ctx_distances(q, pools, params) for q, pools, params in cases]
+        threads = set()
+        sq_rows = baselines._sq_rows
+
+        def spy(resid, out):
+            threads.add(threading.get_ident())
+            return sq_rows(resid, out)
+
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(baselines, "_sq_rows", spy)
+        for (q, pools, params), want in zip(cases, serial):
+            assert np.array_equal(ctx_distances(q, pools, params), want)
+            r = pools[0].r
+            for i in range(len(q) // r):  # each query alone gives its row's bits
+                one = ctx_distances(q[i * r : (i + 1) * r], pools, params)
+                assert np.array_equal(one[0], want[i])
+        # with more than one worker, chunks after the first ran on other threads
+        assert (len(threads) > 1) == (workers > 1)
+
+    def test_a_single_query_runs_on_the_caller(self, monkeypatch):
+        # one chunk wakes no worker: the caller scores it, as it did serially
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        q, pools, params = next(self._cases(np.float64))
+        assert len(q) == pools[0].r
+        submitted = []
+        monkeypatch.setattr(head, "_submit", lambda fn, *args: submitted.append(fn))
+        ctx_distances(q, pools, params)
+        baselines.ctx_errors(*self._projected(q, pools, params), keep=[])
+        assert submitted == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_keep_gives_the_scoring_bits_and_each_pools_arrays(self, workers, dtype, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        for q, pools, params in self._cases(dtype):
+            q1, q2, keys, values = self._projected(q, pools, params)
+            kept = []
+            err = baselines.ctx_errors(q1, q2, keys, values, keep=kept)
+            assert np.array_equal(err, baselines.ctx_errors(q1, q2, keys, values))
+            assert len(kept) == len(pools)
+            for (e, sums, resid), s1, s2 in zip(kept, keys, values, strict=True):
+                # one serial pass over the whole stack: what the backward needs
+                e_ref, sums_ref = baselines._ctx_exp(q1, baselines._ctx_keys(q1, s1))
+                resid_ref = e_ref @ s2
+                resid_ref /= sums_ref
+                resid_ref -= q2
+                for got, want in ((e, e_ref), (sums, sums_ref), (resid, resid_ref)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)

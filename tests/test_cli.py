@@ -4,6 +4,7 @@ the exit-code contract."""
 import binascii
 import dataclasses
 import json
+import math
 import os
 import struct
 import subprocess
@@ -620,6 +621,31 @@ class TestTrainAndCheckpoints:
             assert codes == [EXIT_OK, EXIT_IO]
             assert "'downscale_features'" in capsys.readouterr().err
             assert not (tmp_path / "old").exists()
+
+    # (embedding width, the train_config's downscale_features, whether train starts from it)
+    @pytest.mark.parametrize("width, recorded, loads", [
+        (4, None, True), (4, False, True), (4, True, False), (256, False, False),
+    ])
+    def test_training_from_a_checkpoint_recording_another_feature_scale_is_io_error(
+        self, dataset, tmp_path, capsys, width, recorded, loads
+    ):
+        # fine-tuning such a checkpoint at its width's scale would quietly
+        # train it at a scale it was not trained at, as scoring it would
+        rng = np.random.default_rng(3)
+        tensors = {"embed_weight": rng.standard_normal((6, width)) / math.sqrt(6),
+                   "embed_bias": np.zeros(width)}
+        ckpt = tmp_path / "old.bin"
+        save_checkpoint(ckpt, tensors, {"train_config": {"head": "frn", "downscale_features": recorded}})
+        capsys.readouterr()
+        code = run(["train", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
+                    "--query", "2", "--episodes", "2", "--val-every", "0",
+                    "--embed-dim", str(width), "--out", str(tmp_path / "train")])
+        if loads:
+            assert code == EXIT_OK
+        else:
+            assert code == EXIT_IO
+            assert "'downscale_features'" in capsys.readouterr().err
+            assert not (tmp_path / "train").exists()
 
     def test_train_json_is_strict_json_when_no_validation_ran(self, dataset, tmp_path):
         def reject(constant):

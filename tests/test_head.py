@@ -612,6 +612,133 @@ class TestThreadedDirectKernel:
         assert child.exitcode == 0
 
 
+class TestThreadedWoodburyPass:
+    @staticmethod
+    def _cases(dtype, mixed=False):
+        rng = np.random.default_rng(28 if mixed else 27)
+        for b in range(1, 8):  # b = 1, and b below 2 and 3 workers: uneven and empty chunks
+            k, r = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+            # mixed: 1- to 4-shot pools at one (r, d), the 1-shot ones on the direct side
+            shots = (4, 1, 3, 1, 2) if mixed else (k,) * 3
+            d = r + 1 if mixed else int(rng.integers(1, k * r + 1))  # kr >= d from two shots up
+            assert {choose_formulation(k, r, d) for k in shots} == (
+                {"direct", "woodbury"} if mixed else {"woodbury"})
+            pools = [
+                SupportPool(c, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
+                for c, k in enumerate(shots)
+            ]
+            q = (rng.standard_normal((b * r, d)) / math.sqrt(d)).astype(dtype)
+            params = HeadParams(alpha=rng.uniform(-1, 1), beta=rng.uniform(-1, 1), gamma=0.5)
+            yield q, pools, params
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_identical_for_any_worker_count(self, workers, dtype, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        serial = [
+            (head.frn_distances(q, pools, p), episode_logits(q, pools, p))
+            for q, pools, p in self._cases(dtype)
+        ]
+        threads = set()
+        sq_rows = head._sq_rows
+
+        def spy(resid):
+            threads.add(threading.get_ident())
+            return sq_rows(resid)
+
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_sq_rows", spy)
+        for (q, pools, p), (dist, logits) in zip(self._cases(dtype), serial):
+            assert np.array_equal(head.frn_distances(q, pools, p), dist)
+            assert np.array_equal(episode_logits(q, pools, p), logits)
+            for c, pool in enumerate(pools):
+                recs = reconstruct_woodbury(q, pool, p)
+                assert np.array_equal(recs.sq_errors, dist[:, c])
+                assert recs[0].q_bar.dtype == dtype
+                for rec, (q_bar, err) in zip(recs, per_block_woodbury(q, pool, p), strict=True):
+                    assert np.array_equal(rec.q_bar, q_bar) and rec.sq_error == err
+        # with more than one worker, chunks after the first ran on other threads
+        assert (len(threads) > 1) == (workers > 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_mixed_shot_pools_run_both_passes_in_pool_order(self, workers, dtype, monkeypatch):
+        passes = []
+        for name in ("_direct_pass", "_woodbury_pass"):
+            def counted(queries, pools, *args, _run=getattr(head, name), _name=name, **kwargs):
+                passes.append((_name, [p.class_id for p in pools]))
+                return _run(queries, pools, *args, **kwargs)
+
+            monkeypatch.setattr(head, name, counted)
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        kernels = {"direct": reconstruct_direct, "woodbury": reconstruct_woodbury}
+        for q, pools, p in self._cases(dtype, mixed=True):
+            passes.clear()
+            got = head.frn_distances(q, pools, p)
+            sides = [choose_formulation(pool.k, pool.r, pool.d) for pool in pools]
+            assert sorted(passes) == [
+                ("_direct_pass", [c for c, side in enumerate(sides) if side == "direct"]),
+                ("_woodbury_pass", [c for c, side in enumerate(sides) if side == "woodbury"]),
+            ]
+            for c, (pool, side) in enumerate(zip(pools, sides)):
+                assert np.array_equal(got[:, c], kernels[side](q, pool, p).sq_errors), c
+            # the single-pool kernels are each a pass over one pool
+            passes.clear()
+            reconstruct_woodbury(q, pools[0], p)
+            assert passes == [("_woodbury_pass", [0])]
+
+    @pytest.mark.parametrize("n_pools", [1, 2, 5])
+    def test_an_episode_dispatches_once_whatever_its_pool_count(self, n_pools, monkeypatch):
+        # one pass over every woodbury pool: one dispatch per worker thread
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(29)
+        pools = [random_pool(rng, 3, 3, 6, class_id=c) for c in range(n_pools)]
+        assert choose_formulation(3, 3, 6) == "woodbury"
+        q = rng.standard_normal((12 * 3, 6))
+        submitted, submit = [], head._submit
+
+        def counted(fn, *args):
+            submitted.append(fn)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(head, "_submit", counted)
+        head.frn_distances(q, pools, HeadParams())
+        assert len(submitted) == 1
+
+    def test_a_single_query_runs_on_the_caller(self, monkeypatch):
+        # one chunk wakes no worker: the caller scores it, as it did serially
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(31)
+        pools = [random_pool(rng, 3, 3, 6, class_id=c) for c in range(2)]
+        q = rng.standard_normal((3, 6))
+        submitted = []
+        monkeypatch.setattr(head, "_submit", lambda fn, *args: submitted.append(fn))
+        head.frn_distances(q, pools, HeadParams())
+        reconstruct_woodbury(q, pools[0], HeadParams())
+        assert submitted == []
+
+    def test_a_factor_error_is_raised_before_any_dispatch(self, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(30)
+        pools = [random_pool(rng, 3, 3, 6, class_id=c) for c in range(3)]
+        q = rng.standard_normal((8 * 3, 6))
+        submitted, solves = [], []
+        solve = head.spd_solve
+
+        def failing_last_solve(*args):
+            solves.append(1)
+            if len(solves) == len(pools):
+                raise NumericalError("Cholesky factorization failed at pivot 0", pivot=0)
+            return solve(*args)
+
+        monkeypatch.setattr(head, "_submit", lambda fn, *args: submitted.append(fn))
+        monkeypatch.setattr(head, "spd_solve", failing_last_solve)
+        with pytest.raises(NumericalError) as info:
+            head.frn_distances(q, pools, HeadParams())
+        assert info.value.pivot == 0 and len(solves) == len(pools)
+        assert submitted == []
+
+
 # (in_span, alpha, beta): random queries, or queries within 1e-4 of the
 # span of the support rows under a small ridge, where the error cancels
 REGIMES = st.one_of(

@@ -64,15 +64,15 @@ def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
     assert not np.array_equal(heads["frn"](episode), before)
 
 
-# r = 2, d = 4: 1-shot pools (kr = 2 < d) score on the direct side, all of an
-# episode's in one pass inside head.score, and 2-shot pools (kr = d = 4, a
-# tie) on woodbury, one reconstruct call each
-@pytest.mark.parametrize("shot, formulation, solve, head_spans", [
-    pytest.param(1, "direct", "linalg.spd_inverse", (), id="direct-linalg.spd_inverse"),
-    pytest.param(2, "woodbury", "linalg.spd_solve", ("head.reconstruct", "head.woodbury"),
-                 id="woodbury-linalg.spd_solve"),
+# r = 2, d = 4: 1-shot pools (kr = 2 < d) score on the direct side and
+# 2-shot pools (kr = d = 4, a tie) on woodbury; either way all of an
+# episode's pools score in one pass inside head.score, with no per-pool
+# head span
+@pytest.mark.parametrize("shot, formulation, solve", [
+    pytest.param(1, "direct", "linalg.spd_inverse", id="direct-linalg.spd_inverse"),
+    pytest.param(2, "woodbury", "linalg.spd_solve", id="woodbury-linalg.spd_solve"),
 ])
-def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, solve, head_spans):
+def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, solve):
     # the benchmark's layer table reads these spans; scoring that goes
     # around the wrapped names would leave its head and linalg rows empty
     import frn.episodes
@@ -86,8 +86,9 @@ def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, s
     with recorder.instrument(True):
         frn.episodes.evaluate(ds, head_fn, n=3, k=shot, q=2, trials=2, seed=0)
     names = {s[0] for s in recorder.spans}
-    for name in ("head.score", *head_spans, "linalg.gram", solve):
+    for name in ("head.score", "linalg.gram", solve):
         assert name in names, name
+    assert not names & {"head.reconstruct", "head.direct", "head.woodbury"}
 
 
 def test_training_solves_run_through_the_wrapped_names(spans):
@@ -138,10 +139,10 @@ def test_benchmark_selftest_passes():
 
 
 def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch):
-    # the direct pass runs blocks and chunks of queries on worker threads;
-    # they must call no wrapped name, or spans from two threads would
-    # interleave on the recorder's one stack and the layer table's self
-    # times would go wrong
+    # the direct and woodbury passes and the ctx head run chunks (and the
+    # direct pass blocks) of queries on worker threads; they must call no
+    # wrapped name, or spans from two threads would interleave on the
+    # recorder's one stack and the layer table's self times would go wrong
     import threading
 
     import frn.episodes
@@ -150,35 +151,52 @@ def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch)
     from frn.head import HeadParams, choose_formulation
 
     monkeypatch.setattr(frn.head, "_WORKERS", 2)  # dispatch even on a one-CPU box
-    ds = generate(GenSpec(6, 8, 3, 24, 0.05, "gaussian-prototype", 0))
-    assert choose_formulation(2, 3, 24) == "direct"  # 2-shot pools, kr = 6 < d = 24
-    head_fn = frn.episodes.make_head_fn("frn", HeadParams())
-    recorder = spans.Recorder()
-    caller, threads, record = threading.get_ident(), set(), recorder.span
+    submitted, submit = [], frn.head._submit
 
-    def span(name, fn):
-        traced = record(name, fn)
+    def counted(fn, *args):
+        submitted.append(fn)
+        return submit(fn, *args)
 
-        def on_thread(*args, **kwargs):
-            threads.add(threading.get_ident())
-            return traced(*args, **kwargs)
+    monkeypatch.setattr(frn.head, "_submit", counted)
+    # (head, d, the factor's solve): 2-shot pools at r = 3 have kr = 6
+    runs = {"direct": ("frn", 24, "linalg.spd_inverse"),
+            "woodbury": ("frn", 4, "linalg.spd_solve"),
+            "ctx": ("ctx", 24, None)}
+    assert choose_formulation(2, 3, 24) == "direct" and choose_formulation(2, 3, 4) == "woodbury"
+    for label, (kind, d, solve) in runs.items():
+        ds = generate(GenSpec(6, 8, 3, d, 0.05, "gaussian-prototype", 0))
+        head_fn = frn.episodes.make_head_fn(kind, HeadParams())
+        recorder = spans.Recorder()
+        caller, threads, record = threading.get_ident(), set(), recorder.span
 
-        return on_thread
+        def span(name, fn, record=record, threads=threads):
+            traced = record(name, fn)
 
-    monkeypatch.setattr(recorder, "span", span)
-    with recorder.instrument(True):
-        frn.episodes.evaluate(ds, head_fn, n=3, k=2, q=4, trials=3, seed=0)
-    assert threads == {caller}  # no worker recorded a span
-    names = [s[0] for s in recorder.spans]
-    # each pool's factor is made once, on the calling thread
-    assert names.count("linalg.gram") == names.count("linalg.spd_inverse") == 3 * 3  # trials x pools
-    # the factors are made while the workers form the query products, yet
-    # stay in the span of the call that made them
-    for name, _, _, parent, _ in recorder.spans:
-        if name in ("linalg.gram", "linalg.spd_inverse"):
-            assert parent >= 0 and names[parent] == "head.score", name
-    assert min(recorder.self_times()) >= 0
-    for name, start, end, parent, _ in recorder.spans:
-        if parent >= 0:
-            _, p_start, p_end, _, _ = recorder.spans[parent]
-            assert p_start <= start <= end <= p_end, name
+            def on_thread(*args, **kwargs):
+                threads.add(threading.get_ident())
+                return traced(*args, **kwargs)
+
+            return on_thread
+
+        monkeypatch.setattr(recorder, "span", span)
+        submitted.clear()
+        with recorder.instrument(True):
+            frn.episodes.evaluate(ds, head_fn, n=3, k=2, q=4, trials=3, seed=0)
+        assert submitted, label  # workers ran queries
+        assert threads == {caller}, label  # no worker recorded a span
+        names = [s[0] for s in recorder.spans]
+        if solve is None:
+            assert "baselines.ctx" in names and not any(n.startswith("linalg.") for n in names)
+        else:
+            # each pool's factor is made once, on the calling thread, and
+            # stays in the span of the call that made it (the direct pass
+            # makes it while the workers form the query products)
+            assert names.count("linalg.gram") == names.count(solve) == 3 * 3, label  # trials x pools
+            for name, _, _, parent, _ in recorder.spans:
+                if name in ("linalg.gram", solve):
+                    assert parent >= 0 and names[parent] == "head.score", (label, name)
+        assert min(recorder.self_times()) >= 0, label
+        for name, start, end, parent, _ in recorder.spans:
+            if parent >= 0:
+                _, p_start, p_end, _, _ = recorder.spans[parent]
+                assert p_start <= start <= end <= p_end, (label, name)
