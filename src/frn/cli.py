@@ -19,17 +19,21 @@ embedding was trained at; eval and train reject a checkpoint that records
 another.
 ``train.json``'s ``best_val_accuracy`` is null when no validation ran.
 
-eval, bench and train, which score episodes through the direct head,
-run with the OpenBLAS bundled in numpy's and scipy's wheels at one
-thread, unless ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set;
-the counts it had are restored when the command returns. The direct head
-threads its own small products, and OpenBLAS's threads only stall them:
-on a shared 2-CPU host a 5-way 5-shot f32 ``frn eval`` episode at r 25,
-d 640 took 154-171 ms with OpenBLAS at its default 2 threads, and 19-23
-ms at 1. At d 640, 20 ``frn train`` episodes validated every 10 took
-64-65 s at 2 threads and 23 s at 1, and 30 unvalidated ones 9.2-10.0 s
-against 7.9-8.1 s. pretrain keeps the default: 20 steps of its d x d
-woodbury node took 14.6-15.2 s at 2 threads and 17.9-18.1 s at 1.
+eval, bench, train and pretrain run with the OpenBLAS bundled in numpy's
+and scipy's wheels at one thread, unless ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS`` is set; the counts it had are restored when the
+command returns. The direct head, and the woodbury training node's
+backward, thread their own small products, and OpenBLAS's threads only
+stall them: on a shared 2-CPU host a 5-way 5-shot f32 ``frn eval``
+episode at r 25, d 640 took 154-171 ms with OpenBLAS at its default 2
+threads, and 19-23 ms at 1. At d 640, 20 ``frn train`` episodes
+validated every 10 took 64-65 s at 2 threads and 23 s at 1, and 30
+unvalidated ones 9.2-10.0 s against 7.9-8.1 s. A fresh ``frn pretrain``
+process (20 classes, batch 32, r 25, medians of 8) took 0.39 s at one
+thread against 1.05 s at 2 for 30 steps at d 64, and 1.98 against
+4.91 s for 20 steps at d 256; at d 640, where its d x d products are
+large enough for OpenBLAS's threads to pay, 10 steps took 9.26 s at one
+thread against 9.17 s at 2.
 """
 
 from __future__ import annotations
@@ -386,7 +390,7 @@ _COMMANDS = {
 }
 
 #: the commands that run at one OpenBLAS thread (see the module docstring)
-_ONE_BLAS_THREAD = frozenset({"eval", "bench", "train"})
+_ONE_BLAS_THREAD = frozenset({"eval", "bench", "train", "pretrain"})
 
 
 def _exit_code_for(exc: Exception) -> int:

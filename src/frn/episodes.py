@@ -8,11 +8,14 @@ mean accuracy with a normal-approximation 95% confidence interval
 
 Randomness uses the counter-based Philox generator keyed by
 (seed, trial), so every trial has its own substream and results are
-identical no matter how trials are scheduled.
+identical no matter how trials are scheduled. A report's
+``scores_sha256`` digests every trial's logits, bits, dtype and shape, so
+two runs that report equal digests scored every query identically.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -123,13 +126,18 @@ def sample_episode(ds: Dataset, n: int, k: int, q: int, rng: np.random.Generator
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy summary over independent episode trials."""
+    """Accuracy summary over independent episode trials.
+
+    ``scores_sha256`` is the hex SHA-256 of each trial's logits in trial
+    order: for each, its dtype and shape as text, then its C-ordered bytes.
+    """
 
     trials: int
     accuracy_mean: float
     ci95_halfwidth: float
     per_trial: np.ndarray
     rng_seed: int
+    scores_sha256: str
 
     def to_dict(self) -> dict:
         return {
@@ -138,6 +146,7 @@ class EvalReport:
             "ci95_halfwidth": self.ci95_halfwidth,
             "rng_seed": self.rng_seed,
             "per_trial": [float(a) for a in self.per_trial],
+            "scores_sha256": self.scores_sha256,
         }
 
     def to_text(self) -> str:
@@ -167,6 +176,7 @@ def evaluate(
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a confidence interval, got {trials}")
     accs = np.empty(trials, dtype=np.float64)
+    digest = hashlib.sha256()
     for t in range(trials):
         try:
             episode = sample_episode(ds, n, k, q, trial_rng(seed, t))
@@ -177,6 +187,8 @@ def evaluate(
             ) from exc
         labels = np.array([y for _, y in episode.queries])
         accs[t] = float(np.mean(np.argmax(logits, axis=1) == labels))
+        digest.update(f"{logits.dtype.str}{logits.shape}".encode())
+        digest.update(np.ascontiguousarray(logits).tobytes())
     mean = float(accs.mean())
     ci = float(1.96 * accs.std(ddof=1) / np.sqrt(trials))
     return EvalReport(
@@ -185,6 +197,7 @@ def evaluate(
         ci95_halfwidth=ci,
         per_trial=accs,
         rng_seed=int(seed),
+        scores_sha256=digest.hexdigest(),
     )
 
 

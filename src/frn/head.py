@@ -71,9 +71,13 @@ gain: it took 2.39 ms against 2.45, and ctx 3.67 against 7.09.
 An earlier threaded ctx on the same host gained nothing, or lost, while
 its steal time rose to 20-30%, so these gains need the second CPU to be
 free. The frn training nodes in ``autodiff`` run the direct step and
-their woodbury form on the calling thread: a training step also runs
-the backward, which reuses their per-class arrays, and no threading of
-it has been measured yet.
+their woodbury forward on the calling thread. The woodbury node's
+backward forms dQ in blocks of ``_BLOCK`` queries through
+``_over_tasks`` while the caller forms the pool-side gradients; its
+block size, not the CPU count, fixes each product's shape, so its
+results too are the same for any worker count. At the Conv-4 shape
+above (1 BLAS thread, same host) that backward took 0.52-0.55 ms
+against 0.75-0.78 ms with the caller forming all of it.
 All functions are pure; per-class calls may run concurrently.
 """
 
@@ -278,7 +282,8 @@ def _available_cpus() -> int:
 #: threads the query passes (direct, woodbury and ctx) run on: one per
 #: CPU available to the process, the caller among them
 _WORKERS = _available_cpus()
-#: queries per phase-1 block of the direct pass. Measured at the
+#: queries per phase-1 block of the direct pass, and per dQ block of the
+#: woodbury training node's backward (``autodiff``). Measured at the
 #: paper's 5-shot shape (5 pools, 75 queries, r 25, d 640, f32, 2 workers,
 #: 1 BLAS thread): blocks of 8 to 24 queries scored an episode in
 #: 24-25 ms, blocks of 2 and 4 in 25-26 ms (per-block overhead), and one

@@ -9,14 +9,16 @@ The solve node uses the closed-form sensitivity of X = A^-1 B:
 grad_B = A^-T g and grad_A = -grad_B X^T, which follows from
 d(A^-1) = -A^-1 dA A^-1.
 
-The numpy helpers at the end score one pool or one query at a time, as
-the references that the batched heads are compared against, and build
-the random ctx projections and per-class item counts the tests check.
+The numpy helpers at the end form an SPD inverse straight from LAPACK,
+score one pool or one query at a time, as the references that the
+batched heads are compared against, and build the random ctx
+projections and per-class item counts the tests check.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from frn import linalg
 from frn.autodiff import Var, _accumulate, _binary, value_of
@@ -109,6 +111,17 @@ def block_sqnorm(x, rows_per_block: int):
 
     out._vjp = vjp
     return out
+
+
+def potri_inverse(a):
+    """A^-1 of an SPD float matrix from LAPACK potrf then potri, its lower triangle mirrored."""
+    potrf, potri = get_lapack_funcs(("potrf", "potri"), (a,))
+    c, info = potrf(a, lower=1)
+    assert info == 0, info
+    x, info = potri(c, lower=1)
+    assert info == 0, info
+    lower = np.tril(x)
+    return np.ascontiguousarray(lower + np.tril(lower, -1).T)
 
 
 def proto_prototype(pool):

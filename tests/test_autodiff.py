@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from frn import autodiff as ad
+from frn import head
 from frn.baselines import CtxParams, ctx_distances, proto_distances
 from frn.head import SupportPool
 
@@ -336,6 +337,63 @@ class TestClosedFormTrainingNodes:
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((2, 3))
         check_op(lambda v: refops.vsum(ad.mul(ad.stack([v, b, v]), ad.stack([b, v, a]))), a)
+
+
+class TestThreadedWoodburyNode:
+    # the backward forms dQ in blocks of head._BLOCK queries across the CPUs
+    # while the caller forms dS, dlam and drho: b from 1 to 20 gives one
+    # block, full blocks and a partial last block
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(31)
+        for b in range(1, 21):
+            n, r = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            kr, d = 2 * r, int(rng.integers(1, 2 * r + 1))  # kr >= d: the woodbury side
+            yield (rng.standard_normal((b * r, d)), rng.standard_normal((n, kr, d)),
+                   rng.uniform(0.2, 2.0), rng.uniform(0.5, 1.5), r, rng.standard_normal((b, n)))
+
+    @staticmethod
+    def _run(q, s, lam, rho, r, ge):
+        err, grads = ad._woodbury_errors(q, s, lam, rho, r)
+        return [err, *grads(ge)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_for_any_worker_count(self, workers, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        serial = [self._run(*case) for case in self._cases()]
+        submitted, submit = [], head._submit
+
+        def counted(fn, *args):
+            submitted.append(fn)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_submit", counted)
+        for case, expected in zip(self._cases(), serial, strict=True):
+            got = self._run(*case)
+            assert all(np.array_equal(x, y) for x, y in zip(got, expected, strict=True))
+        assert bool(submitted) == (workers > 1)
+
+    def test_dispatched_gradients_match_central_differences(self, monkeypatch):
+        # criterion 4's check: 1e-5 relative wherever the difference exceeds 1e-8
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(32)
+        n, kr, r, d, b = 3, 4, 2, 3, head._BLOCK + 3
+        ops = [rng.standard_normal((b * r, d)), rng.standard_normal((n, kr, d)),
+               np.array(0.7), np.array(1.2)]
+        w = rng.standard_normal((b, n))
+
+        def loss(args):
+            return refops.vsum(ad.mul(ad.ridge_recon_errors(*args, r, "woodbury"), w))
+
+        for i, x in enumerate(ops):
+            v = ad.Var(x)
+            ad.backward(loss([*ops[:i], v, *ops[i + 1:]]))
+            fd = finite_diff(lambda a, _i=i: float(loss([*ops[:_i], a, *ops[_i + 1:]]).value), x)
+            big = np.abs(fd) > 1e-8
+            assert big.any()
+            np.testing.assert_array_less(np.abs(v.grad - fd)[big],
+                                         1e-5 * np.maximum(np.abs(v.grad), np.abs(fd))[big])
 
 
 class TestGraph:

@@ -15,6 +15,7 @@ from frn.episodes import (
     sample_episode,
     trial_rng,
 )
+from frn import head
 from frn.baselines import CtxParams, ctx_scores
 from frn.head import FeatureMap, HeadParams, SupportPool, episode_logits
 from frn.training import EmbeddingModel, feature_transform
@@ -208,11 +209,13 @@ class TestReportSerialization:
             ci95_halfwidth=0.1,
             per_trial=np.array([0.4, 0.5, 0.6]),
             rng_seed=7,
+            scores_sha256="ab" * 32,
         )
         data = json.loads(json.dumps(report.to_dict()))
         assert data["trials"] == 3
         assert data["rng_seed"] == 7
         assert data["per_trial"] == [0.4, 0.5, 0.6]
+        assert data["scores_sha256"] == "ab" * 32
 
     def test_text_table(self):
         report = EvalReport(
@@ -221,9 +224,50 @@ class TestReportSerialization:
             ci95_halfwidth=0.1,
             per_trial=np.array([0.4, 0.5, 0.6]),
             rng_seed=7,
+            scores_sha256="ab" * 32,
         )
         text = report.to_text()
         assert "accuracy_mean" in text and "0.500000" in text
+
+
+class TestScoresDigest:
+    def test_one_logits_last_bit_dtype_or_shape_changes_the_digest(self):
+        ds = toy_dataset()
+        base = make_head_fn("frn", HeadParams())
+
+        def run(edit=lambda logits: logits):
+            calls = iter(range(5))
+
+            def head_fn(episode):
+                logits = base(episode)
+                return edit(logits) if next(calls) == 3 else logits
+
+            return evaluate(ds, head_fn, n=3, k=1, q=2, trials=5, seed=4)
+
+        ref = run()
+        assert len(ref.scores_sha256) == 64 and run().scores_sha256 == ref.scores_sha256
+
+        def last_bit(logits):
+            out = logits.copy()
+            out[1, 2] = np.nextafter(out[1, 2], np.inf)
+            return out
+
+        edits = [last_bit, lambda x: x.view(np.int64), lambda x: x[:, :, None]]
+        digests = {run(edit).scores_sha256 for edit in edits}
+        assert len(digests) == 3 and ref.scores_sha256 not in digests
+        # the accuracies are unchanged: only the digest shows the last bit
+        np.testing.assert_array_equal(run(last_bit).per_trial, ref.per_trial)
+
+    @pytest.mark.parametrize("k", [1, 3])  # kr = 2 < d: direct; kr = 6 > d = 4: woodbury
+    def test_stable_across_reruns_and_worker_counts(self, k, monkeypatch):
+        ds = toy_dataset(items=10)
+        digests = set()
+        for workers in (1, 2, 3, 1):
+            monkeypatch.setattr(head, "_WORKERS", workers)
+            for kind in ("frn", "ctx"):
+                report = evaluate(ds, make_head_fn(kind, HeadParams()), n=3, k=k, q=4, trials=3, seed=6)
+                digests.add((kind, report.scores_sha256))
+        assert len(digests) == 2
 
 
 class TestHeadFactory:

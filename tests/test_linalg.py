@@ -10,6 +10,8 @@ import pytest
 from frn import autodiff as ad
 from frn import linalg
 
+import reference_ops as refops
+
 
 def matmul(a, b):
     return ad.matmul(a, b).value
@@ -109,14 +111,31 @@ class TestSpdSolve:
 
 class TestSpdInverse:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_c_ordered_and_equal_to_solve_against_identity(self, dtype):
+    def test_the_mirrored_potri_inverse(self, dtype):
+        # potrf then potri, the lower triangle mirrored: exactly symmetric,
+        # C-ordered, in the input dtype, and an inverse to the bound of the
+        # spd_solve residual tests
         rng = np.random.default_rng(5)
         for n in (1, 3, 17, 125):
             s = rng.standard_normal((n, n + 2))
             a = linalg.add_ridge(linalg.gram(s, "outer"), 0.5).astype(dtype)
             inv = linalg.spd_inverse(a)
             assert inv.flags.c_contiguous and inv.dtype == dtype
-            assert np.array_equal(inv, linalg.spd_solve(a, np.eye(n, dtype=dtype)))
+            assert np.array_equal(inv, refops.potri_inverse(a))
+            assert np.array_equal(inv, inv.T)
+            resid = np.linalg.norm(inv.astype(np.float64) @ a.astype(np.float64) - np.eye(n))
+            assert resid <= (1e-10 if dtype == np.float64 else 1e-4) * np.linalg.norm(np.eye(n))
+
+    def test_non_positive_pivot_reports_index(self):
+        a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite
+        with pytest.raises(linalg.NumericalError) as err:
+            linalg.spd_inverse(a)
+        assert err.value.pivot == 1
+
+    def test_non_square_is_a_shape_error(self):
+        for shape in ((2, 3), (3,)):
+            with pytest.raises(linalg.ShapeError):
+                linalg.spd_inverse(np.ones(shape))
 
 
 class TestGram:
