@@ -123,7 +123,7 @@ def proto_sqdist(maps: np.ndarray, supports) -> np.ndarray:
 
 def proto_distances(q, pools: Sequence[SupportPool]) -> np.ndarray:
     """(b, n) squared Euclidean distances from the pooled queries to each prototype."""
-    return proto_sqdist(_query_stack(q, *_check_pools(pools)).maps, [p.values for p in pools])
+    return proto_sqdist(_query_stack(q, *_check_pools(pools)), [p.values for p in pools])
 
 
 def proto_scores(q, pools: Sequence[SupportPool], gamma: float) -> np.ndarray:
@@ -156,7 +156,7 @@ def dsn_distances(
     q, pools: Sequence[SupportPool], cfg: ProjectionConfig = ProjectionConfig()
 ) -> np.ndarray:
     """(b, n) projection residuals of the pooled queries against each class subspace."""
-    qv = _query_stack(q, *_check_pools(pools)).maps.mean(axis=1)
+    qv = _query_stack(q, *_check_pools(pools)).mean(axis=1)
     return np.column_stack([
         dsn_residual(qv, pool.values.reshape(pool.k, pool.r, pool.d).mean(axis=1), cfg.lambda_fixed)
         for pool in pools
@@ -249,7 +249,7 @@ def ctx_errors(q1: np.ndarray, q2: np.ndarray, keys, values, keep: list | None =
 
 def ctx_distances(q, pools: Sequence[SupportPool], params: CtxParams) -> np.ndarray:
     """(b, n) mean squared attention-reconstruction errors; queries are projected once."""
-    q1, q2 = _ctx_project(_query_stack(q, *_check_pools(pools)).maps, params)
+    q1, q2 = _ctx_project(_query_stack(q, *_check_pools(pools)), params)
     keys, values = zip(*(_ctx_project(pool.values, params) for pool in pools))
     return ctx_errors(q1, q2, keys, values)
 

@@ -345,9 +345,9 @@ def _write_run(out_dir: Path, command: str, cfg_dict: dict, params: dict, train_
 
 
 def cmd_train(args) -> int:
+    cfg = _config(TrainConfig, args)
     ds_base = _load_dataset(args.data, np.float64)
     ds_val = _load_dataset(args.val_data, np.float64) if args.val_data else ds_base
-    cfg = _config(TrainConfig, args)
     cfg_dict = dataclasses.asdict(cfg)
 
     init = None
@@ -367,8 +367,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    ds = _load_dataset(args.data, np.float64)
     cfg = _config(PretrainConfig, args)
+    ds = _load_dataset(args.data, np.float64)
     cfg_dict = dataclasses.asdict(cfg)
     result = pretrain(ds, cfg)
     accuracy = pretrain_accuracy(result, ds)  # on the base set

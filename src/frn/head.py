@@ -39,29 +39,30 @@ query stack, which takes each error from a kr-space identity within
 256 eps ||Q||^2 / r of a float64 solve. Each query costs two products,
 A and W = A M^-1: since M = G + lam I with G = S S^T, M^-1 G = I - lam M^-1,
 so W G = A - lam W is formed elementwise in A's buffer.
-``frn_distances`` runs one pass over all of an episode's pools of each
-side, each pass through ``_over_tasks`` (``reconstruct_direct`` and
-``reconstruct_woodbury`` are those passes over one pool). The direct pass
-has two phases. In phase 1 worker threads take (pool, block of
-``_BLOCK`` queries) tasks from one shared queue in turn and form that
-block's A, which needs only S^T, while the calling thread squares the
-query stack and factors every pool; it then takes tasks too. Phase 2
-splits the stack into one contiguous chunk of queries per CPU available
-to the process (``_chunks``), and each runs W and the errors for every
-pool on its chunk, W into a buffer dropped with the pass unless the
-caller keeps it. An episode's direct side thus dispatches to the workers
-twice, whatever its pool count, as long as its A over every pool fits in
-``_PASS_BYTES``; past that the pass takes the stack in slices, so its
-memory does not grow with the pool count. The woodbury pass dispatches
-once: the calling thread factors every pool first, so a factor's error
-is raised before any worker starts, then each chunk forms rho Q hat - Q
-and its squared rows for every pool, in a residual buffer the caller
-allocated (one allocated in a worker would stay in that worker's own
-heap). The ctx head in ``baselines`` runs its
-pool loop over the same chunks. A pass with one chunk (one query, or
-one CPU) runs on the calling thread with no dispatch. Since each query's products depend only
-on that query and its pool, the results are bit-identical to a serial
-run, for any worker count, block size and slicing.
+``frn_distances`` scores every pool of an episode, of either side, in
+one ``_pass`` (``reconstruct_direct`` and ``reconstruct_woodbury`` are
+that pass over one pool, each on its own side). The pass has two phases,
+each through ``_over_tasks``. In phase 1 worker threads take (pool, block
+of ``_BLOCK`` queries) tasks for the direct pools from one shared queue
+in turn and form that block's A, which needs only S^T, while the calling
+thread factors every pool, of both sides, and squares the query stack if
+some pool is direct; it then takes tasks too. Phase 2 splits the stack
+into one contiguous chunk of queries per CPU available to the process
+(``_chunks``), and each runs, pool by pool on its chunk, the rest of the
+direct step, W into a buffer dropped with the pass unless the caller
+keeps it, or rho Q hat - Q and its squared rows, in a residual buffer the
+caller allocated (one allocated in a worker would stay in that worker's
+own heap). An episode thus dispatches to the workers twice, whatever its
+pool count, and once if no pool is direct: phase 1 then has no block, so
+a factor's error is raised before any worker starts (with a direct pool,
+once phase 1's blocks are done). The pass holds A over every direct pool
+at once while it fits in ``_PASS_BYTES``; past that it takes the stack in
+slices, so its memory does not grow with the pool count. The ctx head in
+``baselines`` runs its pool loop over the same chunks. A phase 2 with one
+chunk (one query, or one CPU) runs on the calling thread with no
+dispatch. Since each query's products depend only on that query and its
+pool, the results are bit-identical to a serial run, for any worker
+count, block size and slicing.
 At the paper's Conv-4 shape (five 5-shot pools, 75 queries, r 25, d 64,
 f64, 1 BLAS thread) on a shared 2-vCPU host, a woodbury episode took
 1.64-1.67 ms against 2.49-2.50 ms serially, and ctx 3.72-3.74 against
@@ -84,7 +85,6 @@ All functions are pure; per-class calls may run concurrently.
 from __future__ import annotations
 
 import contextvars
-import functools
 import math
 import os
 import threading
@@ -214,34 +214,18 @@ def choose_formulation(k: int, r: int, d: int) -> str:
     return "direct" if d > k * r else "woodbury"
 
 
-@dataclass
-class _Queries:
-    """A validated (b, r, d) query stack and its float64 ||Q_i||^2, taken on first use."""
-
-    maps: np.ndarray
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.maps.reshape(-1, self.maps.shape[-1]), dtype=dtype, copy=copy)
-
-    @functools.cached_property
-    def sq_norms(self) -> np.ndarray:
-        return _row_dots(self.maps, self.maps)
-
-
-def _query_stack(q_batch, r: int, d: int) -> _Queries:
-    """Queries as one validated stack: a FeatureMap, (b*r, d) rows or a stack."""
-    if isinstance(q_batch, _Queries) and q_batch.maps.shape[1:] == (r, d):
-        return q_batch
+def _query_stack(q_batch, r: int, d: int) -> np.ndarray:
+    """Queries as one validated (b, r, d) stack, from a FeatureMap or (b*r, d) rows."""
     if isinstance(q_batch, FeatureMap):
         if (q_batch.r, q_batch.d) != (r, d):
             raise ShapeError(f"query shape ({q_batch.r},{q_batch.d}) does not match pool ({r},{d})")
-        return _Queries(q_batch.values[None])
+        return q_batch.values[None]
     stacked = as_matrix(q_batch, name="query batch")
     if stacked.shape[1] != d:
         raise ShapeError(f"query has {stacked.shape[1]} channels, pool has {d}")
     if stacked.shape[0] % r != 0:
         raise ShapeError(f"query rows {stacked.shape[0]} not a multiple of resolution {r}")
-    return _Queries(stacked.reshape(-1, r, d))
+    return stacked.reshape(-1, r, d)
 
 
 class Reconstructions(Sequence):
@@ -279,10 +263,10 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-#: threads the query passes (direct, woodbury and ctx) run on: one per
-#: CPU available to the process, the caller among them
+#: threads the query passes (frn's and ctx's) run on: one per CPU
+#: available to the process, the caller among them
 _WORKERS = _available_cpus()
-#: queries per phase-1 block of the direct pass, and per dQ block of the
+#: queries per phase-1 block of the pass, and per dQ block of the
 #: woodbury training node's backward (``autodiff``). Measured at the
 #: paper's 5-shot shape (5 pools, 75 queries, r 25, d 640, f32, 2 workers,
 #: 1 BLAS thread): blocks of 8 to 24 queries scored an episode in
@@ -293,8 +277,8 @@ _WORKERS = _available_cpus()
 #: 50-80 us per query there, so 8 keeps the tail the last block can leave
 #: one thread waiting under 0.7 ms.
 _BLOCK = 8
-#: bytes of A = Q S^T (and as many again of W) the direct pass holds at
-#: once over all its pools, unless one pool's A over the whole query stack
+#: bytes of A = Q S^T (and as many again of W) the pass holds at once
+#: over all its direct pools, unless one pool's A over the whole query stack
 #: is larger: past that the pass takes the stack in slices, so its memory
 #: does not grow with the pool count. A 5-way 5-shot episode at r 25,
 #: d 640 with 75 queries needs 4.7 MB of A in f32 and 9.4 MB in f64, and
@@ -403,53 +387,83 @@ def _direct_step(a: np.ndarray, sq_norms, factor, rho: float, w, err):
     err[...] = (sq_norms - 2 * rho * aw + rho * rho * _row_dots(a, w)) / a.shape[1]
 
 
-def _direct_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadParams,
-                 coef: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """Score a query stack against every pool via its kr x kr system, without
-    forming Q_bar: the (n, b) errors. Rounding can take a near-zero error
-    below zero, so they are clamped at 0.
+def _woodbury_factor(pool: SupportPool, lam: float) -> np.ndarray:
+    """Pool side of the woodbury form: hat = (S^T S + lam I)^-1 S^T S, d x d."""
+    g = gram(pool.values, "inner")
+    return spd_solve(add_ridge(g, lam), g)
 
-    Pool c's W = A M^-1 goes into ``coef[c]``, (b, r, kr), where given, and
-    into a buffer of the slice's size otherwise. The stack is taken in
-    slices whose A, over every pool, fits in ``_PASS_BYTES`` or in one
-    pool's A over the whole stack, whichever is larger. In each slice,
-    phase 1 forms A for every pool in blocks of queries across the CPUs,
-    while the caller squares the stack and factors the pools (on the first
-    slice); phase 2 runs the rest of the step for every pool, in one query
-    chunk per CPU.
+
+def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
+          params: HeadParams, coef: Sequence[np.ndarray] | None = None,
+          hats: list | None = None) -> np.ndarray:
+    """Score the (b, r, d) query stack ``q`` against every pool, pool c via
+    its kr x kr system if ``direct[c]`` and its d x d one otherwise: the
+    (n, b) errors. Rounding can take a near-zero direct error below zero,
+    so every error is clamped at 0 (a woodbury one is a sum of squares,
+    which the clamp leaves as it is).
+
+    A direct pool's W = A M^-1 goes into ``coef[c]``, (b, r, kr), where
+    given, and into a buffer of the slice's size otherwise; each woodbury
+    pool's hat is appended to ``hats`` where given. The stack is taken in
+    slices whose A, over every direct pool, fits in ``_PASS_BYTES`` or in
+    one pool's A over the whole stack, whichever is larger. In each slice,
+    phase 1 forms A for every direct pool in blocks of queries across the
+    CPUs, while the caller factors every pool and, if any is direct,
+    squares the stack (on the first slice); phase 2 runs the rest for
+    every pool, in one query chunk per CPU: the direct step, or rho Q hat - Q
+    and its squared rows in a residual buffer shared by the woodbury pools
+    of one dtype.
     """
-    q, rho, b = queries.maps, params.rho, len(queries.maps)
-    sts = [np.ascontiguousarray(p.values.T) for p in pools]
-    dtypes = [np.result_type(q, st) for st in sts]
-    per_query = [q.shape[1] * st.shape[1] * dt.itemsize for st, dt in zip(sts, dtypes)]
-    step = max(max(_PASS_BYTES, b * max(per_query)) // sum(per_query), 1)
-    a = [np.empty((min(step, b), q.shape[1], st.shape[1]), dtype=dt) for st, dt in zip(sts, dtypes)]
-    err, factors = np.empty((len(pools), b)), []
+    rho, b = params.rho, len(q)
+    on = [c for c, side in enumerate(direct) if side]
+    dtypes = [np.result_type(q, p.values) for p in pools]
+    sts = {c: np.ascontiguousarray(pools[c].values.T) for c in on}
+    per_query = [q.shape[1] * sts[c].shape[1] * dtypes[c].itemsize for c in on]
+    step = max(max(_PASS_BYTES, b * max(per_query)) // sum(per_query), 1) if on else max(b, 1)
+    held = min(step, b)
+    # allocated here, not in the workers, whose own heaps would keep them
+    a = {c: np.empty((held, q.shape[1], sts[c].shape[1]), dtypes[c]) for c in on}
+    resid = {dt: np.empty((held,) + q.shape[1:], dt)
+             for dt in {dt for dt, side in zip(dtypes, direct) if not side}}
+    rhos = [np.asarray(rho, dtype=p.values.dtype) for p in pools]  # woodbury's, in S's dtype
+    err, factors, sq_norms = np.empty((len(pools), b)), [], []
 
     def pool_side():
-        # ||Q||^2 is cached on the stack; no worker reaches the cache
         if not factors:
-            lams = (effective_lambda(params, p.k, p.r, p.d) for p in pools)
-            factors.extend(_direct_factor(p.values, lam) for p, lam in zip(pools, lams))
-        return queries.sq_norms
+            for p, side in zip(pools, direct):
+                lam = effective_lambda(params, p.k, p.r, p.d)
+                factors.append(_direct_factor(p.values, lam) if side else _woodbury_factor(p, lam))
+            if hats is not None:
+                hats.extend(f for f, side in zip(factors, direct) if not side)
+            if on:
+                sq_norms.append(_row_dots(q, q))
 
     def one_slice(rows: slice):
         q_s, err_s = q[rows], err[:, rows]
         n = len(q_s)
-        a_s = [x[:n] for x in a]
-        # allocated here, not in the workers, whose own heaps would keep it
-        w_s = [w[rows] for w in coef] if coef is not None else [np.empty_like(x) for x in a_s]
+        a_s = {c: x[:n] for c, x in a.items()}
+        w_s = {c: coef[c][rows] if coef is not None else np.empty_like(x) for c, x in a_s.items()}
 
         def block(c, lo, hi):
             _query_products(q_s[lo:hi], sts[c], a_s[c][lo:hi])
 
-        blocks = [(c, lo, min(lo + _BLOCK, n)) for c in range(len(pools)) for lo in range(0, n, _BLOCK)]
-        sq_norms = _over_tasks(block, blocks, pool_side)[rows]
+        _over_tasks(block, [(c, lo, min(lo + _BLOCK, n)) for c in on for lo in range(0, n, _BLOCK)],
+                    pool_side)
+        sq_s = sq_norms[0][rows] if on else None
 
         def chunk(lo, hi):
-            for c, factor in enumerate(factors):
-                _direct_step(a_s[c][lo:hi], sq_norms[lo:hi], factor, rho, w_s[c][lo:hi],
-                             err_s[c, lo:hi])
+            q_c = q_s[lo:hi]
+            for c, (factor, side) in enumerate(zip(factors, direct)):
+                if side:
+                    _direct_step(a_s[c][lo:hi], sq_s[lo:hi], factor, rho, w_s[c][lo:hi],
+                                 err_s[c, lo:hi])
+                else:
+                    res = resid[dtypes[c]][lo:hi]
+                    np.matmul(q_c, factor, out=res)
+                    res *= rhos[c]
+                    # rho Q hat - Q: the residual negated exactly, so its square is unchanged
+                    res -= q_c
+                    err_s[c, lo:hi] = _sq_rows(res) / q.shape[1]
 
         _over_tasks(chunk, _chunks(n))
 
@@ -458,61 +472,20 @@ def _direct_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadPa
     return np.maximum(err, 0.0, out=err)
 
 
-def _woodbury_factor(pool: SupportPool, params: HeadParams) -> np.ndarray:
-    """Pool side of the woodbury form: hat = (S^T S + lam I)^-1 S^T S, d x d."""
-    g = gram(pool.values, "inner")
-    return spd_solve(add_ridge(g, effective_lambda(params, pool.k, pool.r, pool.d)), g)
-
-
-def _woodbury_pass(queries: _Queries, pools: Sequence[SupportPool], params: HeadParams,
-                   hats: list | None = None) -> np.ndarray:
-    """Score a query stack against every pool via its d x d system: the (n, b) errors.
-
-    The caller factors every pool first, appending each hat to ``hats``
-    where given, so a factor's error is raised before any dispatch. Then
-    one contiguous chunk of queries per CPU forms rho Q hat - Q for every
-    pool and reduces it, in a residual buffer allocated here and shared
-    by the pools of one dtype.
-    """
-    q = queries.maps
-    factors = [_woodbury_factor(p, params) for p in pools]
-    if hats is not None:
-        hats.extend(factors)
-    rhos = [np.asarray(params.rho, dtype=p.values.dtype) for p in pools]
-    dtypes = [np.result_type(q, hat) for hat in factors]
-    # allocated here, not in the workers, whose own heaps would keep it
-    resid = {dt: np.empty(q.shape, dt) for dt in set(dtypes)}
-    err = np.empty((len(pools), len(q)))
-
-    def chunk(lo, hi):
-        q_c = q[lo:hi]
-        for c, (hat, rho, dt) in enumerate(zip(factors, rhos, dtypes)):
-            res = resid[dt][lo:hi]
-            np.matmul(q_c, hat, out=res)
-            res *= rho
-            # rho Q hat - Q: the residual negated exactly, so its square is unchanged
-            res -= q_c
-            err[c, lo:hi] = _sq_rows(res) / q.shape[1]
-
-    _over_tasks(chunk, _chunks(len(q)))
-    return err
-
-
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Score each query via the kr x kr system without forming Q_bar."""
-    queries = _query_stack(q_batch, pool.r, pool.d)
-    s = pool.values
-    w = np.empty(queries.maps.shape[:2] + (len(s),), dtype=np.result_type(queries.maps, s))
-    err = _direct_pass(queries, [pool], params, coef=[w])[0]
+    q, s = _query_stack(q_batch, pool.r, pool.d), pool.values
+    w = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
+    err = _pass(q, [pool], [True], params, coef=[w])[0]
     return Reconstructions(err, pool.class_id, w, s, np.asarray(params.rho, dtype=s.dtype))
 
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Reconstruct every query via the d x d system, right to left."""
-    queries, hats = _query_stack(q_batch, pool.r, pool.d), []
-    err = _woodbury_pass(queries, [pool], params, hats)[0]
+    q, hats = _query_stack(q_batch, pool.r, pool.d), []
+    err = _pass(q, [pool], [False], params, hats=hats)[0]
     rho = np.asarray(params.rho, dtype=pool.values.dtype)
-    return Reconstructions(err, pool.class_id, queries.maps, hats[0], rho)
+    return Reconstructions(err, pool.class_id, q, hats[0], rho)
 
 
 def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -556,20 +529,11 @@ def _check_pools(pools: Sequence[SupportPool]) -> tuple[int, int]:
 
 
 def frn_distances(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:
-    """(b, n) matrix of per-query, per-class reconstruction errors.
-
-    The pools on the woodbury side are scored in one ``_woodbury_pass``,
-    then those on the direct side in one ``_direct_pass``; columns stay in
-    pool order.
-    """
-    queries = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
+    """(b, n) matrix of per-query, per-class reconstruction errors, every
+    pool scored in one ``_pass`` on the side ``choose_formulation`` picks."""
+    q = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
     direct = [choose_formulation(p.k, p.r, p.d) == "direct" for p in pools]
-    err = np.empty((len(queries.maps), len(pools)))
-    for side, run in ((False, _woodbury_pass), (True, _direct_pass)):
-        cols = [c for c, on in enumerate(direct) if on == side]
-        if cols:
-            err[:, cols] = run(queries, [pools[c] for c in cols], params).T
-    return err
+    return _pass(q, pools, direct, params).T.copy()
 
 
 def episode_logits(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:

@@ -175,6 +175,20 @@ class TrainConfig:
     use_aux: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        _check_counts(self, episodes=0, val_every=0)
+        if self.val_every > 0 and self.val_trials < 2:
+            raise ValueError(f"val_trials must be >= 2 when val_every > 0, got {self.val_trials}")
+
+
+def _check_counts(cfg, **least):
+    """Raise ValueError naming the first field of ``least`` below its least
+    value, or an ``embed_dim`` given below 1."""
+    for name, low in {**least, "embed_dim": 1}.items():
+        value = getattr(cfg, name)
+        if value is not None and value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+
 
 def _episode_arrays(episode: Episode):
     support = [pool.values for pool in episode.support]
@@ -468,6 +482,9 @@ class PretrainConfig:
     lr: float = 0.05
     embed_dim: int | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        _check_counts(self, steps=0, batch_size=1)
 
 
 @dataclass

@@ -458,14 +458,14 @@ class TestTrainAndCheckpoints:
             "alpha": np.float64(0.0), "beta": np.float64(0.0), "gamma": np.float64(0.25),
         }, {"train_config": {"head": "frn"}})
         seen = []
-        original = frn.head._direct_pass
+        original = frn.head._pass
 
-        # 1-shot pools of r = 2 rows in d = 4 channels score in the direct pass
-        def spy(queries, pools, *args, **kwargs):
-            seen.extend((np.asarray(queries).dtype, pool.values.dtype) for pool in pools)
-            return original(queries, pools, *args, **kwargs)
+        # 1-shot pools of r = 2 rows in d = 4 channels score on the direct side
+        def spy(q, pools, direct, *args, **kwargs):
+            seen.extend((q.dtype, pool.values.dtype) for pool, side in zip(pools, direct) if side)
+            return original(q, pools, direct, *args, **kwargs)
 
-        monkeypatch.setattr(frn.head, "_direct_pass", spy)
+        monkeypatch.setattr(frn.head, "_pass", spy)
         code = run([
             "eval", "--data", str(dataset), "--from", str(ckpt), "--way", "3",
             "--shot", "1", "--query", "2", "--trials", "4", "--seed", "0",
@@ -554,19 +554,13 @@ class TestTrainAndCheckpoints:
             "alpha": np.float64(-0.5), "beta": np.float64(0.1), "gamma": np.float64(0.5),
         }
         train_config = dataclasses.asdict(TrainConfig(embed_dim=4))
-        sides = []
+        sides, run_pass = [], frn.head._pass
 
-        def counted(side, name):
-            kernel = getattr(frn.head, name)
+        def counted(q, pools, direct, *args, **kwargs):
+            sides.extend("direct" if side else "woodbury" for side in direct)
+            return run_pass(q, pools, direct, *args, **kwargs)
 
-            def run_kernel(*args):
-                sides.append(side)
-                return kernel(*args)
-
-            return run_kernel
-
-        for side, name in (("direct", "_direct_pass"), ("woodbury", "reconstruct_woodbury")):
-            monkeypatch.setattr(frn.head, name, counted(side, name))
+        monkeypatch.setattr(frn.head, "_pass", counted)
         reports = []
         for tag, extra in (("old", {"formulation": "woodbury"}), ("new", {})):
             ckpt = tmp_path / f"{tag}.bin"
@@ -670,6 +664,41 @@ class TestTrainAndCheckpoints:
         assert code == EXIT_CONFIG
         assert "learning rate" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+
+    #: flags of a run that succeeds; each case below overrides one of them
+    SMALL_RUN = {
+        "train": ["--way", "3", "--shot", "1", "--query", "2", "--episodes", "2",
+                  "--embed-dim", "4", "--val-every", "0", "--val-trials", "2", "--val-query", "2"],
+        "pretrain": ["--steps", "2", "--batch-size", "8", "--embed-dim", "4"],
+    }
+
+    @pytest.mark.parametrize("command, flags, field", [
+        ("train", ["--embed-dim", "0"], "embed_dim"),
+        ("pretrain", ["--embed-dim", "0"], "embed_dim"),
+        ("train", ["--embed-dim", "-2"], "embed_dim"),
+        ("pretrain", ["--embed-dim", "-2"], "embed_dim"),
+        ("train", ["--episodes", "-3"], "episodes"),
+        ("pretrain", ["--steps", "-1"], "steps"),
+        ("pretrain", ["--batch-size", "0"], "batch_size"),
+        ("train", ["--val-every", "-1"], "val_every"),
+        ("train", ["--val-every", "1", "--val-trials", "1"], "val_trials"),
+    ])
+    def test_a_count_out_of_range_is_config_error(
+        self, dataset, tmp_path, capsys, command, flags, field
+    ):
+        assert run([command, "--data", str(dataset), *self.SMALL_RUN[command],
+                    "--out", str(tmp_path / "ok")]) == EXIT_OK
+        capsys.readouterr()
+        code = run([command, "--data", str(dataset), *self.SMALL_RUN[command], *flags,
+                    "--out", str(tmp_path / command)])
+        assert code == EXIT_CONFIG
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
+    def test_the_least_counts_are_accepted(self):
+        # no steps, and one validation trial where no validation runs
+        TrainConfig(episodes=0, val_every=0, val_trials=1, embed_dim=1)
+        PretrainConfig(steps=0, batch_size=1, embed_dim=1)
 
     def test_validation_data_of_another_width_is_config_error(self, tmp_path, capsys):
         paths = {}

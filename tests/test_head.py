@@ -187,6 +187,25 @@ class TestScoringTakesTheChosenSide:
             kernel = kernels[choose_formulation(pool.k, r, d)]
             assert np.array_equal(got[:, c], kernel(q, pool, params).sq_errors), c
 
+    # the chooser picks the other side for each of these shapes: each kernel
+    # keeps its own, or criterion 1 would compare a side with itself
+    @pytest.mark.parametrize("kernel,k,r,d,side", [
+        (reconstruct_direct, 3, 3, 5, "direct"), (reconstruct_direct, 2, 3, 6, "direct"),
+        (reconstruct_woodbury, 2, 3, 9, "woodbury"),
+    ])
+    def test_each_single_pool_kernel_keeps_its_side(self, kernel, k, r, d, side, monkeypatch):
+        assert choose_formulation(k, r, d) != side
+        ran = []
+        for name in ("_direct_step", "_woodbury_factor"):
+            def spy(*args, _run=getattr(head, name), _name=name):
+                ran.append(_name)
+                return _run(*args)
+
+            monkeypatch.setattr(head, name, spy)
+        rng = np.random.default_rng(k * 10 + d)
+        kernel(rng.standard_normal((4 * r, d)), random_pool(rng, k, r, d), HeadParams())
+        assert ran and set(ran) == {"_direct_step" if side == "direct" else "_woodbury_factor"}
+
 
 class TestFormulationEquivalence:
     def test_random_instances_f64(self):
@@ -662,30 +681,38 @@ class TestThreadedWoodburyPass:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_mixed_shot_pools_run_both_passes_in_pool_order(self, workers, dtype, monkeypatch):
-        passes = []
-        for name in ("_direct_pass", "_woodbury_pass"):
-            def counted(queries, pools, *args, _run=getattr(head, name), _name=name, **kwargs):
-                passes.append((_name, [p.class_id for p in pools]))
-                return _run(queries, pools, *args, **kwargs)
+    def test_mixed_shot_pools_run_one_pass_in_pool_order(self, workers, dtype, monkeypatch):
+        passes, run = [], head._pass
 
-            monkeypatch.setattr(head, name, counted)
+        def counted(q, pools, direct, *args, **kwargs):
+            passes.append(([p.class_id for p in pools], list(direct)))
+            return run(q, pools, direct, *args, **kwargs)
+
+        monkeypatch.setattr(head, "_pass", counted)
         monkeypatch.setattr(head, "_WORKERS", workers)
         kernels = {"direct": reconstruct_direct, "woodbury": reconstruct_woodbury}
         for q, pools, p in self._cases(dtype, mixed=True):
             passes.clear()
             got = head.frn_distances(q, pools, p)
             sides = [choose_formulation(pool.k, pool.r, pool.d) for pool in pools]
-            assert sorted(passes) == [
-                ("_direct_pass", [c for c, side in enumerate(sides) if side == "direct"]),
-                ("_woodbury_pass", [c for c, side in enumerate(sides) if side == "woodbury"]),
-            ]
+            assert passes == [(list(range(len(pools))), [side == "direct" for side in sides])]
             for c, (pool, side) in enumerate(zip(pools, sides)):
                 assert np.array_equal(got[:, c], kernels[side](q, pool, p).sq_errors), c
             # the single-pool kernels are each a pass over one pool
             passes.clear()
             reconstruct_woodbury(q, pools[0], p)
-            assert passes == [("_woodbury_pass", [0])]
+            assert passes == [([0], [False])]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_slices_of_a_mixed_side_stack_give_the_unsliced_bits(self, workers, monkeypatch):
+        # with no byte allowance the two 1-shot direct pools take the stack in
+        # halves, and the woodbury pools are scored slice by slice with them
+        cases = [*self._cases(np.float32, mixed=True), *self._cases(np.float64, mixed=True)]
+        whole = [head.frn_distances(q, pools, p) for q, pools, p in cases]
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_PASS_BYTES", 0)
+        for (q, pools, p), dist in zip(cases, whole):
+            assert np.array_equal(head.frn_distances(q, pools, p), dist)
 
     @pytest.mark.parametrize("n_pools", [1, 2, 5])
     def test_an_episode_dispatches_once_whatever_its_pool_count(self, n_pools, monkeypatch):
@@ -704,6 +731,24 @@ class TestThreadedWoodburyPass:
         monkeypatch.setattr(head, "_submit", counted)
         head.frn_distances(q, pools, HeadParams())
         assert len(submitted) == 1
+
+    def test_a_mixed_side_episode_dispatches_twice(self, monkeypatch):
+        # one pass over the pools of both sides: phase 1's blocks and phase 2's
+        # chunks, not a woodbury pass and a direct pass of their own
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(32)
+        pools = [random_pool(rng, k, 3, 8, class_id=c) for c, k in enumerate((1, 3, 2, 4))]
+        assert [choose_formulation(p.k, 3, 8) for p in pools] == ["direct", "woodbury"] * 2
+        q = rng.standard_normal((6 * 3, 8))
+        submitted, submit = [], head._submit
+
+        def counted(fn, *args):
+            submitted.append(fn)
+            return submit(fn, *args)
+
+        monkeypatch.setattr(head, "_submit", counted)
+        head.frn_distances(q, pools, HeadParams())
+        assert len(submitted) == 2
 
     def test_a_single_query_runs_on_the_caller(self, monkeypatch):
         # one chunk wakes no worker: the caller scores it, as it did serially

@@ -144,8 +144,8 @@ def test_benchmark_selftest_passes():
 
 
 def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch):
-    # the direct and woodbury passes and the ctx head run chunks (and the
-    # direct pass blocks) of queries on worker threads; they must call no
+    # the frn pass and the ctx head run chunks (and the frn pass blocks)
+    # of queries on worker threads; they must call no
     # wrapped name, or spans from two threads would interleave on the
     # recorder's one stack and the layer table's self times would go wrong
     import threading
@@ -194,8 +194,8 @@ def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch)
             assert "baselines.ctx" in names and not any(n.startswith("linalg.") for n in names)
         else:
             # each pool's factor is made once, on the calling thread, and
-            # stays in the span of the call that made it (the direct pass
-            # makes it while the workers form the query products)
+            # stays in the span of the call that made it (the pass makes
+            # it while the workers form the query products)
             assert names.count("linalg.gram") == names.count(solve) == 3 * 3, label  # trials x pools
             for name, _, _, parent, _ in recorder.spans:
                 if name in ("linalg.gram", solve):
