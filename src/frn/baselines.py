@@ -183,16 +183,13 @@ def _ctx_keys(q1: np.ndarray, s1: np.ndarray) -> np.ndarray:
     return keys_t
 
 
-def _ctx_exp(q1: np.ndarray, keys_t: np.ndarray, out: np.ndarray | None = None,
-             sums: np.ndarray | None = None):
+def _ctx_exp(q1: np.ndarray, keys_t: np.ndarray, out: np.ndarray, sums: np.ndarray):
     """One unnormalised attention pass: E = exp(L - rowmax L), L = Q1 S1^T / sqrt(d_k).
 
-    Returns E in float64 (written to ``out``, a fresh array by default) and
-    its (..., 1) row sums (written to ``sums`` where given), each at least
-    1; callers normalise by them. ``keys_t`` is ``_ctx_keys(q1, s1)``.
+    Writes E to the float64 ``out`` and its (..., 1) row sums, each at
+    least 1, to ``sums``, and returns both; callers normalise by the sums.
+    ``keys_t`` is ``_ctx_keys(q1, s1)``.
     """
-    if out is None:
-        out = np.empty(q1.shape[:-1] + keys_t.shape[1:], np.result_type(keys_t, np.float64))
     np.matmul(q1, keys_t, out=out)
     return out, _shifted_exp(out, sums)
 
@@ -212,25 +209,23 @@ def ctx_errors(q1: np.ndarray, q2: np.ndarray, keys, values, keep: list | None =
     caller scales every pool's keys; then one contiguous chunk of queries
     per CPU takes, for each pool, one ``_ctx_exp`` pass and normalises its
     rows after the product by the values, on (b, r, d_v) rather than
-    (b, r, kr). Every buffer is allocated here, not in the workers: one
-    weight, row-sum and residual buffer that every pool reuses, or, given a
-    list ``keep``, fresh weights, row sums and residual A V - Q2 per pool,
-    appended to ``keep`` for the training backward; the shared residual
-    buffer then takes the squares. The errors are the same bits either
-    way, and for any worker count.
+    (b, r, kr). Every buffer is float64 and allocated here, not in the
+    workers: one weight, row-sum and residual buffer that every pool
+    reuses, or, given a list ``keep``, fresh weights, row sums and residual
+    A V - Q2 per pool, appended to ``keep`` for the training backward; the
+    shared residual buffer then takes the squares. The errors are the same
+    bits either way, and for any worker count.
     """
     b, r = q1.shape[:2]
     keys_t = [_ctx_keys(q1, s1) for s1 in keys]
-    e_dtype = np.result_type(keys_t[0], np.float64)
-    sq = np.empty(q2.shape, np.result_type(e_dtype, values[0]))
-    err = np.empty((b, len(keys)))
+    sq, err = np.empty(q2.shape), np.empty((b, len(keys)))
     if keep is None:
-        e = np.empty((b, r, max(len(s1) for s1 in keys)), e_dtype)
-        sums = np.empty((b, r, 1), e_dtype)
+        e = np.empty((b, r, max(len(s1) for s1 in keys)))
+        sums = np.empty((b, r, 1))
         bufs = [(e[:, :, : len(s1)], sums, sq) for s1 in keys]
     else:
-        bufs = [(np.empty((b, r, len(s1)), e_dtype), np.empty((b, r, 1), e_dtype),
-                 np.empty_like(sq)) for s1 in keys]
+        bufs = [(np.empty((b, r, len(s1))), np.empty((b, r, 1)), np.empty_like(sq))
+                for s1 in keys]
         keep.extend(bufs)
 
     def chunk(lo, hi):

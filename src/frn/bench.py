@@ -49,6 +49,7 @@ class BenchConfig:
             raise ValueError("b, k, r, d must all be >= 1")
         if self.iterations < 1 or self.warmup < 0:
             raise ValueError("iterations must be >= 1 and warmup >= 0")
+        resolve_dtype(self.precision)  # a bad precision fails here, not in run_benchmark
 
 
 @dataclass(frozen=True)

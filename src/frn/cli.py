@@ -183,8 +183,7 @@ def _config(cls, args):
 def cmd_gen(args) -> int:
     spec = _config(GenSpec, args)
     ds = generate(spec)
-    dtype = np.float32 if args.precision == "f32" else np.float64
-    save_dataset(args.out, ds, dtype=dtype)
+    save_dataset(args.out, ds, dtype=resolve_dtype(args.precision))
     meta = {
         "command": "gen",
         "config": dataclasses.asdict(spec),

@@ -65,20 +65,19 @@ pool, the results are bit-identical to a serial run, for any worker
 count, block size and slicing.
 At the paper's Conv-4 shape (five 5-shot pools, 75 queries, r 25, d 64,
 f64, 1 BLAS thread) on a shared 2-vCPU host, a woodbury episode took
-1.64-1.67 ms against 2.49-2.50 ms serially, and ctx 3.72-3.74 against
-7.04-7.15 ms (medians of 300 calls, two runs each). With the BLAS thread
-counts left unset neither is slower than serial, but woodbury loses its
-gain: it took 2.39 ms against 2.45, and ctx 3.67 against 7.09.
-An earlier threaded ctx on the same host gained nothing, or lost, while
-its steal time rose to 20-30%, so these gains need the second CPU to be
-free. The frn training nodes in ``autodiff`` run the direct step and
-their woodbury forward on the calling thread. The woodbury node's
-backward forms dQ in blocks of ``_BLOCK`` queries through
-``_over_tasks`` while the caller forms the pool-side gradients; its
-block size, not the CPU count, fixes each product's shape, so its
-results too are the same for any worker count. At the Conv-4 shape
-above (1 BLAS thread, same host) that backward took 0.52-0.55 ms
-against 0.75-0.78 ms with the caller forming all of it.
+2.52-2.57 ms with the C-ordered hat ``spd_solve`` returns against 3.43
+ms with LAPACK's Fortran-ordered one, threaded or serial alike that day
+(medians of 16 alternating rounds of 50 calls); ctx took 3.72-3.74 ms
+against 7.04-7.15 ms serially (medians of 300 calls, two runs each). The
+README gives the figures at other thread settings; such gains need the
+second CPU to be free. The frn training nodes in ``autodiff`` run the
+direct step and their woodbury forward on the calling thread. The
+woodbury node's backward forms dQ in blocks of ``_BLOCK`` queries
+through ``_over_tasks`` while the caller forms the pool-side gradients;
+its block size, not the CPU count, fixes each product's shape, so its
+results too are the same for any worker count. At the Conv-4 shape above
+(1 BLAS thread, same host) that backward took 0.52-0.55 ms against
+0.75-0.78 ms with the caller forming all of it.
 All functions are pure; per-class calls may run concurrently.
 """
 
@@ -234,13 +233,13 @@ class Reconstructions(Sequence):
     ``sq_errors`` holds the b errors as a (b,) float64 array. Indexing
     gives the per-query ``Reconstruction``; its Q_bar = rho * W_i B is
     formed only then, from the (b, r, m) coefficients W and the (m, d)
-    basis B the errors were scored with.
+    basis B the errors were scored with, and rho in B's dtype.
     """
 
-    def __init__(self, sq_errors, class_id, coef, basis, rho):
+    def __init__(self, sq_errors, class_id, coef, basis, rho: float):
         self.sq_errors = sq_errors
         self.class_id = class_id
-        self._coef, self._basis, self._rho = coef, basis, rho
+        self._coef, self._basis, self._rho = coef, basis, np.asarray(rho, basis.dtype)
 
     def __len__(self) -> int:
         return len(self.sq_errors)
@@ -313,7 +312,8 @@ def _submit(fn, *args):
 
 def _finish(futures):
     """Wait for every future, then raise the first one's exception, if any."""
-    wait(futures)
+    if futures:  # an empty wait costs about half of an empty ``_over_tasks``
+        wait(futures)
     for future in futures:
         future.result()
 
@@ -411,21 +411,20 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
     CPUs, while the caller factors every pool and, if any is direct,
     squares the stack (on the first slice); phase 2 runs the rest for
     every pool, in one query chunk per CPU: the direct step, or rho Q hat - Q
-    and its squared rows in a residual buffer shared by the woodbury pools
-    of one dtype.
+    and its squared rows in one residual buffer that every woodbury pool
+    shares. Every buffer is in one dtype, the queries' and pools' common one.
     """
     rho, b = params.rho, len(q)
     on = [c for c, side in enumerate(direct) if side]
-    dtypes = [np.result_type(q, p.values) for p in pools]
+    dtype = np.result_type(q, *(p.values for p in pools))
     sts = {c: np.ascontiguousarray(pools[c].values.T) for c in on}
-    per_query = [q.shape[1] * sts[c].shape[1] * dtypes[c].itemsize for c in on]
+    per_query = [q.shape[1] * sts[c].shape[1] * dtype.itemsize for c in on]
     step = max(max(_PASS_BYTES, b * max(per_query)) // sum(per_query), 1) if on else max(b, 1)
     held = min(step, b)
     # allocated here, not in the workers, whose own heaps would keep them
-    a = {c: np.empty((held, q.shape[1], sts[c].shape[1]), dtypes[c]) for c in on}
-    resid = {dt: np.empty((held,) + q.shape[1:], dt)
-             for dt in {dt for dt, side in zip(dtypes, direct) if not side}}
-    rhos = [np.asarray(rho, dtype=p.values.dtype) for p in pools]  # woodbury's, in S's dtype
+    a = {c: np.empty((held, q.shape[1], sts[c].shape[1]), dtype) for c in on}
+    resid = np.empty((held,) + q.shape[1:], dtype) if len(on) < len(pools) else None
+    rho_s = np.asarray(rho, np.result_type(*(p.values for p in pools)))  # woodbury's, in S's dtype
     err, factors, sq_norms = np.empty((len(pools), b)), [], []
 
     def pool_side():
@@ -458,9 +457,9 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
                     _direct_step(a_s[c][lo:hi], sq_s[lo:hi], factor, rho, w_s[c][lo:hi],
                                  err_s[c, lo:hi])
                 else:
-                    res = resid[dtypes[c]][lo:hi]
+                    res = resid[lo:hi]
                     np.matmul(q_c, factor, out=res)
-                    res *= rhos[c]
+                    res *= rho_s
                     # rho Q hat - Q: the residual negated exactly, so its square is unchanged
                     res -= q_c
                     err_s[c, lo:hi] = _sq_rows(res) / q.shape[1]
@@ -477,15 +476,14 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Recons
     q, s = _query_stack(q_batch, pool.r, pool.d), pool.values
     w = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
     err = _pass(q, [pool], [True], params, coef=[w])[0]
-    return Reconstructions(err, pool.class_id, w, s, np.asarray(params.rho, dtype=s.dtype))
+    return Reconstructions(err, pool.class_id, w, s, params.rho)
 
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Reconstruct every query via the d x d system, right to left."""
     q, hats = _query_stack(q_batch, pool.r, pool.d), []
     err = _pass(q, [pool], [False], params, hats=hats)[0]
-    rho = np.asarray(params.rho, dtype=pool.values.dtype)
-    return Reconstructions(err, pool.class_id, q, hats[0], rho)
+    return Reconstructions(err, pool.class_id, q, hats[0], params.rho)
 
 
 def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -497,12 +495,11 @@ def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructio
     return reconstruct_woodbury(q_batch, pool, params)
 
 
-def _shifted_exp(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _shifted_exp(e: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(e - rowmax) over the last axis of a float64 array the caller owns, in place.
 
-    Returns the (..., 1) row sums, written to ``out`` where given: each is
-    at least 1, since a row's largest entry becomes exp(0), so dividing by
-    them is safe.
+    Returns the (..., 1) row sums, written to ``out``: each is at least 1,
+    since a row's largest entry becomes exp(0), so dividing by them is safe.
     """
     e -= e.max(axis=-1, keepdims=True)
     np.exp(e, out=e)

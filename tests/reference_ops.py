@@ -134,9 +134,15 @@ def ctx_attention(q1, s1):
 
     The ``_ctx_exp`` pass the errors take, divided here by its row sums.
     """
-    e, sums = _ctx_exp(q1, _ctx_keys(q1, s1))
+    e, sums = _ctx_exp(q1, _ctx_keys(q1, s1), *ctx_buffers(q1, s1))
     e /= sums
     return e
+
+
+def ctx_buffers(q1, s1):
+    """The float64 weight and row-sum buffers ``_ctx_exp`` fills for queries ``q1``
+    against keys ``s1``."""
+    return np.empty(q1.shape[:-1] + (len(s1),)), np.empty(q1.shape[:-1] + (1,))
 
 
 def ctx_reconstruct(q_vals, pool_vals, params):
@@ -147,7 +153,7 @@ def ctx_reconstruct(q_vals, pool_vals, params):
     """
     q1, q2 = _ctx_project(q_vals, params)
     s1, s2 = _ctx_project(pool_vals, params)
-    e, sums = _ctx_exp(q1, _ctx_keys(q1, s1))
+    e, sums = _ctx_exp(q1, _ctx_keys(q1, s1), *ctx_buffers(q1, s1))
     recon = e @ s2
     recon /= sums
     return q2, recon
@@ -156,7 +162,7 @@ def ctx_reconstruct(q_vals, pool_vals, params):
 def softmax(logits):
     """Numerically stable softmax (max-subtracted)."""
     e = np.array(logits, dtype=np.float64)
-    e /= _shifted_exp(e)
+    e /= _shifted_exp(e, np.empty(e.shape[:-1] + (1,)))
     return e
 
 

@@ -462,7 +462,8 @@ class TestThreadedCtxPass:
             assert len(kept) == len(pools)
             for (e, sums, resid), s1, s2 in zip(kept, keys, values, strict=True):
                 # one serial pass over the whole stack: what the backward needs
-                e_ref, sums_ref = baselines._ctx_exp(q1, baselines._ctx_keys(q1, s1))
+                e_ref, sums_ref = baselines._ctx_exp(q1, baselines._ctx_keys(q1, s1),
+                                                     *refops.ctx_buffers(q1, s1))
                 resid_ref = e_ref @ s2
                 resid_ref /= sums_ref
                 resid_ref -= q2

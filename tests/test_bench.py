@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from frn import head
@@ -15,6 +16,11 @@ class TestBenchConfig:
             BenchConfig(b=0)
         with pytest.raises(ValueError):
             BenchConfig(iterations=0)
+
+    @pytest.mark.parametrize("precision", ["f16", np.float32])
+    def test_a_bad_precision_fails_at_construction(self, precision):
+        with pytest.raises(ValueError, match="precision"):
+            BenchConfig(precision=precision)
 
 
 class TestRunBenchmark:

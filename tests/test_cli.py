@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from frn import training
 from frn.bench import BenchConfig
 from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, _config, build_parser, main
 from frn.data import MAGIC, GenSpec, manifest_path
@@ -697,8 +698,13 @@ class TestTrainAndCheckpoints:
 
     def test_the_least_counts_are_accepted(self):
         # no steps, and one validation trial where no validation runs
-        TrainConfig(episodes=0, val_every=0, val_trials=1, embed_dim=1)
+        TrainConfig(episodes=0, val_every=0, val_trials=1, embed_dim=1, val_way=2)
         PretrainConfig(steps=0, batch_size=1, embed_dim=1)
+
+    def test_a_validation_way_below_two_is_config_error(self):
+        # an episode needs two ways; unchecked, it failed only after training
+        with pytest.raises(ValueError, match="val_way must be >= 2, got 1"):
+            TrainConfig(val_way=1)
 
     def test_validation_data_of_another_width_is_config_error(self, tmp_path, capsys):
         paths = {}
@@ -714,6 +720,36 @@ class TestTrainAndCheckpoints:
         assert code == EXIT_CONFIG
         assert "validation data has 12 channels, training data has 16" in capsys.readouterr().err
         assert not (tmp_path / "train").exists()
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--episodes", "30", "--val-every", "25", "--val-query", "0"], EXIT_CONFIG,
+         "val_query must be >= 1 when val_every > 0, got 0"),
+        # the fixture's classes hold 8 items each, and it has 6 classes
+        (["--episodes", "4", "--val-every", "2", "--val-query", "8"], EXIT_SAMPLING,
+         "validation class 0 has 8 items, validation episodes need shot+val_query=9"),
+        (["--episodes", "4", "--val-every", "4", "--val-data", "two-classes"], EXIT_SAMPLING,
+         "validation data has 2 classes, validation episodes need 3"),
+    ])
+    def test_validation_that_cannot_run_fails_before_training(
+        self, dataset, tmp_path, capsys, monkeypatch, flags, code, message
+    ):
+        if "two-classes" in flags:
+            val = tmp_path / "val.frnt"
+            assert run(["gen", "--classes", "2", "--items", "8", "--r", "2", "--d", "6",
+                        "--out", str(val)]) == EXIT_OK
+            flags = [str(val) if f == "two-classes" else f for f in flags]
+        steps = []
+        monkeypatch.setattr(training, "sgd_step", lambda *args: steps.append(args))
+        assert run(["train", "--data", str(dataset), *self.SMALL_RUN["train"], *flags,
+                    "--out", str(tmp_path / "train")]) == code
+        assert message in capsys.readouterr().err
+        assert steps == [] and not (tmp_path / "train").exists()
+
+    def test_validation_past_the_last_episode_is_not_checked(self, dataset, tmp_path):
+        # it never runs, so the items it would need are not required
+        assert run(["train", "--data", str(dataset), *self.SMALL_RUN["train"],
+                    "--episodes", "2", "--val-every", "3", "--val-query", "8",
+                    "--out", str(tmp_path / "train")]) == EXIT_OK
 
     def test_ctx_training_runs(self, dataset, tmp_path):
         out = tmp_path / "ctx"

@@ -341,6 +341,37 @@ class TestAgainstPerBlockLoops:
             recs[4]
 
 
+class TestQueriesAndPoolsOfTwoDtypes:
+    @pytest.mark.parametrize("q_dtype, s_dtype", [(np.float32, np.float64),
+                                                  (np.float64, np.float32)])
+    def test_the_per_block_bits_in_float64(self, q_dtype, s_dtype):
+        # a pass computes in the common dtype of its queries and pools; with
+        # one pool dtype, rho is in that dtype, as the per-block loops take it
+        rng = np.random.default_rng(19)
+        for _ in range(30):
+            k, r, b = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            d = int(rng.integers(1, 40))
+            pools = [SupportPool(c, k, random_pool(rng, k, r, d).values.astype(s_dtype))
+                     for c in range(3)]
+            q = (rng.standard_normal((b * r, d)) / math.sqrt(d)).astype(q_dtype)
+            params = HeadParams(alpha=rng.uniform(-2, 2), beta=rng.uniform(-1, 1))
+            dist = head.frn_distances(q, pools, params)
+            side = choose_formulation(k, r, d)
+            for c, pool in enumerate(pools):
+                direct = reconstruct_direct(q, pool, params)
+                wood = reconstruct_woodbury(q, pool, params)
+                chosen = direct if side == "direct" else wood
+                assert np.array_equal(dist[:, c], chosen.sq_errors)
+                for i, ((qd, _), (qw, ew)) in enumerate(
+                    zip(per_block_direct(q, pool, params), per_block_woodbury(q, pool, params),
+                        strict=True)
+                ):
+                    assert direct[i].q_bar.dtype == wood[i].q_bar.dtype == np.float64
+                    assert np.array_equal(direct[i].q_bar, qd)
+                    assert np.array_equal(wood[i].q_bar, qw)
+                    assert wood.sq_errors[i] == ew
+
+
 class TestQueryStackOncePerEpisode:
     @pytest.mark.parametrize("formulation", ["direct", "woodbury"])
     def test_validated_and_squared_once_for_all_pools(self, formulation, monkeypatch):
@@ -749,6 +780,23 @@ class TestThreadedWoodburyPass:
         monkeypatch.setattr(head, "_submit", counted)
         head.frn_distances(q, pools, HeadParams())
         assert len(submitted) == 2
+
+    @pytest.mark.parametrize("n_queries, waits", [(1, 0), (8, 1)])
+    def test_only_a_dispatch_is_waited_for(self, n_queries, waits, monkeypatch):
+        # a woodbury-only pass has no phase-1 block, and one query one chunk:
+        # a phase with nothing submitted does not wait
+        monkeypatch.setattr(head, "_WORKERS", 2)
+        rng = np.random.default_rng(33)
+        pools = [random_pool(rng, 3, 3, 6, class_id=c) for c in range(2)]
+        calls, wait = [], head.wait
+
+        def counted(futures):
+            calls.append(len(futures))
+            return wait(futures)
+
+        monkeypatch.setattr(head, "wait", counted)
+        head.frn_distances(rng.standard_normal((n_queries * 3, 6)), pools, HeadParams())
+        assert calls == [1] * waits
 
     def test_a_single_query_runs_on_the_caller(self, monkeypatch):
         # one chunk wakes no worker: the caller scores it, as it did serially

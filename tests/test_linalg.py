@@ -109,6 +109,27 @@ class TestSpdSolve:
             linalg.spd_solve(a, np.ones((3, 1)))
 
 
+class TestCOrderedResults:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_every_result_is_c_ordered_in_the_input_dtype(self, dtype):
+        # LAPACK leaves potrs's solution in Fortran order; a stacked product
+        # by a Fortran-ordered right operand runs about twice as long
+        rng = np.random.default_rng(8)
+        for n in (1, 4, 17):
+            s = rng.standard_normal((n, n + 2))
+            a = linalg.add_ridge(linalg.gram(s, "outer"), 0.5).astype(dtype)
+            for m in (1, 3, n):  # one right-hand side, and many
+                b = rng.standard_normal((n, m)).astype(dtype)
+                x = linalg.spd_solve(a, b)
+                assert x.flags.c_contiguous and x.dtype == dtype, (n, m)
+                np.testing.assert_allclose(a @ x, b, atol=1e-3 if dtype == np.float32 else 1e-10)
+            inv = linalg.spd_inverse(a)
+            assert inv.flags.c_contiguous and inv.dtype == dtype
+            for out in (linalg.gram(s, "outer"), linalg.gram(s, "inner"),
+                        linalg.add_ridge(np.asfortranarray(a), 1.0)):
+                assert out.flags.c_contiguous
+
+
 class TestSpdInverse:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_the_mirrored_potri_inverse(self, dtype):
@@ -185,8 +206,10 @@ class TestValidation:
     def test_resolve_dtype(self):
         assert linalg.resolve_dtype("f32") == np.float32
         assert linalg.resolve_dtype("f64") == np.float64
-        with pytest.raises(ValueError):
-            linalg.resolve_dtype("f16")
+        # only the two precision names: a dtype object is not one
+        for bad in ("f16", "float32", np.float32, np.dtype(np.float64)):
+            with pytest.raises(ValueError):
+                linalg.resolve_dtype(bad)
 
     def test_add_ridge_does_not_mutate(self):
         a = np.zeros((2, 2))
