@@ -19,12 +19,12 @@ last two run the forward of the eval head in ``baselines``.
 
 * ``ridge_recon_errors``: the (b, n) reconstruction errors of every query
   against every class pool.
-  - woodbury: G_c = S_c^T S_c, M_c = G_c + lam I and X_c = M_c^-1, one
-    ``head.spd_inverse`` per class (looked up when called). Since
-    M^-1 G = I - lam X, P_c = I - rho M_c^-1 G_c = (1 - rho) I + rho lam X_c
-    and nothing is solved. The errors come from two stacks of d x d Grams,
-    C_i = Q_i^T Q_i and T_c = P_c P_c^T, as err_ic = <C_i, T_c> / r (one
-    GEMM over the flattened stacks; no (b*r, n*d) residual is formed).
+  - woodbury: G_c = S_c^T S_c, then eval's ``head._woodbury_factor`` per
+    class (looked up when called): X_c = (G_c + lam I)^-1 and
+    P_c = (1 - rho) I + rho lam X_c, so the residual is Q_i P_c and nothing
+    is solved. The errors come from two stacks of d x d Grams, C_i = Q_i^T Q_i
+    and T_c = P_c P_c^T, as err_ic = <C_i, T_c> / r (one GEMM over the
+    flattened stacks; no (b*r, n*d) residual is formed).
     The C_i are products of one C-ordered copy of the stacked Q_i^T with
     the stack: at b 32, r 25 (1 BLAS thread) that took 0.09 against
     0.14 ms for the transposed view at d 64, and 13.6 against 26.4 ms at
@@ -293,11 +293,9 @@ def _woodbury_errors(qv, sv, lam, rho, r):
     """d x d side: err_ic = <Q_i^T Q_i, P_c P_c^T> / r, not clamped at 0."""
     n, _, d = sv.shape
     b = qv.shape[0] // r
-    eye = np.eye(d)
     g = np.swapaxes(sv, 1, 2) @ sv
-    # X = M^-1 with M = G + lam I, once per class; M^-1 G = I - lam X
-    x = np.stack([head.spd_inverse(g[c] + lam * eye) for c in range(n)])
-    p = (1.0 - rho) * eye + (rho * lam) * x
+    # eval's pool factor, once per class: X = M^-1 with M = G + lam I, and P
+    x, p = map(np.stack, zip(*(head._woodbury_factor(g[c], lam, rho) for c in range(n))))
     qb = qv.reshape(b, r, d)
     qtq = (np.ascontiguousarray(np.swapaxes(qb, 1, 2)) @ qb).reshape(b, d * d)
     ppt = (p @ np.swapaxes(p, 1, 2)).reshape(n, d * d)

@@ -13,7 +13,7 @@ locations, is the class distance; logits are ``-gamma * distance``.
 Two algebraically equivalent evaluations are provided:
 
 * direct:   Q_bar = rho * Q S^T (S S^T + lam I)^-1 S      (kr x kr solve)
-* woodbury: Q_bar = rho * Q (S^T S + lam I)^-1 S^T S      (d x d solve)
+* woodbury: Q_bar = rho * Q X S^T S, X = (S^T S + lam I)^-1  (d x d inverse)
 
 The direct form is cheaper when d > kr, the woodbury form otherwise.
 The shapes alone decide: ``reconstruct``, and every scoring function
@@ -32,13 +32,15 @@ batched results are bit-identical to one-at-a-time ones. A pool's result
 is one ``Reconstructions``: a (b,) float64 error array, and a sequence
 of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
 
-The direct form never forms Q_bar to score. One step serves eval and
-the training node ``autodiff.ridge_recon_errors``: ``_direct_factor`` per
-pool, ``_query_products`` for A = Q S^T, then ``_direct_step`` over a
+Neither form builds Q_bar to score, and each shares its pool side with
+the training node ``autodiff.ridge_recon_errors``. Direct: ``_direct_factor``
+per pool, ``_query_products`` for A = Q S^T, then ``_direct_step`` over a
 query stack, which takes each error from a kr-space identity within
 256 eps ||Q||^2 / r of a float64 solve. Each query costs two products,
 A and W = A M^-1: since M = G + lam I with G = S S^T, M^-1 G = I - lam M^-1,
-so W G = A - lam W is formed elementwise in A's buffer.
+so W G = A - lam W is formed elementwise in A's buffer. Woodbury: since
+X S^T S = I - lam X, the residual Q - Q_bar is Q P, P = (1 - rho) I +
+rho lam X, one product per query; ``_woodbury_factor`` gives (X, P).
 ``frn_distances`` scores every pool of an episode, of either side, in
 one ``_pass`` (``reconstruct_direct`` and ``reconstruct_woodbury`` are
 that pass over one pool, each on its own side). The pass has two phases,
@@ -50,9 +52,9 @@ some pool is direct; it then takes tasks too. Phase 2 splits the stack
 into one contiguous chunk of queries per CPU available to the process
 (``_chunks``), and each runs, pool by pool on its chunk, the rest of the
 direct step, W into a buffer dropped with the pass unless the caller
-keeps it, or rho Q hat - Q and its squared rows, in a residual buffer the
-caller allocated (one allocated in a worker would stay in that worker's
-own heap). An episode thus dispatches to the workers twice, whatever its
+keeps it, or Q P and its squared rows, in a residual buffer the caller
+allocated (one allocated in a worker would stay in that worker's own
+heap). An episode thus dispatches to the workers twice, whatever its
 pool count, and once if no pool is direct: phase 1 then has no block, so
 a factor's error is raised before any worker starts (with a direct pool,
 once phase 1's blocks are done). The pass holds A over every direct pool
@@ -65,9 +67,9 @@ pool, the results are bit-identical to a serial run, for any worker
 count, block size and slicing.
 At the paper's Conv-4 shape (five 5-shot pools, 75 queries, r 25, d 64,
 f64, 1 BLAS thread) on a shared 2-vCPU host, a woodbury episode took
-2.52-2.57 ms with the C-ordered hat ``spd_solve`` returns against 3.43
-ms with LAPACK's Fortran-ordered one, threaded or serial alike that day
-(medians of 16 alternating rounds of 50 calls); ctx took 3.72-3.74 ms
+2.16-2.61 ms serially and 1.87-2.59 ms threaded with one product by P,
+against 2.63-2.70 and 2.29-2.79 ms with a solved G M^-1 and two more
+passes (medians of 16 rounds of 50 calls, 3 runs each); ctx took 3.72-3.74 ms
 against 7.04-7.15 ms serially (medians of 300 calls, two runs each). The
 README gives the figures at other thread settings; such gains need the
 second CPU to be free. The frn training nodes in ``autodiff`` run the
@@ -84,6 +86,7 @@ All functions are pure; per-class calls may run concurrently.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import threading
@@ -93,7 +96,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, add_ridge, as_matrix, gram, spd_inverse, spd_solve
+from .linalg import ShapeError, add_ridge, as_matrix, gram, spd_inverse
+from .linalg import spd_solve  # not called here; perfbench's SPAN_TARGETS patches it
 
 #: Smallest ridge weight ever used; keeps the regularized system
 #: positive-definite even for absurdly negative alpha.
@@ -231,21 +235,21 @@ class Reconstructions(Sequence):
     """Reconstructions of b queries from one pool.
 
     ``sq_errors`` holds the b errors as a (b,) float64 array. Indexing
-    gives the per-query ``Reconstruction``; its Q_bar = rho * W_i B is
-    formed only then, from the (b, r, m) coefficients W and the (m, d)
-    basis B the errors were scored with, and rho in B's dtype.
+    gives the per-query ``Reconstruction``, whose Q_bar = rho W_i B_1 ... B_m
+    (rho in S's dtype) is formed only then: W = A M^-1 and B = (S,) on the
+    direct side, W = Q and B = (X, S^T, S) on the woodbury one.
     """
 
-    def __init__(self, sq_errors, class_id, coef, basis, rho: float):
+    def __init__(self, sq_errors, class_id, coef, bases: tuple, rho: float):
         self.sq_errors = sq_errors
         self.class_id = class_id
-        self._coef, self._basis, self._rho = coef, basis, np.asarray(rho, basis.dtype)
+        self._coef, self._bases, self._rho = coef, bases, np.asarray(rho, bases[-1].dtype)
 
     def __len__(self) -> int:
         return len(self.sq_errors)
 
     def __getitem__(self, i: int) -> Reconstruction:
-        q_bar = (self._coef[i] @ self._basis) * self._rho
+        q_bar = functools.reduce(np.matmul, self._bases, self._coef[i]) * self._rho
         return Reconstruction(q_bar=q_bar, sq_error=float(self.sq_errors[i]), class_id=self.class_id)
 
 
@@ -387,10 +391,10 @@ def _direct_step(a: np.ndarray, sq_norms, factor, rho: float, w, err):
     err[...] = (sq_norms - 2 * rho * aw + rho * rho * _row_dots(a, w)) / a.shape[1]
 
 
-def _woodbury_factor(pool: SupportPool, lam: float) -> np.ndarray:
-    """Pool side of the woodbury form: hat = (S^T S + lam I)^-1 S^T S, d x d."""
-    g = gram(pool.values, "inner")
-    return spd_solve(add_ridge(g, lam), g)
+def _woodbury_factor(g: np.ndarray, lam: float, rho: float):
+    """Woodbury pool side from G = S^T S: X = (G + lam I)^-1 and P = (1 - rho) I + rho lam X."""
+    x = spd_inverse(add_ridge(g, lam))
+    return x, add_ridge(x * (rho * lam), 1.0 - rho)
 
 
 def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
@@ -404,15 +408,15 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
 
     A direct pool's W = A M^-1 goes into ``coef[c]``, (b, r, kr), where
     given, and into a buffer of the slice's size otherwise; each woodbury
-    pool's hat is appended to ``hats`` where given. The stack is taken in
+    pool's X is appended to ``hats`` where given. The stack is taken in
     slices whose A, over every direct pool, fits in ``_PASS_BYTES`` or in
     one pool's A over the whole stack, whichever is larger. In each slice,
     phase 1 forms A for every direct pool in blocks of queries across the
     CPUs, while the caller factors every pool and, if any is direct,
     squares the stack (on the first slice); phase 2 runs the rest for
-    every pool, in one query chunk per CPU: the direct step, or rho Q hat - Q
-    and its squared rows in one residual buffer that every woodbury pool
-    shares. Every buffer is in one dtype, the queries' and pools' common one.
+    every pool, in one query chunk per CPU: the direct step, or Q P and its
+    squared rows in one residual buffer that every woodbury pool shares.
+    Every buffer is in one dtype, the queries' and pools' common one.
     """
     rho, b = params.rho, len(q)
     on = [c for c, side in enumerate(direct) if side]
@@ -424,16 +428,16 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
     # allocated here, not in the workers, whose own heaps would keep them
     a = {c: np.empty((held, q.shape[1], sts[c].shape[1]), dtype) for c in on}
     resid = np.empty((held,) + q.shape[1:], dtype) if len(on) < len(pools) else None
-    rho_s = np.asarray(rho, np.result_type(*(p.values for p in pools)))  # woodbury's, in S's dtype
     err, factors, sq_norms = np.empty((len(pools), b)), [], []
 
     def pool_side():
         if not factors:
             for p, side in zip(pools, direct):
                 lam = effective_lambda(params, p.k, p.r, p.d)
-                factors.append(_direct_factor(p.values, lam) if side else _woodbury_factor(p, lam))
+                factors.append(_direct_factor(p.values, lam) if side
+                               else _woodbury_factor(gram(p.values, "inner"), lam, rho))
             if hats is not None:
-                hats.extend(f for f, side in zip(factors, direct) if not side)
+                hats.extend(f[0] for f, side in zip(factors, direct) if not side)
             if on:
                 sq_norms.append(_row_dots(q, q))
 
@@ -457,12 +461,8 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
                     _direct_step(a_s[c][lo:hi], sq_s[lo:hi], factor, rho, w_s[c][lo:hi],
                                  err_s[c, lo:hi])
                 else:
-                    res = resid[lo:hi]
-                    np.matmul(q_c, factor, out=res)
-                    res *= rho_s
-                    # rho Q hat - Q: the residual negated exactly, so its square is unchanged
-                    res -= q_c
-                    err_s[c, lo:hi] = _sq_rows(res) / q.shape[1]
+                    np.matmul(q_c, factor[1], out=resid[lo:hi])
+                    err_s[c, lo:hi] = _sq_rows(resid[lo:hi]) / q.shape[1]
 
         _over_tasks(chunk, _chunks(n))
 
@@ -476,14 +476,14 @@ def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Recons
     q, s = _query_stack(q_batch, pool.r, pool.d), pool.values
     w = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
     err = _pass(q, [pool], [True], params, coef=[w])[0]
-    return Reconstructions(err, pool.class_id, w, s, params.rho)
+    return Reconstructions(err, pool.class_id, w, (s,), params.rho)
 
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
-    """Reconstruct every query via the d x d system, right to left."""
-    q, hats = _query_stack(q_batch, pool.r, pool.d), []
+    """Score each query via the d x d system; Q_bar = rho ((Q_i X) S^T) S is 0 for S = 0."""
+    q, hats, s = _query_stack(q_batch, pool.r, pool.d), [], pool.values
     err = _pass(q, [pool], [False], params, hats=hats)[0]
-    return Reconstructions(err, pool.class_id, q, hats[0], params.rho)
+    return Reconstructions(err, pool.class_id, q, (hats[0], s.T, s), params.rho)
 
 
 def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:

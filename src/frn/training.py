@@ -183,10 +183,10 @@ class TrainConfig:
 
 
 def _check_counts(cfg, **least):
-    """Raise ValueError on a non-finite ``lr``, naming the first field of
-    ``least`` given below its least value, or an ``embed_dim`` below 1."""
-    if not math.isfinite(cfg.lr):
-        raise ValueError(f"learning rate must be finite, got {cfg.lr!r}")
+    """Raise ValueError on an ``lr`` not finite and positive, naming the first
+    field of ``least`` given below its least value, or an ``embed_dim`` below 1."""
+    if not 0 < cfg.lr < math.inf:  # a NaN fails both comparisons
+        raise ValueError(f"learning rate must be finite and positive, got {cfg.lr!r}")
     for name, low in {**least, "embed_dim": 1}.items():
         value = getattr(cfg, name)
         if value is not None and value < low:

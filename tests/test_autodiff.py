@@ -2,6 +2,7 @@
 ``reference_ops``, against central finite differences."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 from frn import autodiff as ad
 from frn import head
 from frn.baselines import CtxParams, ctx_distances, proto_distances
-from frn.head import SupportPool
+from frn.head import HeadParams, SupportPool
 
 import reference_ops as refops
 
@@ -339,6 +340,42 @@ class TestClosedFormTrainingNodes:
         check_op(lambda v: refops.vsum(ad.mul(ad.stack([v, b, v]), ad.stack([b, v, a]))), a)
 
 
+class TestOneWoodburyFactor:
+    @staticmethod
+    def _case(n):
+        rng = np.random.default_rng(40 + n)
+        k, r, d = 3, 4, 7  # kr = 12 > d: the woodbury side
+        assert head.choose_formulation(k, r, d) == "woodbury"
+        s = rng.standard_normal((n, k * r, d)) / np.sqrt(d)
+        q = rng.standard_normal((5 * r, d)) / np.sqrt(d)
+        params = HeadParams(alpha=-0.3, beta=0.2)
+        return q, s, params, head.effective_lambda(params, k, r, d), r
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_eval_and_training_form_each_pool_side_through_it(self, n, monkeypatch):
+        q, s, params, lam, r = self._case(n)
+        calls, factor = [], head._woodbury_factor
+
+        def spy(*args):
+            calls.append(args[1:])
+            return factor(*args)
+
+        monkeypatch.setattr(head, "_woodbury_factor", spy)
+        pools = [SupportPool(c, len(s[c]) // r, s[c]) for c in range(n)]
+        head.frn_distances(q, pools, params)
+        assert calls == [(lam, params.rho)] * n
+        calls.clear()
+        ad.ridge_recon_errors(q, s, lam, params.rho, r, "woodbury")
+        assert calls == [(lam, params.rho)] * n
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_eval_and_training_errors_agree(self, n):
+        q, s, params, lam, r = self._case(n)
+        pools = [SupportPool(c, len(s[c]) // r, s[c]) for c in range(n)]
+        trained = ad.ridge_recon_errors(q, s, lam, params.rho, r, "woodbury").value
+        np.testing.assert_allclose(trained, head.frn_distances(q, pools, params), rtol=1e-12)
+
+
 class TestThreadedWoodburyNode:
     # the backward forms dQ in blocks of head._BLOCK queries across the CPUs
     # while the caller forms dS, dlam and drho: b from 1 to 20 gives one
@@ -530,3 +567,32 @@ def test_every_public_function_has_a_caller_in_src():
     uncalled = sorted(public - used) + sorted(f"{m}.{c}.{n}" for m, c, n in members
                                               if not {(c, n), (None, n)} & loaded)
     assert scripts and not uncalled, uncalled
+
+
+def test_every_import_in_src_is_used():
+    # no linter runs in CI: an import that a change leaves unused fails here.
+    # The benchmark wraps these two names in the modules that would call
+    # them, so they stay imported while they are SPAN_TARGETS entries, and
+    # go when those spans do (ROADMAP item 2)
+    package = Path(ad.__file__).parent
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", package.parent.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = {("autodiff", "_spd_solve_np"), ("head", "spd_solve")}
+    targets = {(m.removeprefix("frn."), a) for m, a, _ in spans.SPAN_TARGETS}
+    assert wrapped <= targets, wrapped - targets
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        used |= {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.stem, name) not in wrapped:
+                        unused.append(f"{path.stem}: {name}")
+    assert not unused, unused

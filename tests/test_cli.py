@@ -666,6 +666,17 @@ class TestTrainAndCheckpoints:
         assert "learning rate" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
 
+    # a negative rate would run gradient ascent to the end and exit 0
+    @pytest.mark.parametrize("command, lr", [("train", "-0.05"), ("pretrain", "-1"),
+                                             ("pretrain", "0")])
+    def test_a_non_positive_learning_rate_is_config_error(self, dataset, tmp_path, capsys,
+                                                          command, lr):
+        code = run([command, "--data", str(dataset), *self.SMALL_RUN[command], "--lr", lr,
+                    "--out", str(tmp_path / command)])
+        assert code == EXIT_CONFIG
+        assert "learning rate must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+
     #: flags of a run that succeeds; each case below overrides one of them
     SMALL_RUN = {
         "train": ["--way", "3", "--shot", "1", "--query", "2", "--episodes", "2",

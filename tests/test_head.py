@@ -26,7 +26,7 @@ from frn.head import (
     reconstruct_woodbury,
     reconstruction_weights,
 )
-from frn.linalg import NumericalError, ShapeError, add_ridge, gram, spd_inverse, spd_solve
+from frn.linalg import NumericalError, ShapeError, add_ridge, gram, spd_inverse
 
 from reference_ops import softmax
 
@@ -293,17 +293,19 @@ def per_block_direct(q, pool, params):
 
 
 def per_block_woodbury(q, pool, params):
-    """The per-query loop of the woodbury head, kept as the reference."""
+    """The per-query loop of the woodbury head, kept as the reference: from
+    X = (S^T S + lam I)^-1 and P = (1 - rho) I + rho lam X, Q_bar =
+    rho ((Q X) S^T) S and the error ||Q P||^2 / r, since Q - Q_bar = Q P."""
     r, d, s = pool.r, pool.d, pool.values
-    rho = np.asarray(params.rho, dtype=s.dtype)
-    g = gram(s, "inner")
-    hat = spd_solve(add_ridge(g, effective_lambda(params, pool.k, r, d)), g)
+    rho, lam = params.rho, effective_lambda(params, pool.k, r, d)
+    x = spd_inverse(add_ridge(gram(s, "inner"), lam))
+    p = add_ridge(x * (rho * lam), 1.0 - rho)
     out = []
     for i in range(0, q.shape[0], r):
         block = q[i : i + r]
-        q_bar = (block @ hat) * rho
-        diff = (block - q_bar).astype(np.float64, copy=False)
-        out.append((q_bar, float(np.sum(diff * diff) / r)))
+        q_bar = (((block @ x) @ s.T) @ s) * np.asarray(rho, dtype=s.dtype)
+        resid = (block @ p).astype(np.float64, copy=False)
+        out.append((q_bar, float(np.sum(resid * resid) / r)))
     return out
 
 
@@ -815,20 +817,20 @@ class TestThreadedWoodburyPass:
         rng = np.random.default_rng(30)
         pools = [random_pool(rng, 3, 3, 6, class_id=c) for c in range(3)]
         q = rng.standard_normal((8 * 3, 6))
-        submitted, solves = [], []
-        solve = head.spd_solve
+        submitted, inverses = [], []
+        inverse = head.spd_inverse
 
-        def failing_last_solve(*args):
-            solves.append(1)
-            if len(solves) == len(pools):
+        def failing_last_inverse(*args):
+            inverses.append(1)
+            if len(inverses) == len(pools):
                 raise NumericalError("Cholesky factorization failed at pivot 0", pivot=0)
-            return solve(*args)
+            return inverse(*args)
 
         monkeypatch.setattr(head, "_submit", lambda fn, *args: submitted.append(fn))
-        monkeypatch.setattr(head, "spd_solve", failing_last_solve)
+        monkeypatch.setattr(head, "spd_inverse", failing_last_inverse)
         with pytest.raises(NumericalError) as info:
             head.frn_distances(q, pools, HeadParams())
-        assert info.value.pivot == 0 and len(solves) == len(pools)
+        assert info.value.pivot == 0 and len(inverses) == len(pools)
         assert submitted == []
 
 

@@ -67,10 +67,10 @@ def test_every_head_runs_through_the_wrapped_names(spans, monkeypatch):
 # r = 2, d = 4: 1-shot pools (kr = 2 < d) score on the direct side and
 # 2-shot pools (kr = d = 4, a tie) on woodbury; either way all of an
 # episode's pools score in one pass inside head.score, with no per-pool
-# head span
+# head span, and each side's factor inverts and solves nothing
 @pytest.mark.parametrize("shot, formulation, solve", [
     pytest.param(1, "direct", "linalg.spd_inverse", id="direct-linalg.spd_inverse"),
-    pytest.param(2, "woodbury", "linalg.spd_solve", id="woodbury-linalg.spd_solve"),
+    pytest.param(2, "woodbury", "linalg.spd_inverse", id="woodbury-linalg.spd_inverse"),
 ])
 def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, solve):
     # the benchmark's layer table reads these spans; scoring that goes
@@ -88,7 +88,7 @@ def test_frn_scores_through_the_wrapped_linalg_names(spans, shot, formulation, s
     names = {s[0] for s in recorder.spans}
     for name in ("head.score", "linalg.gram", solve):
         assert name in names, name
-    assert not names & {"head.reconstruct", "head.direct", "head.woodbury"}
+    assert not names & {"head.reconstruct", "head.direct", "head.woodbury", "linalg.spd_solve"}
 
 
 def test_training_solves_run_through_the_wrapped_names(spans):
@@ -163,9 +163,9 @@ def test_traced_spans_stay_nested_with_direct_worker_threads(spans, monkeypatch)
         return submit(fn, *args)
 
     monkeypatch.setattr(frn.head, "_submit", counted)
-    # (head, d, the factor's solve): 2-shot pools at r = 3 have kr = 6
+    # (head, d, the factor's inverse): 2-shot pools at r = 3 have kr = 6
     runs = {"direct": ("frn", 24, "linalg.spd_inverse"),
-            "woodbury": ("frn", 4, "linalg.spd_solve"),
+            "woodbury": ("frn", 4, "linalg.spd_inverse"),
             "ctx": ("ctx", 24, None)}
     assert choose_formulation(2, 3, 24) == "direct" and choose_formulation(2, 3, 4) == "woodbury"
     for label, (kind, d, solve) in runs.items():
