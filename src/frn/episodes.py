@@ -170,8 +170,10 @@ def evaluate(
 ) -> EvalReport:
     """Run ``trials`` independent episodes and summarize query accuracy.
 
-    ``head_fn`` maps an episode to a (num_queries, n) array of logits
-    (any monotone score works; only the argmax matters here).
+    ``head_fn`` maps an episode to a (num_queries, n) array of finite
+    logits (any monotone score works; only the argmax matters here). A
+    trial whose head fails, or returns any other shape or a non-finite
+    value, raises ``EvaluationError``.
     """
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a confidence interval, got {trials}")
@@ -181,6 +183,10 @@ def evaluate(
         try:
             episode = sample_episode(ds, n, k, q, trial_rng(seed, t))
             logits = np.asarray(head_fn(episode))
+            want = (len(episode.queries), n)
+            if logits.shape != want or not np.all(np.isfinite(logits)):
+                raise ValueError(f"head returned logits of shape {logits.shape}, "
+                                 f"not {want} finite values")
         except Exception as exc:
             raise EvaluationError(
                 f"trial {t} failed after {t} complete trials: {exc}", completed_trials=t

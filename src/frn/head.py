@@ -30,7 +30,8 @@ float64 ||Q_i||^2 taken, once per episode. Each query-side product is one
 2-D product over all b*r rows, it rounds as each query alone would, so
 batched results are bit-identical to one-at-a-time ones. A pool's result
 is one ``Reconstructions``: a (b,) float64 error array, and a sequence
-of per-query ``Reconstruction``s whose Q_bar is formed on indexing.
+of per-query ``Reconstruction``s whose Q_bar is formed on indexing, from
+the query and the pool's factor: no per-query W outlives the pass.
 
 Neither form builds Q_bar to score, and each shares its pool side with
 the training node ``autodiff.ridge_recon_errors``. Direct: ``_direct_factor``
@@ -42,24 +43,25 @@ so W G = A - lam W is formed elementwise in A's buffer. Woodbury: since
 X S^T S = I - lam X, the residual Q - Q_bar is Q P, P = (1 - rho) I +
 rho lam X, one product per query; ``_woodbury_factor`` gives (X, P).
 ``frn_distances`` scores every pool of an episode, of either side, in
-one ``_pass`` (``reconstruct_direct`` and ``reconstruct_woodbury`` are
-that pass over one pool, each on its own side). The pass has two phases,
-each through ``_over_tasks``. In phase 1 worker threads take (pool, block
+one ``_pass``, which returns the (b, n) errors and each pool's factor
+(``reconstruct_direct`` and ``reconstruct_woodbury`` are that pass over
+one pool, each on its own side, and keep the factor). The pass has two
+phases, each through ``_over_tasks``. In phase 1 worker threads take (pool, block
 of ``_BLOCK`` queries) tasks for the direct pools from one shared queue
 in turn and form that block's A, which needs only S^T, while the calling
 thread factors every pool, of both sides, and squares the query stack if
 some pool is direct; it then takes tasks too. Phase 2 splits the stack
 into one contiguous chunk of queries per CPU available to the process
 (``_chunks``), and each runs, pool by pool on its chunk, the rest of the
-direct step, W into a buffer dropped with the pass unless the caller
-keeps it, or Q P and its squared rows, in a residual buffer the caller
-allocated (one allocated in a worker would stay in that worker's own
-heap). An episode thus dispatches to the workers twice, whatever its
-pool count, and once if no pool is direct: phase 1 then has no block, so
-a factor's error is raised before any worker starts (with a direct pool,
-once phase 1's blocks are done). The pass holds A over every direct pool
-at once while it fits in ``_PASS_BYTES``; past that it takes the stack in
-slices, so its memory does not grow with the pool count. The ctx head in
+direct step, with W in a buffer dropped with the pass, or Q P and its
+squared rows in a residual buffer; the caller allocated both (one
+allocated in a worker would stay in that worker's own heap). An episode
+thus dispatches to the workers twice, whatever its pool count, and once
+if no pool is direct: phase 1 then has no block, so a factor's error is
+raised before any worker starts (with a direct pool, once phase 1's
+blocks are done). The pass holds A over every direct pool at once while
+it fits in ``_PASS_BYTES``; past that it takes the stack in slices, so
+its memory does not grow with the pool count. The ctx head in
 ``baselines`` runs its pool loop over the same chunks. A phase 2 with one
 chunk (one query, or one CPU) runs on the calling thread with no
 dispatch. Since each query's products depend only on that query and its
@@ -77,9 +79,7 @@ direct step and their woodbury forward on the calling thread. The
 woodbury node's backward forms dQ in blocks of ``_BLOCK`` queries
 through ``_over_tasks`` while the caller forms the pool-side gradients;
 its block size, not the CPU count, fixes each product's shape, so its
-results too are the same for any worker count. At the Conv-4 shape above
-(1 BLAS thread, same host) that backward took 0.52-0.55 ms against
-0.75-0.78 ms with the caller forming all of it.
+results too are the same for any worker count; ``autodiff`` times it.
 All functions are pure; per-class calls may run concurrently.
 """
 
@@ -235,28 +235,29 @@ class Reconstructions(Sequence):
     """Reconstructions of b queries from one pool.
 
     ``sq_errors`` holds the b errors as a (b,) float64 array. Indexing
-    gives the per-query ``Reconstruction``, whose Q_bar = rho W_i B_1 ... B_m
-    (rho in S's dtype) is formed only then: W = A M^-1 and B = (S,) on the
-    direct side, W = Q and B = (X, S^T, S) on the woodbury one.
+    gives the per-query ``Reconstruction``, whose Q_bar = rho Q_i B_1 ... B_m
+    (rho in S's dtype) is formed only then from the (b, r, d) ``queries``
+    and the pool's factor: ``bases`` is (C-ordered S^T, M^-1, S), the pass's
+    product order, on the direct side and (X, S^T, S) on the woodbury one.
     """
 
-    def __init__(self, sq_errors, class_id, coef, bases: tuple, rho: float):
+    def __init__(self, sq_errors, class_id, queries, bases: tuple, rho: float):
         self.sq_errors = sq_errors
         self.class_id = class_id
-        self._coef, self._bases, self._rho = coef, bases, np.asarray(rho, bases[-1].dtype)
+        self.queries, self.bases, self._rho = queries, bases, np.asarray(rho, bases[-1].dtype)
 
     def __len__(self) -> int:
         return len(self.sq_errors)
 
     def __getitem__(self, i: int) -> Reconstruction:
-        q_bar = functools.reduce(np.matmul, self._bases, self._coef[i]) * self._rho
+        q_bar = functools.reduce(np.matmul, self.bases, self.queries[i]) * self._rho
         return Reconstruction(q_bar=q_bar, sq_error=float(self.sq_errors[i]), class_id=self.class_id)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """<a_i, b_i> over the leading axis, accumulated in float64."""
-    n = a.shape[0]
-    return np.einsum("ij,ij->i", a.reshape(n, -1), b.reshape(n, -1), dtype=np.float64)
+    rows = (len(a), math.prod(a.shape[1:]))  # -1 is ambiguous for an empty stack
+    return np.einsum("ij,ij->i", a.reshape(rows), b.reshape(rows), dtype=np.float64)
 
 
 def _available_cpus() -> int:
@@ -314,14 +315,6 @@ def _submit(fn, *args):
     return _chunk_executor().submit(contextvars.copy_context().run, fn, *args)
 
 
-def _finish(futures):
-    """Wait for every future, then raise the first one's exception, if any."""
-    if futures:  # an empty wait costs about half of an empty ``_over_tasks``
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
 def _over_tasks(fn, tasks: Sequence[tuple], meanwhile=None):
     """Run ``fn(*task)`` for each of ``tasks`` and return ``meanwhile()``,
     which the caller runs, where given, while the workers start.
@@ -353,15 +346,17 @@ def _over_tasks(fn, tasks: Sequence[tuple], meanwhile=None):
         out = meanwhile() if meanwhile is not None else None
         take()
     finally:
-        _finish(futures)
+        if futures:  # an empty wait costs about half of an empty ``_over_tasks``
+            wait(futures)
+        for future in futures:  # raises the first one's exception, if any
+            future.result()
     return out
 
 
 def _chunks(n: int) -> list[tuple[int, int]]:
     """(lo, hi) bounds of one contiguous chunk of n queries per CPU, at most n chunks."""
     m = min(_WORKERS, n)
-    bounds = [n * i // m for i in range(m + 1)]
-    return list(zip(bounds, bounds[1:]))
+    return [(n * i // m, n * (i + 1) // m) for i in range(m)]
 
 
 def _direct_factor(s: np.ndarray, lam: float):
@@ -398,25 +393,24 @@ def _woodbury_factor(g: np.ndarray, lam: float, rho: float):
 
 
 def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
-          params: HeadParams, coef: Sequence[np.ndarray] | None = None,
-          hats: list | None = None) -> np.ndarray:
+          params: HeadParams) -> tuple[np.ndarray, list[tuple]]:
     """Score the (b, r, d) query stack ``q`` against every pool, pool c via
     its kr x kr system if ``direct[c]`` and its d x d one otherwise: the
-    (n, b) errors. Rounding can take a near-zero direct error below zero,
-    so every error is clamped at 0 (a woodbury one is a sum of squares,
-    which the clamp leaves as it is).
+    (b, n) errors, and each pool's factor, (M^-1, lam) for a direct pool and
+    (X, P) for a woodbury one. Rounding can take a near-zero direct error
+    below zero, so every error is clamped at 0 (a woodbury one is a sum of
+    squares, which the clamp leaves as it is).
 
-    A direct pool's W = A M^-1 goes into ``coef[c]``, (b, r, kr), where
-    given, and into a buffer of the slice's size otherwise; each woodbury
-    pool's X is appended to ``hats`` where given. The stack is taken in
-    slices whose A, over every direct pool, fits in ``_PASS_BYTES`` or in
-    one pool's A over the whole stack, whichever is larger. In each slice,
-    phase 1 forms A for every direct pool in blocks of queries across the
-    CPUs, while the caller factors every pool and, if any is direct,
-    squares the stack (on the first slice); phase 2 runs the rest for
-    every pool, in one query chunk per CPU: the direct step, or Q P and its
-    squared rows in one residual buffer that every woodbury pool shares.
-    Every buffer is in one dtype, the queries' and pools' common one.
+    The stack is taken in slices whose A, over every direct pool, fits in
+    ``_PASS_BYTES`` or in one pool's A over the whole stack, whichever is
+    larger; an empty stack is one slice, so every pool is factored. In each
+    slice, phase 1 forms A for every direct pool in blocks of queries across
+    the CPUs, while the caller factors every pool and, if any is direct,
+    squares the stack (on the first slice); phase 2 runs the rest for every
+    pool, in one query chunk per CPU: the direct step, with W in a buffer
+    of the slice's size, or Q P and its squared rows in one residual buffer
+    that every woodbury pool shares. Every buffer is in one dtype, the
+    queries' and pools' common one.
     """
     rho, b = params.rho, len(q)
     on = [c for c, side in enumerate(direct) if side]
@@ -428,7 +422,7 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
     # allocated here, not in the workers, whose own heaps would keep them
     a = {c: np.empty((held, q.shape[1], sts[c].shape[1]), dtype) for c in on}
     resid = np.empty((held,) + q.shape[1:], dtype) if len(on) < len(pools) else None
-    err, factors, sq_norms = np.empty((len(pools), b)), [], []
+    err, factors, sq_norms = np.empty((b, len(pools))), [], []
 
     def pool_side():
         if not factors:
@@ -436,16 +430,14 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
                 lam = effective_lambda(params, p.k, p.r, p.d)
                 factors.append(_direct_factor(p.values, lam) if side
                                else _woodbury_factor(gram(p.values, "inner"), lam, rho))
-            if hats is not None:
-                hats.extend(f[0] for f, side in zip(factors, direct) if not side)
             if on:
                 sq_norms.append(_row_dots(q, q))
 
     def one_slice(rows: slice):
-        q_s, err_s = q[rows], err[:, rows]
+        q_s, err_s = q[rows], err[rows]
         n = len(q_s)
         a_s = {c: x[:n] for c, x in a.items()}
-        w_s = {c: coef[c][rows] if coef is not None else np.empty_like(x) for c, x in a_s.items()}
+        w_s = {c: np.empty_like(x) for c, x in a_s.items()}
 
         def block(c, lo, hi):
             _query_products(q_s[lo:hi], sts[c], a_s[c][lo:hi])
@@ -459,31 +451,34 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
             for c, (factor, side) in enumerate(zip(factors, direct)):
                 if side:
                     _direct_step(a_s[c][lo:hi], sq_s[lo:hi], factor, rho, w_s[c][lo:hi],
-                                 err_s[c, lo:hi])
+                                 err_s[lo:hi, c])
                 else:
                     np.matmul(q_c, factor[1], out=resid[lo:hi])
-                    err_s[c, lo:hi] = _sq_rows(resid[lo:hi]) / q.shape[1]
+                    err_s[lo:hi, c] = _sq_rows(resid[lo:hi]) / q.shape[1]
 
         _over_tasks(chunk, _chunks(n))
 
-    for start in range(0, b, step):
+    for start in range(0, max(b, 1), step):
         one_slice(slice(start, start + step))
-    return np.maximum(err, 0.0, out=err)
+    return np.maximum(err, 0.0, out=err), factors
+
+
+def _one_pool(q_batch, pool: SupportPool, params: HeadParams, direct: bool) -> Reconstructions:
+    """The pass over one pool, on the given side, as ``Reconstructions``."""
+    q, s = _query_stack(q_batch, pool.r, pool.d), pool.values
+    err, [factor] = _pass(q, [pool], [direct], params)
+    bases = (np.ascontiguousarray(s.T), factor[0], s) if direct else (factor[0], s.T, s)
+    return Reconstructions(err[:, 0], pool.class_id, q, bases, params.rho)
 
 
 def reconstruct_direct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
-    """Score each query via the kr x kr system without forming Q_bar."""
-    q, s = _query_stack(q_batch, pool.r, pool.d), pool.values
-    w = np.empty(q.shape[:2] + (len(s),), dtype=np.result_type(q, s))
-    err = _pass(q, [pool], [True], params, coef=[w])[0]
-    return Reconstructions(err, pool.class_id, w, (s,), params.rho)
+    """Score each query via the kr x kr system; Q_bar = rho ((Q_i S^T) M^-1) S on indexing."""
+    return _one_pool(q_batch, pool, params, True)
 
 
 def reconstruct_woodbury(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
     """Score each query via the d x d system; Q_bar = rho ((Q_i X) S^T) S is 0 for S = 0."""
-    q, hats, s = _query_stack(q_batch, pool.r, pool.d), [], pool.values
-    err = _pass(q, [pool], [False], params, hats=hats)[0]
-    return Reconstructions(err, pool.class_id, q, (hats[0], s.T, s), params.rho)
+    return _one_pool(q_batch, pool, params, False)
 
 
 def reconstruct(q_batch, pool: SupportPool, params: HeadParams) -> Reconstructions:
@@ -509,7 +504,7 @@ def _shifted_exp(e: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _sq_rows(resid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-query float64 squared norms of a (b, ...) residual, squared into
     ``out`` (a buffer of its shape) where given, and in place otherwise."""
-    resid = resid.astype(np.float64, copy=False).reshape(len(resid), -1)
+    resid = resid.astype(np.float64, copy=False).reshape(len(resid), math.prod(resid.shape[1:]))
     out = resid if out is None else out.reshape(resid.shape)
     return np.sum(np.square(resid, out=out), axis=1)
 
@@ -530,7 +525,7 @@ def frn_distances(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> 
     pool scored in one ``_pass`` on the side ``choose_formulation`` picks."""
     q = _query_stack(q_batch, *_check_pools(pools))  # one stack for every pool
     direct = [choose_formulation(p.k, p.r, p.d) == "direct" for p in pools]
-    return _pass(q, pools, direct, params).T.copy()
+    return _pass(q, pools, direct, params)[0]
 
 
 def episode_logits(q_batch, pools: Sequence[SupportPool], params: HeadParams) -> np.ndarray:
@@ -539,9 +534,12 @@ def episode_logits(q_batch, pools: Sequence[SupportPool], params: HeadParams) ->
 
 
 def reconstruction_weights(q_batch, pool: SupportPool, params: HeadParams) -> list[np.ndarray]:
-    """Per-query optimal weight matrices W = Q S^T (S S^T + lam I)^-1.
+    """Per-query optimal weight matrices W_i = (Q_i S^T) (S S^T + lam I)^-1,
+    formed from the pool's direct factor.
 
     Exposed so the ridge objective ||Q - W S||^2 + lam ||W||^2 can be
     evaluated against the unscaled (rho = 1) solution.
     """
-    return list(reconstruct_direct(q_batch, pool, params)._coef)
+    recs = reconstruct_direct(q_batch, pool, params)
+    st, m_inv, _ = recs.bases
+    return [q @ st @ m_inv for q in recs.queries]

@@ -569,6 +569,30 @@ def test_every_public_function_has_a_caller_in_src():
     assert scripts and not uncalled, uncalled
 
 
+def test_every_private_function_is_loaded_in_src():
+    # no linter runs in CI: a private function, or a private method, that a
+    # change leaves with no load in the package fails here. cli._to_f32 has
+    # none, but the benchmark calls it for its episodes.transform span; it
+    # goes when that call does (ROADMAP item 2)
+    package = Path(ad.__file__).parent
+    workloads = ast.parse((package.parent.parent / "perfbench" / "workloads.py").read_text())
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_to_f32"
+               for node in ast.walk(workloads))
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    private = {(module, node.name) for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    methods = {(module, node.name, item.name) for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)
+               and item.name.startswith("_") and not item.name.endswith("__")}
+    used = set().union(*(_callers(tree, module, set(trees)) for module, tree in trees.items()))
+    attrs = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    dead = sorted(f"{m}.{n}" for m, n in private - used - {("cli", "_to_f32")})
+    dead += sorted(f"{m}.{c}.{n}" for m, c, n in methods if n not in attrs)
+    assert not dead, dead
+
+
 def test_every_import_in_src_is_used():
     # no linter runs in CI: an import that a change leaves unused fails here.
     # The benchmark wraps these two names in the modules that would call

@@ -168,6 +168,18 @@ class TestReadOnlyInputs:
             assert all(np.array_equal(p.values, v) for p, v in zip(pools, kept_pools))
 
 
+class TestAnEmptyQueryBatch:
+    @pytest.mark.parametrize("score", [
+        lambda q, pools: proto_scores(q, pools, 0.7),
+        lambda q, pools: dsn_scores(q, pools, gamma=0.7),
+        lambda q, pools: ctx_scores(q, pools, CtxParams.identity(), 0.7),
+    ], ids=["proto", "dsn", "ctx"])
+    def test_scores_no_query(self, score):
+        rng = np.random.default_rng(35)
+        pools = [SupportPool(c, 2, rng.standard_normal((6, 8))) for c in range(3)]
+        assert score(np.empty((0, 8)), pools).shape == (0, 3)
+
+
 class TestProto:
     def test_single_shot_prototype_is_pooled_support(self):
         rng = np.random.default_rng(0)

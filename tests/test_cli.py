@@ -16,7 +16,8 @@ import pytest
 
 from frn import training
 from frn.bench import BenchConfig
-from frn.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SAMPLING, _config, build_parser, main
+from frn.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_SAMPLING, _config,
+                     build_parser, main)
 from frn.data import MAGIC, GenSpec, manifest_path
 from frn.training import (
     CHECKPOINT_MAGIC,
@@ -208,6 +209,16 @@ class TestEval:
             "--trials", "10", "--seed", "0", "--out", str(tmp_path / "x"),
         ])
         assert code == EXIT_SAMPLING
+
+    def test_logits_of_the_wrong_shape_are_a_numerical_error(self, dataset, tmp_path, monkeypatch):
+        import frn.episodes
+
+        monkeypatch.setattr(frn.episodes, "episode_logits", lambda q, pools, params: np.zeros((1, 3)))
+        code = run([
+            "eval", "--head", "frn", "--data", str(dataset), "--way", "3", "--shot", "1",
+            "--query", "2", "--trials", "4", "--seed", "0", "--out", str(tmp_path / "x"),
+        ])
+        assert code == EXIT_NUMERICAL
 
     def test_all_heads_run(self, dataset, tmp_path):
         for head in ("frn", "proto", "dsn", "ctx"):

@@ -170,6 +170,20 @@ class TestEvaluate:
             evaluate(ds, flaky, n=3, k=1, q=2, trials=10, seed=0)
         assert err.value.completed_trials == 3
 
+    @pytest.mark.parametrize("bad", [
+        lambda ep: np.zeros((1, ep.n)),  # one row for every query
+        lambda ep: np.zeros((len(ep.queries), ep.n - 2)),  # too few columns
+        lambda ep: np.full((len(ep.queries), ep.n), np.nan),
+        lambda ep: np.zeros(len(ep.queries)),  # 1-D
+    ], ids=["one-row", "three-columns", "nan", "1-d"])
+    def test_logits_of_the_wrong_shape_or_not_finite_fail_the_trial(self, bad):
+        # each would otherwise read an accuracy of about 1 / n, or escape as
+        # numpy's AxisError
+        ds = toy_dataset()
+        with pytest.raises(EvaluationError, match=r"trial 0 .*shape \(") as err:
+            evaluate(ds, bad, n=5, k=1, q=3, trials=4, seed=0)
+        assert err.value.completed_trials == 0
+
     def test_class_permutation_equivariance(self):
         ds = toy_dataset()
         ep = sample_episode(ds, 4, 2, 3, trial_rng(11, 0))
@@ -231,7 +245,7 @@ class TestReportSerialization:
 
 
 class TestScoresDigest:
-    def test_one_logits_last_bit_dtype_or_shape_changes_the_digest(self):
+    def test_one_logits_last_bit_or_dtype_changes_the_digest(self):
         ds = toy_dataset()
         base = make_head_fn("frn", HeadParams())
 
@@ -252,9 +266,12 @@ class TestScoresDigest:
             out[1, 2] = np.nextafter(out[1, 2], np.inf)
             return out
 
-        edits = [last_bit, lambda x: x.view(np.int64), lambda x: x[:, :, None]]
+        edits = [last_bit, lambda x: x.view(np.int64)]
         digests = {run(edit).scores_sha256 for edit in edits}
-        assert len(digests) == 3 and ref.scores_sha256 not in digests
+        assert len(digests) == 2 and ref.scores_sha256 not in digests
+        # a result of any shape but (b, n) fails its trial, so it is never digested
+        with pytest.raises(EvaluationError, match="trial 3"):
+            run(lambda x: x[:, :, None])
         # the accuracies are unchanged: only the digest shows the last bit
         np.testing.assert_array_equal(run(last_bit).per_trial, ref.per_trial)
 

@@ -374,6 +374,56 @@ class TestQueriesAndPoolsOfTwoDtypes:
                     assert wood.sq_errors[i] == ew
 
 
+class TestAnEmptyQueryBatch:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scores_no_query_and_factors_every_pool_once(self, workers, monkeypatch):
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        rng = np.random.default_rng(36)
+        # kr = 6 < d = 8 scores on the direct side, kr = 9 >= d on woodbury
+        pools = [random_pool(rng, 2, 3, 8, class_id=0), random_pool(rng, 3, 3, 8, class_id=1)]
+        factored = []
+        for name in ("_direct_factor", "_woodbury_factor"):
+            def spy(*args, name=name, factor=getattr(head, name)):
+                factored.append(name)
+                return factor(*args)
+
+            monkeypatch.setattr(head, name, spy)
+        q = np.empty((0, 8))
+        for kernel, name in ((reconstruct_direct, "_direct_factor"),
+                             (reconstruct_woodbury, "_woodbury_factor")):
+            for pool in pools:
+                factored.clear()
+                recs = kernel(q, pool, HeadParams())
+                assert len(recs) == 0 and list(recs) == [] and recs.sq_errors.shape == (0,)
+                assert factored == [name]
+        factored.clear()
+        assert head.frn_distances(q, pools, HeadParams()).shape == (0, 2)
+        assert factored == ["_direct_factor", "_woodbury_factor"]
+
+
+class TestReconstructionWeights:
+    @pytest.mark.parametrize("q_dtype, s_dtype", [(np.float32, np.float32), (np.float64, np.float64),
+                                                  (np.float32, np.float64), (np.float64, np.float32)])
+    def test_the_per_query_products_bit_for_bit(self, q_dtype, s_dtype):
+        # W_i = (Q_i S^T) M^-1, with the C-ordered S^T and M^-1 the direct
+        # side's factor, as one query alone would form it
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            k, r, b = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            d = int(rng.integers(1, 40))
+            pool = SupportPool(0, k, random_pool(rng, k, r, d).values.astype(s_dtype))
+            q = (rng.standard_normal((b * r, d)) / math.sqrt(d)).astype(q_dtype)
+            params = HeadParams(alpha=rng.uniform(-2, 2), beta=rng.uniform(-1, 1))
+            m_inv, _ = head._direct_factor(pool.values, effective_lambda(params, k, r, d))
+            st_ = np.ascontiguousarray(pool.values.T)
+            ws = reconstruction_weights(q, pool, params)
+            assert len(ws) == b
+            for i, w in enumerate(ws):
+                ref = np.matmul(np.matmul(q[i * r : (i + 1) * r], st_), m_inv)
+                assert w.dtype == ref.dtype == np.result_type(q_dtype, s_dtype)
+                assert np.array_equal(w, ref)
+
+
 class TestQueryStackOncePerEpisode:
     @pytest.mark.parametrize("formulation", ["direct", "woodbury"])
     def test_validated_and_squared_once_for_all_pools(self, formulation, monkeypatch):
