@@ -18,10 +18,14 @@ Datasets are stored as a single little-endian tensor container of shape
 (n_items, r, d) with a CSV label manifest alongside:
 
     magic 'FRNTENS1' | u32 version | u32 dtype (1=f32, 2=f64) |
-    u32 rank | u32 dims... | payload (C order) | u32 crc32
+    u32 rank (3) | u32 dims x 3 | payload (C order) | u32 crc32
 
-The CRC covers every byte before it. The manifest at <path>.labels.csv
-holds a header plus one 'item_index,class_id' row per item.
+The CRC covers every byte before it, and no byte follows it. The
+manifest at <path>.labels.csv holds a header plus one
+'item_index,class_id' row per item. ``ingest`` reads a whole container
+in one read and checks its structure before any value; each value is
+then checked once, by the ``FeatureMap`` it is copied into (in float32 or
+float64; the container's own dtype by default).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import numpy as np
 
 from .episodes import Dataset
 from .head import FeatureMap
+from .linalg import NumericalError
 
 MAGIC = b"FRNTENS1"
 VERSION = 1
@@ -196,7 +201,7 @@ def save_dataset(path, ds: Dataset, dtype=np.float64):
             writer.writerow([i, cid])
 
 
-def _read_exact(blob: bytes, offset: int, count: int, what: str) -> memoryview:
+def _read_exact(blob: np.ndarray, offset: int, count: int, what: str) -> memoryview:
     """``count`` bytes of ``blob`` at ``offset``, as a view: the payload is not copied."""
     if offset + count > len(blob):
         raise IngestError(
@@ -207,66 +212,61 @@ def _read_exact(blob: bytes, offset: int, count: int, what: str) -> memoryview:
     return memoryview(blob)[offset : offset + count]
 
 
-def load_tensor(path) -> np.ndarray:
-    """Read and validate a tensor container; errors carry byte offsets.
+def ingest(path, dtype=None) -> Dataset:
+    """Load a dataset from a tensor container and its label manifest.
 
-    The result is in native byte order. On a little-endian host it is a
-    read-only view of the bytes read from the file, so the payload is
-    not copied here; a caller that needs a writable array copies it
-    (``ingest`` does, once per item, in ``Dataset.from_arrays``).
+    ``dtype`` is None (the container's own), float32 or float64; any other
+    raises ValueError before the file is opened. The whole file is read in
+    one read; its header, payload bounds, checksum and length (nothing
+    may follow the checksum) are checked first, and the manifest last,
+    each error with its byte offset. Each item is copied out in ``dtype``
+    into its own ``FeatureMap``, whose check is the one finiteness pass: a
+    value not finite (in ``dtype``) raises IngestError with its flat index.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    if dtype is not None and np.dtype(dtype) not in _TAG_OF:
+        raise ValueError(f"unsupported dtype {np.dtype(dtype)}")
+    blob = np.fromfile(path, dtype=np.uint8)  # the whole file, in one read
     if _read_exact(blob, 0, 8, "magic") != MAGIC:
-        raise IngestError(f"{path} has bad magic {blob[:8]!r}", byte_offset=0)
+        raise IngestError(f"{path} has bad magic {bytes(blob[:8])!r}", byte_offset=0)
     version, dtype_tag, rank = struct.unpack("<III", _read_exact(blob, 8, 12, "header"))
     if version != VERSION:
         raise IngestError(f"unsupported container version {version}", byte_offset=8)
     if dtype_tag not in _DTYPE_TAGS:
         raise IngestError(f"unknown dtype tag {dtype_tag}", byte_offset=12)
-    if rank < 1 or rank > 8:
-        raise IngestError(f"implausible rank {rank}", byte_offset=16)
-    dims_off = 20
-    dims = struct.unpack(
-        f"<{rank}I", _read_exact(blob, dims_off, 4 * rank, "dimensions")
-    )
+    if rank != 3:
+        raise IngestError(f"dataset tensor must be rank 3, got rank {rank}", byte_offset=16)
+    dims = struct.unpack("<3I", _read_exact(blob, 20, 12, "dimensions"))
     if 0 in dims:
         axis = dims.index(0)
-        raise IngestError(f"dimension {axis} has size 0", byte_offset=dims_off + 4 * axis)
-    dtype = _DTYPE_TAGS[dtype_tag]
-    payload_off = dims_off + 4 * rank
-    nbytes = math.prod(dims) * dtype.itemsize  # Python ints: no int64 wrap-around
+        raise IngestError(f"dimension {axis} has size 0", byte_offset=20 + 4 * axis)
+    stored = _DTYPE_TAGS[dtype_tag]
+    payload_off = 32
+    nbytes = math.prod(dims) * stored.itemsize  # Python ints: no int64 wrap-around
     payload = _read_exact(blob, payload_off, nbytes, "payload")
     crc_off = payload_off + nbytes
     (crc_stored,) = struct.unpack("<I", _read_exact(blob, crc_off, 4, "checksum"))
     if binascii.crc32(memoryview(blob)[:crc_off]) & 0xFFFFFFFF != crc_stored:
         raise IngestError("checksum mismatch", byte_offset=crc_off)
-    tensor = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    finite = np.isfinite(tensor)
-    if not finite.all():
-        first_bad = int(np.argmin(finite.reshape(-1)))
+    if len(blob) > crc_off + 4:
+        raise IngestError(f"{len(blob) - crc_off - 4} bytes follow the checksum",
+                          byte_offset=crc_off + 4)
+    tensor = np.frombuffer(payload, dtype=stored).reshape(dims)
+    dtype = stored.newbyteorder("=") if dtype is None else np.dtype(dtype)
+    try:
+        with np.errstate(over="ignore"):  # a value past ``dtype``'s range casts to inf
+            maps = [FeatureMap(values=np.array(item, dtype=dtype)) for item in tensor]
+    except NumericalError:
+        with np.errstate(over="ignore"):  # the error path alone looks again
+            first_bad = int(np.argmin(np.isfinite(tensor.astype(dtype)).reshape(-1)))
+        cast = f" once cast to {dtype}" if np.isfinite(tensor.flat[first_bad]) else ""
         raise IngestError(
-            f"non-finite value at flat index {first_bad}",
-            byte_offset=payload_off + first_bad * dtype.itemsize,
-        )
-    return tensor.astype(tensor.dtype.newbyteorder("="), copy=False)
-
-
-def ingest(path, dtype=None) -> Dataset:
-    """Load a dataset from a tensor container and its label manifest.
-
-    The maps keep the container's dtype unless ``dtype`` is given, in
-    which case the whole tensor is cast to it once.
-    """
-    tensor = load_tensor(path)
-    if dtype is not None:
-        tensor = tensor.astype(dtype, copy=False)
-    if tensor.ndim != 3:
-        raise IngestError(f"dataset tensor must be rank 3, got rank {tensor.ndim}", byte_offset=16)
+            f"non-finite value at flat index {first_bad}{cast}",
+            byte_offset=payload_off + first_bad * stored.itemsize,
+        ) from None
     mpath = manifest_path(path)
     if not mpath.exists():
         raise IngestError(f"missing label manifest {mpath}")
-    labels = [None] * tensor.shape[0]
+    labels = [None] * len(maps)
     with open(mpath, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -277,12 +277,14 @@ def ingest(path, dtype=None) -> Dataset:
                 idx, cid = map(int, row)
             except ValueError:
                 raise IngestError(f"malformed manifest row {row!r}") from None
-            if not (0 <= idx < tensor.shape[0]):
+            if not (0 <= idx < len(maps)):
                 raise IngestError(f"manifest item_index {idx} out of range")
             if labels[idx] is not None:
                 raise IngestError(f"duplicate manifest entry for item {idx}")
             labels[idx] = cid
-    if any(l is None for l in labels):
-        missing = labels.index(None)
-        raise IngestError(f"manifest missing a label for item {missing}")
-    return Dataset.from_arrays(tensor, labels)
+    if None in labels:
+        raise IngestError(f"manifest missing a label for item {labels.index(None)}")
+    classes: dict[int, list[FeatureMap]] = {}
+    for m, cid in zip(maps, labels):
+        classes.setdefault(cid, []).append(m)
+    return Dataset(classes=classes)

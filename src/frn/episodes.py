@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -67,19 +67,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    @classmethod
-    def from_arrays(cls, items: np.ndarray, labels: Sequence[int]) -> "Dataset":
-        """Build from an (n_items, r, d) array and per-item class ids."""
-        items = np.asarray(items)
-        if items.ndim != 3:
-            raise ShapeError(f"items must be (n, r, d), got shape {items.shape}")
-        if len(labels) != items.shape[0]:
-            raise ValueError(f"{len(labels)} labels for {items.shape[0]} items")
-        classes: dict[int, list[FeatureMap]] = {}
-        for x, y in zip(items, labels):
-            classes.setdefault(int(y), []).append(FeatureMap(values=np.array(x)))
-        return cls(classes=classes)
 
 
 @dataclass(frozen=True)

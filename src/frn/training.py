@@ -419,6 +419,7 @@ def meta_train(
     as constants, so they keep their initial values exactly. Validation
     data must have the base data's width, and if validation will run, the
     classes and items its episodes need: else SamplingError, before any step.
+    A set ``embed_dim`` must be the width of ``init``'s embed_weight.
     """
     if ds_val.d != ds_base.d:
         raise ValueError(f"validation data has {ds_val.d} channels, training data has {ds_base.d}")
@@ -433,6 +434,8 @@ def meta_train(
                                     f"validation episodes need shot+val_query={need}")
     rng = np.random.default_rng(cfg.seed)
     width = init["embed_weight"].shape[-1] if init and "embed_weight" in init else None
+    if width is not None and cfg.embed_dim not in (None, width):
+        raise ValueError(f"embed_dim is {cfg.embed_dim}, but init's embed_weight is {width} wide")
     params = init_params(cfg, ds_base.d, rng, width)
     if init:
         for name, value in init.items():

@@ -236,10 +236,11 @@ class TestToF32:
         import numpy as np
 
         from frn.episodes import Dataset
+        from frn.head import FeatureMap
 
         rng = np.random.default_rng(0)
         items = rng.standard_normal((24, 2, 6)).astype(dtype)
-        return Dataset.from_arrays(items, [i % 4 for i in range(24)])
+        return Dataset(classes={c: [FeatureMap(values=x) for x in items[c::4]] for c in range(4)})
 
     @staticmethod
     def _episode(ds):
@@ -535,10 +536,10 @@ class TestTrainAndCheckpoints:
         cfg = PretrainConfig(steps=40, batch_size=16, lr=0.5, embed_dim=6, seed=0)
         assert accuracy == pretrain_accuracy(pretrain(ds, cfg), ds)
 
-    @pytest.mark.parametrize("embed_dim", [[], ["--embed-dim", "5"]])
+    @pytest.mark.parametrize("embed_dim", [[], ["--embed-dim", "4"]])
     def test_ctx_finetunes_from_an_embedding_of_another_width(self, dataset, tmp_path, embed_dim):
         # the ctx projections act on the trained features: the checkpoint's
-        # width (4), not --embed-dim or the data's d (6)
+        # width (4), not the data's d (6)
         pre_out = tmp_path / "pre"
         assert run(["pretrain", "--data", str(dataset), "--steps", "2", "--batch-size", "8",
                     "--embed-dim", "4", "--seed", "0", "--out", str(pre_out)]) == EXIT_OK
@@ -552,6 +553,21 @@ class TestTrainAndCheckpoints:
         assert code == EXIT_OK
         params, _ = load_checkpoint(out / "checkpoint.bin")
         assert params["ctx_key"].shape == params["ctx_value"].shape == (4, 4)
+
+    def test_an_embed_dim_other_than_the_checkpoint_width_is_config_error(
+        self, dataset, tmp_path, capsys
+    ):
+        # it trained at the checkpoint's width (8) and wrote "embed_dim": 12
+        pre_out = tmp_path / "pre"
+        assert run(["pretrain", "--data", str(dataset), "--steps", "2", "--batch-size", "8",
+                    "--embed-dim", "8", "--out", str(pre_out)]) == EXIT_OK
+        capsys.readouterr()
+        code = run(["train", "--data", str(dataset), "--from", str(pre_out / "checkpoint.bin"),
+                    "--way", "3", "--query", "2", "--episodes", "2", "--val-every", "0",
+                    "--embed-dim", "12", "--out", str(tmp_path / "train")])
+        assert code == EXIT_CONFIG
+        assert "embed_dim is 12, but init's embed_weight is 8 wide" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
 
     def test_a_checkpoint_naming_a_formulation_scores_as_one_without(
         self, dataset, tmp_path, monkeypatch

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frn.data import (
     GenSpec,
@@ -17,7 +19,6 @@ from frn.data import (
     gen_pose_permutation,
     generate,
     ingest,
-    load_tensor,
     manifest_path,
     save_dataset,
 )
@@ -220,22 +221,63 @@ class TestContainer:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_ingested_items_own_writable_memory(self, tmp_path, dtype):
-        # load_tensor returns a read-only view of the file's bytes; every
-        # item is copied out of it, so no map keeps that buffer alive
+        # every item is copied out of the bytes read from the file, so no
+        # map keeps that buffer alive
         ds = gen_gaussian(spec("gaussian-prototype"))
         path = tmp_path / "data.frnt"
         save_dataset(path, ds, dtype=dtype)
-        assert not load_tensor(path).flags.writeable
         for maps in ingest(path).classes.values():
             for m in maps:
                 assert m.values.flags.owndata and m.values.flags.writeable
                 m.values[0, 0] += 1.0
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.float16])
+    def test_ingest_rejects_a_dtype_other_than_f32_or_f64(self, tmp_path, dtype):
+        # cast item by item, int32 read a gaussian container as all-zero maps
+        # and float16 rounded every value, each then widened to float64
+        path = tmp_path / "data.frnt"
+        save_dataset(path, gen_gaussian(spec("gaussian-prototype")))
+        for where in (path, tmp_path / "absent.frnt"):  # raised before the file is opened
+            with pytest.raises(ValueError, match=f"unsupported dtype {np.dtype(dtype)}"):
+                ingest(where, dtype)
+
+    def test_a_value_past_the_requested_range_reports_its_offset(self, tmp_path):
+        ds = gen_gaussian(spec("gaussian-prototype"))
+        ds.classes[1][0].values[1, 2] = 1e300  # item 6 of (4, 12) maps: flat index 302
+        path = tmp_path / "data.frnt"
+        save_dataset(path, ds)
+        assert ingest(path).classes[1][0].values[1, 2] == 1e300
+        with pytest.raises(IngestError, match="flat index 302 once cast to float32") as err:
+            ingest(path, np.float32)
+        assert err.value.byte_offset == len(MAGIC) + 24 + 302 * 8
+
+    def test_bytes_after_the_checksum_report_their_offset(self, tmp_path):
+        path = tmp_path / "data.frnt"
+        save_dataset(path, gen_gaussian(spec("gaussian-prototype")))
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 17)
+        with pytest.raises(IngestError, match="17 bytes follow the checksum") as err:
+            ingest(path)
+        assert err.value.byte_offset == size
+
+    @pytest.mark.parametrize("rank", [0, 2, 4, 9])
+    def test_a_rank_other_than_three_reports_offset_16(self, tmp_path, rank):
+        # otherwise well formed: dims, payload and a valid CRC
+        dims = (2,) * rank
+        body = MAGIC + struct.pack("<III", 1, 2, rank) + struct.pack(f"<{rank}I", *dims)
+        body += np.zeros(dims, dtype="<f8").tobytes()
+        path = tmp_path / "rank.frnt"
+        path.write_bytes(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(IngestError, match=f"must be rank 3, got rank {rank}") as err:
+            ingest(path)
+        assert err.value.byte_offset == 16
+
     def test_bad_magic_offset_zero(self, tmp_path):
         path = tmp_path / "bad.frnt"
         path.write_bytes(b"WRONGMAG" + b"\x00" * 40)
         with pytest.raises(IngestError) as err:
-            load_tensor(path)
+            ingest(path)
         assert err.value.byte_offset == 0
 
     def test_bad_version_offset(self, tmp_path):
@@ -243,7 +285,7 @@ class TestContainer:
         blob = MAGIC + struct.pack("<III", 99, 2, 1) + struct.pack("<I", 1)
         path.write_bytes(blob + b"\x00" * 12)
         with pytest.raises(IngestError) as err:
-            load_tensor(path)
+            ingest(path)
         assert err.value.byte_offset == 8
 
     def test_truncation_detected(self, tmp_path):
@@ -253,7 +295,7 @@ class TestContainer:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(IngestError):
-            load_tensor(path)
+            ingest(path)
 
     def test_corruption_detected_by_crc(self, tmp_path):
         ds = gen_gaussian(spec("gaussian-prototype"))
@@ -263,7 +305,7 @@ class TestContainer:
         blob[60] ^= 0x01
         path.write_bytes(bytes(blob))
         with pytest.raises(IngestError) as err:
-            load_tensor(path)
+            ingest(path)
         assert "checksum" in str(err.value)
 
     def test_non_finite_payload_reports_byte_offset(self, tmp_path):
@@ -276,7 +318,7 @@ class TestContainer:
         path = tmp_path / "nan.frnt"
         path.write_bytes(body + struct.pack("<I", _crc.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(IngestError) as err:
-            load_tensor(path)
+            ingest(path)
         assert err.value.byte_offset == len(header) + 5 * 8
 
     def test_overflowing_dims_report_payload_offset(self, tmp_path):
@@ -286,7 +328,7 @@ class TestContainer:
         path = tmp_path / "huge.frnt"
         path.write_bytes(body + struct.pack("<I", binascii.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(IngestError) as err:
-            load_tensor(path)
+            ingest(path)
         assert err.value.byte_offset == len(MAGIC) + 12 + 3 * 4
         assert "payload" in str(err.value)
 
@@ -330,3 +372,42 @@ class TestContainer:
         manifest_path(path).write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(IngestError):
             ingest(path)
+
+
+@pytest.fixture(scope="module")
+def saved_container(tmp_path_factory):
+    """A small f64 container, its manifest beside it, and the container's bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "data.frnt"
+    save_dataset(path, gen_gaussian(spec("gaussian-prototype", n_classes=2, items_per_class=2,
+                                         r=2, d=3)))
+    return path, path.read_bytes()
+
+
+# a failing example makes hypothesis import libcst, whose DeprecationWarning,
+# an error under this suite's filterwarnings, would abort the whole session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+class TestContainerFuzzed:
+    """Every damaged container raises IngestError with a byte offset, nothing else."""
+
+    @staticmethod
+    def _ingest_raises(path, blob):
+        path.write_bytes(blob)
+        with pytest.raises(IngestError) as err:
+            ingest(path)
+        assert err.value.byte_offset is not None
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_truncated_at_any_length(self, saved_container, data):
+        path, blob = saved_container
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        self._ingest_raises(path, blob[:cut])
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_single_bit_flipped(self, saved_container, data):
+        path, blob = saved_container
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        self._ingest_raises(path, bytes(flipped))

@@ -50,14 +50,6 @@ class TestDataset:
         with pytest.raises(Exception):
             Dataset(classes=classes)
 
-    def test_from_arrays_roundtrip(self):
-        rng = np.random.default_rng(1)
-        items = rng.standard_normal((10, 2, 3))
-        labels = [i % 2 for i in range(10)]
-        ds = Dataset.from_arrays(items, labels)
-        assert ds.n_classes == 2
-        assert refops.class_counts(ds) == {0: 5, 1: 5}
-
 
 class TestSampling:
     def test_exact_partition(self):

@@ -1,10 +1,13 @@
 """Training contracts: gradient correctness, optimizer behavior, the two
 training regimes, and checkpoint round-trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frn import autodiff as ad
 from frn import baselines, head, linalg, training
@@ -646,6 +649,18 @@ class TestMetaTrain:
         assert float(result.params["beta"]) == 0.0
         assert float(result.params["gamma"]) == pytest.approx(1.0 / 4)
 
+    @pytest.mark.parametrize("embed_dim", [6, 12])
+    def test_an_embed_dim_other_than_the_init_width_is_rejected(self, embed_dim):
+        # the run trained at the init's width (8) while its config named another
+        ds = gaussian_dataset(n_classes=5, items=8, seed=9)
+        init = pretrain(ds, PretrainConfig(steps=1, batch_size=4, embed_dim=8)).as_init()
+        cfg = TrainConfig(head="frn", way=3, shot=1, query=3, episodes=2, val_every=0,
+                          embed_dim=embed_dim)
+        with pytest.raises(ValueError, match=f"embed_dim is {embed_dim}, but init's "
+                                             "embed_weight is 8 wide"):
+            meta_train(ds, ds, cfg, init=init)
+        assert not meta_train(ds, ds, dataclasses.replace(cfg, embed_dim=8), init=init).aborted
+
     def test_abort_on_divergence_returns_last_finite(self):
         ds = gaussian_dataset(n_classes=5, items=8, seed=10)
         cfg = TrainConfig(
@@ -819,6 +834,42 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
+        with pytest.raises(training.CheckpointError):
+            load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A small checkpoint's path and bytes."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    rng = np.random.default_rng(15)
+    save_checkpoint(path, {"embed_weight": rng.standard_normal((3, 2)), "gamma": np.array(0.5)},
+                    {"config_hash": "abc123", "train_config": {"head": "frn"}})
+    return path, path.read_bytes()
+
+
+# a failing example makes hypothesis import libcst, whose DeprecationWarning,
+# an error under this suite's filterwarnings, would abort the whole session
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+class TestCheckpointFuzzed:
+    """Every damaged checkpoint raises CheckpointError, nothing else."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_truncated_at_any_length(self, saved_checkpoint, data):
+        path, blob = saved_checkpoint
+        path.write_bytes(blob[: data.draw(st.integers(0, len(blob) - 1))])
+        with pytest.raises(training.CheckpointError):
+            load_checkpoint(path)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_any_single_bit_flipped(self, saved_checkpoint, data):
+        path, blob = saved_checkpoint
+        bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
         with pytest.raises(training.CheckpointError):
             load_checkpoint(path)
 
