@@ -53,17 +53,17 @@ thread factors every pool, of both sides, and squares the query stack if
 some pool is direct; it then takes tasks too. Phase 2 splits the stack
 into one contiguous chunk of queries per CPU available to the process
 (``_chunks``), and each runs, pool by pool on its chunk, the rest of the
-direct step, with W in a buffer dropped with the pass, or Q P and its
-squared rows in a residual buffer; the caller allocated both (one
-allocated in a worker would stay in that worker's own heap). An episode
-thus dispatches to the workers twice, whatever its pool count, and once
-if no pool is direct: phase 1 then has no block, so a factor's error is
-raised before any worker starts (with a direct pool, once phase 1's
-blocks are done). The pass holds A over every direct pool at once while
-it fits in ``_PASS_BYTES``; past that it takes the stack in slices, so
-its memory does not grow with the pool count. The ctx head in
-``baselines`` runs its pool loop over the same chunks. A phase 2 with one
-chunk (one query, or one CPU) runs on the calling thread with no
+direct step or the product Q P and its squared rows. W and Q P go in the
+chunk's rows of one scratch buffer that its pools reuse in turn, as the
+ctx head's pass in ``baselines`` does over the same chunks; the caller
+allocated it (one allocated in a worker would stay in that worker's own
+heap). An episode thus dispatches to the workers twice, whatever its pool
+count, and once if no pool is direct: phase 1 then has no block, so a
+factor's error is raised before any worker starts (with a direct pool,
+once phase 1's blocks are done). The pass holds A over every direct pool
+at once while it fits in ``_PASS_BYTES``; past that it takes the stack in
+slices, so its memory does not grow with the pool count. A phase 2 with
+one chunk (one query, or one CPU) runs on the calling thread with no
 dispatch. Since each query's products depend only on that query and its
 pool, the results are bit-identical to a serial run, for any worker
 count, block size and slicing.
@@ -281,8 +281,8 @@ _WORKERS = _available_cpus()
 #: 50-80 us per query there, so 8 keeps the tail the last block can leave
 #: one thread waiting under 0.7 ms.
 _BLOCK = 8
-#: bytes of A = Q S^T (and as many again of W) the pass holds at once
-#: over all its direct pools, unless one pool's A over the whole query stack
+#: bytes of A = Q S^T the pass holds at once over all its direct pools,
+#: beside one scratch for W, unless one pool's A over the whole query stack
 #: is larger: past that the pass takes the stack in slices, so its memory
 #: does not grow with the pool count. A 5-way 5-shot episode at r 25,
 #: d 640 with 75 queries needs 4.7 MB of A in f32 and 9.4 MB in f64, and
@@ -407,21 +407,22 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
     slice, phase 1 forms A for every direct pool in blocks of queries across
     the CPUs, while the caller factors every pool and, if any is direct,
     squares the stack (on the first slice); phase 2 runs the rest for every
-    pool, in one query chunk per CPU: the direct step, with W in a buffer
-    of the slice's size, or Q P and its squared rows in one residual buffer
-    that every woodbury pool shares. Every buffer is in one dtype, the
-    queries' and pools' common one.
+    pool, in one query chunk per CPU: the direct step, or Q P and its
+    squared rows, each pool in turn writing W or Q P to a prefix of the
+    chunk's rows of one scratch, as wide as the widest. Every buffer is in
+    one dtype, the queries' and pools' common one.
     """
-    rho, b = params.rho, len(q)
+    rho, b, r = params.rho, len(q), q.shape[1]
     on = [c for c, side in enumerate(direct) if side]
     dtype = np.result_type(q, *(p.values for p in pools))
     sts = {c: np.ascontiguousarray(pools[c].values.T) for c in on}
-    per_query = [q.shape[1] * sts[c].shape[1] * dtype.itemsize for c in on]
+    per_query = [r * sts[c].shape[1] * dtype.itemsize for c in on]
     step = max(max(_PASS_BYTES, b * max(per_query)) // sum(per_query), 1) if on else max(b, 1)
     held = min(step, b)
     # allocated here, not in the workers, whose own heaps would keep them
-    a = {c: np.empty((held, q.shape[1], sts[c].shape[1]), dtype) for c in on}
-    resid = np.empty((held,) + q.shape[1:], dtype) if len(on) < len(pools) else None
+    a = {c: np.empty((held, r, sts[c].shape[1]), dtype) for c in on}
+    width = max(p.values.shape[0] if side else p.d for p, side in zip(pools, direct))
+    scratch = np.empty((held, r * width), dtype)
     err, factors, sq_norms = np.empty((b, len(pools))), [], []
 
     def pool_side():
@@ -437,7 +438,6 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
         q_s, err_s = q[rows], err[rows]
         n = len(q_s)
         a_s = {c: x[:n] for c, x in a.items()}
-        w_s = {c: np.empty_like(x) for c, x in a_s.items()}
 
         def block(c, lo, hi):
             _query_products(q_s[lo:hi], sts[c], a_s[c][lo:hi])
@@ -449,12 +449,12 @@ def _pass(q: np.ndarray, pools: Sequence[SupportPool], direct: Sequence[bool],
         def chunk(lo, hi):
             q_c = q_s[lo:hi]
             for c, (factor, side) in enumerate(zip(factors, direct)):
+                like = a_s[c][lo:hi] if side else q_c  # W is A's shape, Q P is Q's
+                out = scratch[lo:hi, : r * like.shape[2]].reshape(like.shape)  # a view
                 if side:
-                    _direct_step(a_s[c][lo:hi], sq_s[lo:hi], factor, rho, w_s[c][lo:hi],
-                                 err_s[lo:hi, c])
+                    _direct_step(like, sq_s[lo:hi], factor, rho, out, err_s[lo:hi, c])
                 else:
-                    np.matmul(q_c, factor[1], out=resid[lo:hi])
-                    err_s[lo:hi, c] = _sq_rows(resid[lo:hi]) / q.shape[1]
+                    err_s[lo:hi, c] = _sq_rows(np.matmul(q_c, factor[1], out=out)) / r
 
         _over_tasks(chunk, _chunks(n))
 

@@ -9,9 +9,11 @@ has one node per loss term. The ones that score every query against every
 class pool are:
 
 * frn: ``autodiff.ridge_recon_errors``, on the side
-  ``head.choose_formulation`` picks from the episode's shapes, as eval
-  does. Pretraining runs it against the dummy maps on the woodbury side,
-  where lambda is a constant.
+  ``head.choose_formulation`` picks from the episode's shapes, with the
+  ridge weight ``head.effective_lambda`` gives, as eval does: below
+  ``LAMBDA_FLOOR`` it is that constant, so alpha gets no gradient
+  through it there. Pretraining runs it against the dummy maps on the
+  woodbury side, where lambda is a constant.
 * dsn: the same node on pooled maps (r = 1, rho = 1), on the direct side.
 * proto and ctx: ``autodiff.proto_distances`` and ``autodiff.ctx_errors``,
   whose forwards are the eval heads' own.
@@ -58,7 +60,7 @@ import numpy as np
 from . import autodiff as ad
 from .baselines import CtxParams, ProjectionConfig
 from .episodes import Dataset, Episode, SamplingError, evaluate, make_head_fn, sample_episode, trial_rng
-from .head import HeadParams, SupportPool, choose_formulation, frn_distances
+from .head import LAMBDA_FLOOR, HeadParams, SupportPool, choose_formulation, frn_distances
 from .linalg import NumericalError
 
 GAMMA_FLOOR = 1e-6
@@ -240,6 +242,8 @@ def episode_loss_graph(variables: dict, episode: Episode, cfg: TrainConfig, d: i
         alpha = _scalar(variables, "alpha", 0.0)
         beta = _scalar(variables, "beta", 0.0)
         lam = ad.mul(ad.exp(alpha), k * r / d)
+        if lam.value < LAMBDA_FLOOR:  # eval's ``effective_lambda``: the floor, a constant
+            lam = LAMBDA_FLOOR
         rho = ad.exp(beta)
         dists = ad.ridge_recon_errors(q_emb, s_stack, lam, rho, r, choose_formulation(k, r, d))
     elif cfg.head == "proto":
@@ -419,7 +423,8 @@ def meta_train(
     as constants, so they keep their initial values exactly. Validation
     data must have the base data's width, and if validation will run, the
     classes and items its episodes need: else SamplingError, before any step.
-    A set ``embed_dim`` must be the width of ``init``'s embed_weight.
+    A set ``embed_dim`` must be the width of ``init``'s embed_weight, and
+    every ``init`` tensor finite: else ValueError, before any step.
     """
     if ds_val.d != ds_base.d:
         raise ValueError(f"validation data has {ds_val.d} channels, training data has {ds_base.d}")
@@ -440,6 +445,8 @@ def meta_train(
     if init:
         for name, value in init.items():
             params[name] = np.array(value, dtype=np.float64)
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"init tensor {name!r} is not finite")
     learnable = _learnable_names(cfg)
     constants = {n: v for n, v in params.items() if n not in learnable}
     state = {n: np.array(params[n], dtype=np.float64) for n in learnable}
@@ -638,6 +645,8 @@ def save_checkpoint(path, params: dict[str, np.ndarray], meta: dict | None = Non
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """The tensors and meta of a checkpoint; CheckpointError if it is damaged
+    or a tensor holds a non-finite value."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(CHECKPOINT_MAGIC) + 12 or blob[:8] != CHECKPOINT_MAGIC:
@@ -667,6 +676,11 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         if offset + nbytes > len(body):
             raise CheckpointError(f"{path}: tensor {name!r} is truncated at byte {len(CHECKPOINT_MAGIC) + offset}")
         params[name] = np.frombuffer(body[offset : offset + nbytes], dtype=np.float64).reshape(shape).copy()
+        finite = np.isfinite(params[name]).reshape(-1)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise CheckpointError(f"{path}: tensor {name!r} has a non-finite value at flat index {bad}"
+                                  f" (byte {len(CHECKPOINT_MAGIC) + offset + 8 * bad})")
         offset += nbytes
     if offset != len(body):
         raise CheckpointError(f"{path}: {len(body) - offset} bytes follow the last tensor")

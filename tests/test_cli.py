@@ -858,6 +858,23 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err
         assert all(word in err for word in named), err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_non_finite_tensor_is_io_error_with_nothing_written(
+        self, dataset, tmp_path, capsys, command
+    ):
+        # a valid file: its checksum holds, so only the value check can reject it
+        weight = np.ones((6, 4))
+        weight[0, 1] = np.nan
+        ckpt = tmp_path / "nan.bin"
+        save_checkpoint(ckpt, {"embed_weight": weight, "embed_bias": np.zeros(4)},
+                        {"train_config": {"head": "frn"}})
+        extra = ["--episodes", "2", "--embed-dim", "4", "--val-every", "0"] if command == "train" else []
+        code = run([command, "--data", str(dataset), "--from", str(ckpt), "--way", "3",
+                    "--query", "2", "--seed", "0", "--out", str(tmp_path / "x")] + extra)
+        assert code == EXIT_IO
+        assert "'embed_weight' has a non-finite value at flat index 1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_train_from_unfit_embedding_is_io_error(self, dataset, tmp_path, capsys):
         ckpt = tmp_path / "unfit.bin"
         save_checkpoint(ckpt, {"embed_weight": np.ones((5, 4)), "embed_bias": np.zeros(4)})

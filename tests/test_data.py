@@ -383,9 +383,6 @@ def saved_container(tmp_path_factory):
     return path, path.read_bytes()
 
 
-# a failing example makes hypothesis import libcst, whose DeprecationWarning,
-# an error under this suite's filterwarnings, would abort the whole session
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 class TestContainerFuzzed:
     """Every damaged container raises IngestError with a byte offset, nothing else."""
 

@@ -884,6 +884,63 @@ class TestThreadedWoodburyPass:
         assert submitted == []
 
 
+class TestOneScratchPerPass:
+    # (shots, r, d, dtype): eval-wide's episode, all direct, and a mixed-side one
+    SHAPES = {
+        "eval-wide": ((5,) * 5, 25, 640, np.float32),
+        "mixed-side": ((1, 5, 2, 5, 1), 25, 64, np.float64),
+    }
+    #: bytes past the named buffers: the factors, and each step's temporaries
+    MARGIN = 1 << 19
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_peak_is_a_per_direct_pool_and_one_scratch(self, shape, monkeypatch):
+        # on one thread, so the peak does not hang on how the chunks overlap
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        shots, r, d, dtype = self.SHAPES[shape]
+        rng = np.random.default_rng(33)
+        pools = [SupportPool(c, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
+                 for c, k in enumerate(shots)]
+        q = (rng.standard_normal((75 * r, d)) / math.sqrt(d)).astype(dtype)
+        sides = [choose_formulation(k, r, d) == "direct" for k in shots]
+        kr = sum(k * r for k, side in zip(shots, sides) if side)
+        width = max(k * r if side else d for k, side in zip(shots, sides))
+        # one slice: A and S^T over the direct pools, and one scratch of the widest pool side
+        bound = q.nbytes + (75 * r * kr + kr * d + 75 * r * width) * q.itemsize + self.MARGIN
+        tracemalloc.start()
+        try:
+            head.frn_distances(q, pools, HeadParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (peak, bound)
+
+    @pytest.mark.parametrize("pass_bytes", [head._PASS_BYTES, 0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_mixed_side_episode_is_each_pool_scored_alone(self, dtype, workers, pass_bytes,
+                                                           monkeypatch):
+        # r 5, d 12: the 1- and 2-shot pools score direct, their W in 25- and
+        # 50-wide prefixes of 60-wide scratch rows; the 5-shot ones woodbury.
+        # A pool scored alone has a scratch as wide as its own side.
+        r, d, shots = 5, 12, (1, 5, 2, 5, 1)
+        rng = np.random.default_rng(34)
+        pools = [SupportPool(c, k, (rng.standard_normal((k * r, d)) / math.sqrt(d)).astype(dtype))
+                 for c, k in enumerate(shots)]
+        q = (rng.standard_normal((9 * r, d)) / math.sqrt(d)).astype(dtype)
+        params = HeadParams(alpha=-0.3, beta=0.2)
+        sides = [choose_formulation(k, r, d) for k in shots]
+        assert sides == ["direct", "woodbury", "direct", "woodbury", "direct"]
+        kernels = {"direct": reconstruct_direct, "woodbury": reconstruct_woodbury}
+        monkeypatch.setattr(head, "_WORKERS", 1)
+        alone = [kernels[side](q, pool, params).sq_errors for pool, side in zip(pools, sides)]
+        monkeypatch.setattr(head, "_WORKERS", workers)
+        monkeypatch.setattr(head, "_PASS_BYTES", pass_bytes)
+        got = head.frn_distances(q, pools, params)
+        for c, errs in enumerate(alone):
+            assert np.array_equal(got[:, c], errs), c
+
+
 # (in_span, alpha, beta): random queries, or queries within 1e-4 of the
 # span of the support rows under a small ridge, where the error cancels
 REGIMES = st.one_of(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from frn import autodiff as ad
 from frn import baselines, head, linalg, training
 from frn.baselines import ProjectionConfig
-from frn.episodes import Dataset, sample_episode, trial_rng
+from frn.episodes import Dataset, Episode, sample_episode, trial_rng
 from frn.head import FeatureMap, HeadParams, SupportPool, choose_formulation, effective_lambda
 from frn.linalg import add_ridge, spd_solve
 from frn.training import (
@@ -501,6 +501,44 @@ class TestDirectNodeIsTheEvalStep:
         assert np.all(trained[~positive] <= 0)
 
 
+class TestTrainingRidgeWeightIsEvals:
+    # below LAMBDA_FLOOR eval scores with the floor; a graph that took
+    # e^alpha kr/d there would train a head other than the one it validates
+    @pytest.mark.parametrize("k, r, d, dup, alpha", [
+        (5, 25, 64, False, -10.0), (5, 25, 64, False, -20.0), (5, 25, 64, False, -30.0),
+        (2, 4, 64, True, -10.0), (2, 4, 64, True, -30.0),
+    ])
+    def test_the_graphs_errors_are_evals(self, k, r, d, dup, alpha, monkeypatch):
+        # woodbury at kr 125 > d; direct at kr 8, with each class's two shots equal
+        rng = np.random.default_rng(64)
+        maps = rng.standard_normal((3, k, r, d)) / math.sqrt(d)
+        if dup:
+            maps[:, 1] = maps[:, 0]
+        support = [SupportPool(c, k, maps[c].reshape(k * r, d)) for c in range(3)]
+        queries = [(FeatureMap(rng.standard_normal((r, d)) / math.sqrt(d)), c % 3) for c in range(6)]
+        episode = Episode(n=3, k=k, q=2, support=support, queries=queries)
+        params = HeadParams(alpha=alpha, beta=0.1)
+        seen, node = [], ad.ridge_recon_errors
+
+        def spy(*args):
+            seen.append(node(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(ad, "ridge_recon_errors", spy)
+        cfg = TrainConfig(head="frn", way=3, shot=k, query=2, use_aux=False)
+        episode_loss_graph({"alpha": np.float64(alpha), "beta": np.float64(0.1)}, episode, cfg, d)
+        evaluated = head.frn_distances(np.vstack([m.values for m, _ in queries]), support, params)
+        np.testing.assert_allclose(seen[0].value, evaluated, rtol=1e-9)
+
+    def test_alpha_gets_no_gradient_through_the_floor(self):
+        ds = gaussian_dataset(n_classes=4, items=6, seed=12)
+        episode = sample_episode(ds, 3, 2, 2, trial_rng(0, 0))
+        cfg = TrainConfig(head="frn", way=3, shot=2, query=2, use_aux=False)
+        _, grads = grad(lambda v: episode_loss_graph({**v, "beta": np.float64(0.0)}, episode, cfg, 6),
+                        {"alpha": np.float64(-40.0)})
+        assert float(grads["alpha"]) == 0.0
+
+
 class TestDirectNodeFactorsOncePerClass:
     # kr = 1 * 2 < d = 6, so frn trains on the direct side and dsn always does;
     # at shot 2 and d = 3 (kr = 4 > d) frn trains on the woodbury side, and a
@@ -848,9 +886,29 @@ def saved_checkpoint(tmp_path_factory):
     return path, path.read_bytes()
 
 
-# a failing example makes hypothesis import libcst, whose DeprecationWarning,
-# an error under this suite's filterwarnings, would abort the whole session
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_load_names_the_tensor_index_and_byte(self, tmp_path, bad):
+        rng = np.random.default_rng(16)
+        weight = rng.standard_normal((3, 4))
+        weight[1, 2] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"gamma": np.array(0.5), "embed_weight": weight}, {})
+        byte = path.read_bytes().index(weight.tobytes()) + 8 * 6
+        with pytest.raises(training.CheckpointError,
+                           match=rf"tensor 'embed_weight' has a non-finite value at flat index 6 \(byte {byte}\)"):
+            load_checkpoint(path)
+
+    def test_meta_train_rejects_a_non_finite_init_before_any_step(self, monkeypatch):
+        ds = gaussian_dataset(n_classes=5, items=8, seed=9)
+        init = init_params(TrainConfig(embed_dim=4), ds.d, np.random.default_rng(0))
+        init["embed_weight"][0, 0] = np.nan
+        monkeypatch.setattr(training, "sample_episode", lambda *a: pytest.fail("a step ran"))
+        cfg = TrainConfig(head="frn", way=3, shot=1, query=3, episodes=2, val_every=0, embed_dim=4)
+        with pytest.raises(ValueError, match="init tensor 'embed_weight' is not finite"):
+            meta_train(ds, ds, cfg, init=init)
+
+
 class TestCheckpointFuzzed:
     """Every damaged checkpoint raises CheckpointError, nothing else."""
 
